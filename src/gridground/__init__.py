@@ -60,7 +60,6 @@ from .gridmap import (
     Connectivity,
     GridPose,
     OccupancyGrid,
-    inflate,
     load_map,
     neighbors,
     random_map,
@@ -78,7 +77,6 @@ from .grounded import (
     StepRecord,
     affordance,
     plan,
-    replan,
     score_candidates,
     select_action,
     trace_to_jsonl,
@@ -91,7 +89,6 @@ from .scorers import (
     RemoteScorer,
     TaskScorerQuery,
     mock_score,
-    oracle_score,
     request_fingerprint,
 )
 from .simulator import (
@@ -116,97 +113,3 @@ from .translator import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ACTIONS",
-    "Action",
-    "ActionId",
-    "AggregateReport",
-    "AuthMissing",
-    "Cassette",
-    "CellState",
-    "ChatEndpointConfig",
-    "ConfigError",
-    "Connectivity",
-    "DynamicObstacle",
-    "EmptyPath",
-    "EmptyPathList",
-    "ExecutionRecord",
-    "FailureReason",
-    "GRAMMAR_VERSION",
-    "GridGroundError",
-    "GridPose",
-    "Instruction",
-    "InvalidDensity",
-    "InvalidEndpoint",
-    "InvalidParams",
-    "InvalidScenario",
-    "MalformedHeader",
-    "MalformedReply",
-    "MapFormatError",
-    "MockScorer",
-    "OccupancyGrid",
-    "OracleScorer",
-    "OutOfBounds",
-    "OverlappingMarkers",
-    "PathValidation",
-    "PlanResult",
-    "PlannedPath",
-    "PlannerConfig",
-    "RaggedRows",
-    "RemoteScorer",
-    "RetriesExhausted",
-    "RrtParams",
-    "Scenario",
-    "ScoredAction",
-    "ScorerFailure",
-    "ScorerTimeout",
-    "StepPrompt",
-    "StepRecord",
-    "TaskScorerQuery",
-    "TrialResult",
-    "UnknownCharacter",
-    "UnknownPlanner",
-    "affordance",
-    "aggregate",
-    "astar",
-    "chain_cells",
-    "dijkstra_oracle",
-    "distance_field",
-    "execute",
-    "format_action_scores",
-    "format_coordinate_list",
-    "format_report",
-    "grow_rrt_tree",
-    "inflate",
-    "load_map",
-    "load_scenario",
-    "make_planner",
-    "mock_score",
-    "neighbors",
-    "oracle_score",
-    "parse_action_scores",
-    "parse_coordinate_list",
-    "parse_scenario",
-    "path_length",
-    "plan",
-    "plot_trajectories",
-    "random_map",
-    "register_planner",
-    "replan",
-    "request_fingerprint",
-    "rows_to_csv",
-    "rrt",
-    "run_suite",
-    "run_suite_file",
-    "run_trial",
-    "score_candidates",
-    "select_action",
-    "serialize_fullpath_prompt",
-    "serialize_map",
-    "serialize_step_prompt",
-    "supercover_cells",
-    "trace_to_jsonl",
-    "trial_seed",
-    "validate_external_path",
-]

@@ -13,7 +13,6 @@ import hashlib
 import io
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -76,9 +75,6 @@ class _AstarPlanner:
         p = astar(grid, start, goal, self.connectivity)
         return list(p.waypoints) if p else None
 
-    def replan(self, grid, current, goal, instruction_text):
-        return self.plan(grid, current, goal, instruction_text)
-
 
 class _RrtPlanner:
     def __init__(self, params: RrtParams):
@@ -87,9 +83,6 @@ class _RrtPlanner:
     def plan(self, grid, start, goal, instruction_text):
         p = rrt(grid, start, goal, self.params)
         return list(p.waypoints) if p else None
-
-    def replan(self, grid, current, goal, instruction_text):
-        return self.plan(grid, current, goal, instruction_text)
 
 
 class _GroundedPlanner:
@@ -102,9 +95,6 @@ class _GroundedPlanner:
             self.scorer, grid, start, Instruction(instruction_text, GridPose(*goal)), self.config
         )
         return list(result.path.waypoints) if result.succeeded else None
-
-    def replan(self, grid, current, goal, instruction_text):
-        return self.plan(grid, current, goal, instruction_text)
 
 
 # fullpath reply producers return raw model-style text; the adapter parses it
@@ -144,9 +134,6 @@ class _FullpathPlanner:
         except MalformedReply:
             return None
         return list(parsed.waypoints)
-
-    def replan(self, grid, current, goal, instruction_text):
-        return self.plan(grid, current, goal, instruction_text)
 
 
 # --- registry ---------------------------------------------------------------
@@ -223,13 +210,6 @@ class _TimedPlanner:
         finally:
             self.elapsed_s += time.perf_counter() - t0
 
-    def replan(self, grid, current, goal, instruction_text):
-        t0 = time.perf_counter()
-        try:
-            return self.planner.replan(grid, current, goal, instruction_text)
-        finally:
-            self.elapsed_s += time.perf_counter() - t0
-
 
 # --- trials -----------------------------------------------------------------
 
@@ -281,7 +261,7 @@ def _run_trial_full(
 def run_trial(
     scenario: Scenario, planner_id: str, seed: int, scenario_id: str = "scenario"
 ) -> TrialResult:
-    """Execute one trial; only planner plan/replan calls are timed.
+    """Execute one trial; only the planner's plan calls are timed.
 
     Raises:
         UnknownPlanner: planner_id is not registered. Any failure inside the
@@ -378,7 +358,6 @@ def run_suite(
     scenarios: Sequence[tuple[str, Scenario]],
     planners: Sequence[str],
     trials_per_pair: int,
-    parallelism: int = 1,
 ) -> tuple[list[TrialResult], AggregateReport, dict[tuple[str, str], list[GridPose]]]:
     """Run every (scenario, planner, trial) combination.
 
@@ -394,30 +373,15 @@ def run_suite(
     for pid in planners:
         if pid not in _REGISTRY:
             raise UnknownPlanner(f"unknown planner id {pid!r}; registered: {sorted(_REGISTRY)}")
-    tasks = [
-        (sid, scenario, pid, idx)
-        for sid, scenario in scenarios
-        for pid in planners
-        for idx in range(trials_per_pair)
-    ]
-
-    def one(task):
-        sid, scenario, pid, idx = task
-        return _run_trial_full(scenario, pid, trial_seed(sid, pid, idx), sid), (sid, pid, idx)
-
-    results = []
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(one, tasks))
-    else:
-        results = [one(t) for t in tasks]
-
     rows: list[TrialResult] = []
     samples: dict[tuple[str, str], list[GridPose]] = {}
-    for (row, visited), (sid, pid, idx) in results:
-        rows.append(row)
-        if idx == 0:
-            samples[(sid, pid)] = visited
+    for sid, scenario in scenarios:
+        for pid in planners:
+            for idx in range(trials_per_pair):
+                row, visited = _run_trial_full(scenario, pid, trial_seed(sid, pid, idx), sid)
+                rows.append(row)
+                if idx == 0:
+                    samples[(sid, pid)] = visited
     return rows, aggregate(rows), samples
 
 
@@ -458,7 +422,7 @@ def load_suite(path: str | Path) -> Suite:
 
 
 def run_suite_file(
-    suite_path: str | Path, out_dir: str | Path, parallelism: int = 1
+    suite_path: str | Path, out_dir: str | Path
 ) -> tuple[list[TrialResult], AggregateReport]:
     """Run a suite file and write rows.csv, report.txt, and one SVG per scenario.
 
@@ -467,9 +431,7 @@ def run_suite_file(
     suite = load_suite(suite_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows, report, samples = run_suite(
-        suite.scenarios, suite.planners, suite.trials_per_pair, parallelism
-    )
+    rows, report, samples = run_suite(suite.scenarios, suite.planners, suite.trials_per_pair)
     (out / "rows.csv").write_text(rows_to_csv(rows), encoding="utf-8")
     (out / "report.txt").write_text(format_report(report), encoding="utf-8")
     for sid, scenario in suite.scenarios:

@@ -9,8 +9,3 @@ from pathlib import Path
 def bundled_path(name: str) -> Path:
     """Filesystem path of a bundled data file (e.g. 'corridor.map')."""
     return Path(str(resources.files("gridground").joinpath("data", name)))
-
-
-def bundled_names() -> list[str]:
-    data = resources.files("gridground").joinpath("data")
-    return sorted(p.name for p in data.iterdir() if p.is_file())

@@ -3,7 +3,8 @@
 Configuration precedence is flags > environment (GRIDGROUND_*) > config file
 (--config, YAML) > built-in defaults. Exit codes: 0 success, 1 usage or
 configuration error, 2 planning failed (no path / planner gave up). Nothing
-touches the network unless the scorer is remote AND --allow-network is given.
+touches the network unless `plan` runs the remote scorer AND --allow-network
+is given; --allow-network is a flag of `plan` only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import yaml
 from . import bench
 from .bundled import bundled_path
 from .classical import PlannedPath, RrtParams, astar, path_length, rrt
-from .errors import GridGroundError, MalformedReply
+from .errors import ConfigError, GridGroundError, MalformedReply, MapFormatError
 from .gridmap import Connectivity, GridPose, load_map, random_map, serialize_map
 from .grounded import Instruction, PlannerConfig, plan as grounded_plan
 from .scorers import ChatEndpointConfig, Cassette, MockScorer, OracleScorer, RemoteScorer
@@ -46,7 +47,6 @@ _OPTION_TYPES = {
     "seed": int,
     "connectivity": int,
     "max_steps": int,
-    "parallelism": int,
     "out_dir": str,
     "suite": str,
 }
@@ -58,7 +58,6 @@ _DEFAULTS = {
     "seed": 0,
     "connectivity": 4,
     "max_steps": None,
-    "parallelism": 1,
     "out_dir": "out",
     "suite": None,
 }
@@ -128,7 +127,10 @@ def _make_scorer(scorer_name: str, tau: float, allow_network: bool, file_cfg: di
     if scorer_name == "oracle":
         return OracleScorer()
     if scorer_name == "remote":
-        cass = Cassette(cassette) if cassette else None
+        try:
+            cass = Cassette(cassette) if cassette else None
+        except ConfigError as exc:
+            raise _UsageError(str(exc))
         if cass is None and not allow_network:
             raise _UsageError("scorer 'remote' requires --allow-network (or --cassette for replay)")
         cfg = _endpoint_config(file_cfg)
@@ -151,7 +153,7 @@ def cmd_plan(args) -> int:
 
     try:
         grid = load_map(Path(args.map).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, MapFormatError) as exc:
         raise _UsageError(f"cannot read map {args.map}: {exc}")
     start = _parse_xy(args.start, "--start")
     goal = _parse_xy(args.goal, "--goal")
@@ -217,10 +219,9 @@ def cmd_bench(args) -> int:
     file_cfg = _load_config_file(args.config)
     suite = _resolve("suite", args.suite, file_cfg)
     out_dir = _resolve("out_dir", args.out_dir, file_cfg)
-    parallelism = _resolve("parallelism", args.parallelism, file_cfg)
     suite_path = Path(suite) if suite else bundled_path("default_suite.yaml")
     try:
-        rows, report = bench.run_suite_file(suite_path, out_dir, parallelism)
+        rows, report = bench.run_suite_file(suite_path, out_dir)
     except GridGroundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -276,8 +277,6 @@ def _build_parser() -> _Parser:
     p_bench = sub.add_parser("bench", help="run a benchmark suite")
     p_bench.add_argument("--suite", help="suite file (default: bundled suite)")
     p_bench.add_argument("--out-dir", dest="out_dir")
-    p_bench.add_argument("--parallelism", type=int)
-    p_bench.add_argument("--allow-network", action="store_true")
     p_bench.add_argument("--config", help="YAML config file")
     p_bench.set_defaults(func=cmd_bench)
 

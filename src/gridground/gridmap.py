@@ -229,30 +229,3 @@ def neighbors(
                 continue
             result.append(GridPose(nx, ny))
     return result
-
-
-def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
-    """Dilate Occupied cells by a Euclidean radius measured in cells.
-
-    Optional preprocessing for clearance-aware planning; radius 0 returns an
-    equal grid.
-    """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    reach = int(math.floor(radius))
-    offsets = [
-        (dx, dy)
-        for dx in range(-reach, reach + 1)
-        for dy in range(-reach, reach + 1)
-        if dx * dx + dy * dy <= radius * radius
-    ]
-    cells = list(grid.cells)
-    for y in range(grid.height):
-        for x in range(grid.width):
-            if grid.cells[y * grid.width + x] is not CellState.OCCUPIED:
-                continue
-            for dx, dy in offsets:
-                nx, ny = x + dx, y + dy
-                if grid.in_bounds(nx, ny):
-                    cells[ny * grid.width + nx] = CellState.OCCUPIED
-    return OccupancyGrid(grid.width, grid.height, grid.resolution, tuple(cells))

@@ -68,7 +68,7 @@ class ScoredAction:
 
 @dataclass
 class PlannerConfig:
-    """Knobs for plan/replan.
+    """Knobs for plan.
 
     max_steps None derives 4 * (width + height) from the grid at plan time.
     revisit_penalty multiplies p_combined of candidates already visited.
@@ -187,7 +187,7 @@ class StepRecord:
 
 @dataclass
 class PlanResult:
-    """Outcome of plan/replan: the path walked, the trace, and any failure.
+    """Outcome of plan: the path walked, the trace, and any failure.
 
     failure is None on success; on failure ``path`` holds the partial path
     walked so far and the trace still covers every iteration.
@@ -264,17 +264,6 @@ def plan(
         FailureReason.STEP_LIMIT,
         detail=f"goal not reached within {max_steps} steps",
     )
-
-
-def replan(
-    scorer: TaskScorer,
-    grid: OccupancyGrid,
-    current: GridPose,
-    instruction: Instruction,
-    config: PlannerConfig | None = None,
-) -> PlanResult:
-    """Plan again from the current cell with a fresh visited set."""
-    return plan(scorer, grid, current, instruction, config)
 
 
 def trace_to_jsonl(trace: Sequence[StepRecord]) -> str:

@@ -22,6 +22,7 @@ import requests
 from .classical import distance_field
 from .errors import (
     AuthMissing,
+    ConfigError,
     MalformedReply,
     RetriesExhausted,
     ScorerFailure,
@@ -78,35 +79,14 @@ class MockScorer:
         return mock_score(query, self.tau)
 
 
-def oracle_score(query: TaskScorerQuery) -> ScoreTuple:
+class OracleScorer:
     """Score 1 for candidates that lie on a shortest path, else 0.
 
     A candidate is on a shortest path when its four-connected cost-to-goal
     equals the state's cost minus one. All-zero when the state itself is
-    disconnected from the goal.
+    disconnected from the goal. The distance field is memoized per
+    (grid, goal).
     """
-    grid = query.grid
-    fld = distance_field(grid, query.instruction.goal, Connectivity.FOUR)
-    return _oracle_from_field(fld, grid, query.state, query.candidates)
-
-
-def _oracle_from_field(
-    fld: list[float], grid: OccupancyGrid, state: GridPose, candidates: tuple[GridPose, ...]
-) -> ScoreTuple:
-    here = fld[state[1] * grid.width + state[0]] if grid.in_bounds(state[0], state[1]) else math.inf
-    if not math.isfinite(here):
-        return (0.0, 0.0, 0.0, 0.0)
-    out = []
-    for c in candidates:
-        if grid.in_bounds(c[0], c[1]) and fld[c[1] * grid.width + c[0]] == here - 1.0:
-            out.append(1.0)
-        else:
-            out.append(0.0)
-    return (out[0], out[1], out[2], out[3])
-
-
-class OracleScorer:
-    """oracle_score with a memoized distance field per (grid, goal)."""
 
     def __init__(self):
         # keyed by (id(grid), goal); the grid is pinned in the value so the
@@ -120,7 +100,17 @@ class OracleScorer:
         if entry is None:
             entry = (query.grid, distance_field(query.grid, goal, Connectivity.FOUR))
             self._fields[key] = entry
-        return _oracle_from_field(entry[1], query.grid, query.state, query.candidates)
+        fld, grid, state = entry[1], query.grid, query.state
+        here = fld[state[1] * grid.width + state[0]] if grid.in_bounds(state[0], state[1]) else math.inf
+        if not math.isfinite(here):
+            return (0.0, 0.0, 0.0, 0.0)
+        out = []
+        for c in query.candidates:
+            if grid.in_bounds(c[0], c[1]) and fld[c[1] * grid.width + c[0]] == here - 1.0:
+                out.append(1.0)
+            else:
+                out.append(0.0)
+        return (out[0], out[1], out[2], out[3])
 
 
 # --- remote chat endpoint ---
@@ -163,6 +153,10 @@ class Cassette:
 
     Replay serves recorded response bodies without any network or
     credentials; record mode appends after each live success.
+
+    Raises:
+        ConfigError: an existing file cannot be read, or one of its lines is
+            not such a record; the message names the file and the 1-based line.
     """
 
     def __init__(self, path: str | Path, record: bool = False):
@@ -170,11 +164,25 @@ class Cassette:
         self.record = record
         self._entries: dict[str, str] = {}
         if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
+            try:
+                text = self.path.read_text(encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"cannot read cassette {self.path}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                n = exc.object[: exc.start].count(b"\n") + 1
+                raise ConfigError(f"cassette {self.path} line {n}: not UTF-8 ({exc.reason})") from None
+            for n, line in enumerate(text.splitlines(), 1):
                 if not line.strip():
                     continue
-                rec = json.loads(line)
-                self._entries[rec["request_hash"]] = rec["response_body"]
+                try:
+                    rec = json.loads(line)
+                    self._entries[rec["request_hash"]] = rec["response_body"]
+                except ValueError as exc:
+                    raise ConfigError(f"cassette {self.path} line {n}: not JSON: {exc}") from None
+                except (KeyError, TypeError):
+                    raise ConfigError(
+                        f"cassette {self.path} line {n}: needs request_hash and response_body"
+                    ) from None
 
     def lookup(self, fingerprint: str) -> str | None:
         return self._entries.get(fingerprint)
@@ -304,14 +312,3 @@ class RemoteScorer:
         if not isinstance(content, str):
             raise MalformedReply("completion content is not text", reply=response_body)
         return content
-
-
-def remote_score(
-    query: TaskScorerQuery,
-    config: ChatEndpointConfig,
-    cassette: Cassette | None = None,
-    transport: Transport = _requests_transport,
-    sleep: Callable[[float], None] = time.sleep,
-) -> ScoreTuple:
-    """One-shot functional form of RemoteScorer."""
-    return RemoteScorer(config, cassette=cassette, transport=transport, sleep=sleep)(query)

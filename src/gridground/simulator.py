@@ -39,7 +39,6 @@ class Scenario:
     instruction_text: str
     dynamic_obstacles: tuple[DynamicObstacle, ...] = ()
     sensing_radius: int = 1
-    seed: int = 0
 
     def validate(self) -> None:
         grid = self.map
@@ -73,17 +72,14 @@ class ExecutionRecord:
 class SimPlanner(Protocol):
     """Planner interface the executor drives.
 
-    Both methods return a waypoint list (ideally starting at the given cell
-    and ending at the goal) or None when no path could be produced.
+    ``plan`` is called for the first plan and again, from the current cell
+    on the sensed grid, for every replan. It returns a waypoint list
+    (ideally starting at the given cell and ending at the goal) or None when
+    no path could be produced.
     """
 
     def plan(
         self, grid: OccupancyGrid, start: GridPose, goal: GridPose, instruction_text: str
-    ) -> list[GridPose] | None:
-        ...
-
-    def replan(
-        self, grid: OccupancyGrid, current: GridPose, goal: GridPose, instruction_text: str
     ) -> list[GridPose] | None:
         ...
 
@@ -119,6 +115,16 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
     def occupied_now(c: GridPose) -> bool:
         return grid.cells[c.y * grid.width + c.x] is not CellState.FREE or c in materialized
 
+    def plan_from(cell: GridPose) -> deque[GridPose] | None:
+        """The planner's waypoints from ``cell`` on the sensed grid, ``cell`` itself dropped."""
+        path = planner.plan(working, cell, goal, scenario.instruction_text)
+        if path is None:
+            return None
+        steps = deque(GridPose(*p) for p in path)
+        if steps and steps[0] == cell:
+            steps.popleft()
+        return steps
+
     pos = start
     visited = [pos]
     replan_count = 0
@@ -133,12 +139,9 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
 
     upcoming: deque[GridPose] = deque()
     if not reached:
-        path = planner.plan(working, pos, goal, scenario.instruction_text)
-        if path is None:
+        upcoming = plan_from(pos)
+        if upcoming is None:
             return ExecutionRecord(visited, False, False, 0, 0)
-        upcoming = deque(GridPose(*p) for p in path)
-        if upcoming and upcoming[0] == pos:
-            upcoming.popleft()
 
     tick = 0
     while upcoming and steps_taken < budget and not collided and not reached:
@@ -161,13 +164,7 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
             remaining = set(upcoming)
             if newly & remaining:
                 replan_count += 1
-                new_path = planner.replan(working, pos, goal, scenario.instruction_text)
-                if new_path is None:
-                    upcoming = deque()
-                else:
-                    upcoming = deque(GridPose(*p) for p in new_path)
-                    if upcoming and upcoming[0] == pos:
-                        upcoming.popleft()
+                upcoming = plan_from(pos) or deque()
     return ExecutionRecord(visited, collided, reached, replan_count, steps_taken)
 
 
@@ -268,11 +265,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     if not isinstance(doc["instruction_text"], str):
         raise InvalidScenario("instruction_text must be a string")
     sensing_radius = doc.get("sensing_radius", 1)
-    seed = doc.get("seed", 0)
     if not isinstance(sensing_radius, int) or isinstance(sensing_radius, bool):
         raise InvalidScenario("sensing_radius must be an integer")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidScenario("seed must be an integer")
 
     scenario = Scenario(
         map=grid,
@@ -281,7 +275,6 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         instruction_text=doc["instruction_text"],
         dynamic_obstacles=tuple(obstacles),
         sensing_radius=sensing_radius,
-        seed=seed,
     )
     scenario.validate()
     return scenario

@@ -93,6 +93,15 @@ class TestUsageErrors:
         assert rc == 1
         assert "cannot read map" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [b"3 3 1.0\n...\n.x.\n...\n", b"3 1 1.0\n\xff..\n"])
+    def test_malformed_map_file(self, tmp_path, capsys, text):
+        m = tmp_path / "m.map"
+        m.write_bytes(text)
+        rc = main(plan_args(str(m), "0,0", "2,0"))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"usage error: cannot read map {m}" in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
 
@@ -260,6 +269,17 @@ class TestCassetteReplay:
         assert rc == 2
         assert "no record" in err
 
+    @pytest.mark.parametrize("bad", ["{not json", json.dumps({"response_body": "{}"})])
+    def test_corrupt_cassette_is_config_error(self, tmp_path, capsys, bad):
+        m = write_map(tmp_path, ["..."])
+        tape = tmp_path / "tape.jsonl"
+        tape.write_text(bad + "\n")
+        rc = main(plan_args(m, "0,0", "2,0", "--planner", "grounded", "--scorer", "remote",
+                            "--cassette", str(tape)))
+        _, err = capsys.readouterr()
+        assert rc == 1
+        assert f"usage error: cassette {tape} line 1:" in err
+
 
 class TestPrecedence:
     def test_env_overrides_default(self, tmp_path, capsys, monkeypatch):
@@ -363,6 +383,14 @@ class TestBenchCommand:
         assert rc == 0
         assert "astar" in out and "rrt" in out and "grounded:mock" in out
         assert (tmp_path / "o" / "rows.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--parallelism", "2"], ["--allow-network"]])
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        suite = write_tiny_suite(tmp_path)
+        rc = main(["bench", "--suite", str(suite), "--out-dir", str(tmp_path / "o"), *flag])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_out_dir_from_env(self, tmp_path, capsys, monkeypatch):
         suite = write_tiny_suite(tmp_path)

@@ -16,7 +16,6 @@ from gridground.gridmap import (
     GridPose,
     OccupancyGrid,
     FOUR_DELTAS,
-    inflate,
     load_map,
     neighbors,
     random_map,
@@ -231,45 +230,3 @@ class TestNeighbors:
         with pytest.raises(OutOfBounds):
             neighbors(open_grid(2, 2), GridPose(9, 9))
 
-
-class TestInflate:
-    def test_radius_zero_identity(self):
-        g = grid_from_rows(["...", ".#.", "..."])
-        assert inflate(g, 0.0) == g
-
-    def test_radius_one_cross(self):
-        g = grid_from_rows([
-            ".....",
-            ".....",
-            "..#..",
-            ".....",
-            ".....",
-        ])
-        out = inflate(g, 1.0)
-        occupied = {(x, y) for y in range(5) for x in range(5)
-                    if out.cell(x, y) is CellState.OCCUPIED}
-        assert occupied == {(2, 2), (1, 2), (3, 2), (2, 1), (2, 3)}
-
-    def test_radius_1_5_disc(self):
-        g = grid_from_rows([
-            ".....",
-            ".....",
-            "..#..",
-            ".....",
-            ".....",
-        ])
-        out = inflate(g, 1.5)
-        # sqrt(2) <= 1.5 so the diagonals join the disc
-        assert out.cell(1, 1) is CellState.OCCUPIED
-        assert out.cell(3, 3) is CellState.OCCUPIED
-        assert out.cell(0, 2) is CellState.FREE
-
-    def test_negative_radius(self):
-        with pytest.raises(ValueError):
-            inflate(open_grid(2, 2), -1.0)
-
-    def test_unknown_cells_not_dilated(self):
-        g = grid_from_rows(["?..", "...", "..."])
-        out = inflate(g, 1.0)
-        assert out.cell(1, 0) is CellState.FREE
-        assert out.cell(0, 0) is CellState.UNKNOWN

@@ -15,12 +15,11 @@ from gridground.grounded import (
     ScoredAction,
     affordance,
     plan,
-    replan,
     score_candidates,
     select_action,
     trace_to_jsonl,
 )
-from gridground.scorers import MockScorer, OracleScorer, oracle_score
+from gridground.scorers import MockScorer, OracleScorer
 
 from conftest import grid_from_rows, open_grid
 
@@ -323,17 +322,6 @@ class TestPlan:
         assert res.trace[0].chosen.action.id is ActionId.DOWN
         # the query presents candidates in the same reordered sequence
         assert flat.queries[0].candidates[0] == GridPose(2, 3)
-
-    def test_replan_matches_fresh_plan(self):
-        g = grid_from_rows([
-            ".....",
-            ".###.",
-            ".....",
-        ])
-        instruction = Instruction("x", GridPose(4, 1))
-        a = replan(MockScorer(), g, GridPose(2, 0), instruction)
-        b = plan(MockScorer(), g, GridPose(2, 0), instruction)
-        assert a.path.waypoints == b.path.waypoints
 
     def test_deterministic(self):
         g = grid_from_rows([

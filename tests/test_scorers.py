@@ -8,6 +8,7 @@ import requests
 import gridground.scorers as scorers_mod
 from gridground.errors import (
     AuthMissing,
+    ConfigError,
     MalformedReply,
     RetriesExhausted,
     ScorerFailure,
@@ -23,8 +24,6 @@ from gridground.scorers import (
     RemoteScorer,
     TaskScorerQuery,
     mock_score,
-    oracle_score,
-    remote_score,
     request_fingerprint,
 )
 
@@ -77,11 +76,11 @@ class TestMockScore:
 class TestOracleScore:
     def test_marks_only_downhill_moves(self):
         q = query_at(open_grid(5, 1), (1, 0), (4, 0))
-        assert oracle_score(q) == (0.0, 1.0, 0.0, 0.0)
+        assert OracleScorer()(q) == (0.0, 1.0, 0.0, 0.0)
 
     def test_two_shortest_directions(self):
         q = query_at(open_grid(5, 5), (1, 1), (3, 3))
-        assert oracle_score(q) == (0.0, 1.0, 0.0, 1.0)
+        assert OracleScorer()(q) == (0.0, 1.0, 0.0, 1.0)
 
     def test_blocked_detour_scores_around(self):
         g = grid_from_rows([
@@ -91,7 +90,7 @@ class TestOracleScore:
         ])
         q = query_at(g, (0, 1), (2, 1))
         # straight ahead is the wall; up and down both start optimal detours
-        assert oracle_score(q) == (1.0, 0.0, 0.0, 1.0)
+        assert OracleScorer()(q) == (1.0, 0.0, 0.0, 1.0)
 
     def test_disconnected_state_all_zero(self):
         g = grid_from_rows([
@@ -100,11 +99,11 @@ class TestOracleScore:
             ".....",
         ])
         q = query_at(g, (0, 0), (4, 2))
-        assert oracle_score(q) == (0.0, 0.0, 0.0, 0.0)
+        assert OracleScorer()(q) == (0.0, 0.0, 0.0, 0.0)
 
     def test_out_of_bounds_candidates_zero(self):
         q = query_at(open_grid(3, 3), (0, 0), (2, 2))
-        got = oracle_score(q)
+        got = OracleScorer()(q)
         assert got[0] == 0.0 and got[2] == 0.0  # up and left leave the map
         assert got[1] == 1.0 and got[3] == 1.0
 
@@ -135,11 +134,12 @@ class TestOracleScorerMemo:
         assert len(calls) == 3
 
     def test_matches_functional_form(self):
+        # one shared scorer (memoized field) agrees with a fresh one per query
         g = grid_from_rows(["....", ".##.", "...."])
         scorer = OracleScorer()
         for state in [(0, 0), (0, 1), (0, 2), (3, 0)]:
             q = query_at(g, state, (3, 2))
-            assert scorer(q) == oracle_score(q)
+            assert scorer(q) == OracleScorer()(q)
 
 
 class TestRequestFingerprint:
@@ -318,14 +318,6 @@ class TestRemoteScorer:
         with pytest.raises(MalformedReply):
             scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
 
-    def test_functional_form(self, config, with_key):
-        got = remote_score(
-            query_at(open_grid(4, 4), (1, 1), (3, 3)),
-            config,
-            transport=FakeTransport([(200, chat_body("scores: 0 0 0 1"))]),
-            sleep=lambda s: None,
-        )
-        assert got == (0.0, 0.0, 0.0, 1.0)
 
 
 class TestCassetteIntegration:
@@ -385,6 +377,28 @@ class TestCassetteIntegration:
         with pytest.raises(ScorerFailure):
             scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
         assert not path.exists() or path.read_text() == ""
+
+
+class TestCassetteFile:
+    GOOD = json.dumps({"request_hash": "abc", "response_body": "{}"}).encode()
+
+    @pytest.mark.parametrize("bad,reason", [
+        (b"{not json", "not JSON"),
+        (json.dumps({"response_body": "{}"}).encode(), "needs request_hash"),
+        (json.dumps({"request_hash": "def"}).encode(), "needs request_hash"),
+        (json.dumps(["abc", "{}"]).encode(), "needs request_hash"),
+        (b'{"request_hash": "\xff"}', "not UTF-8"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, bad, reason):
+        path = tmp_path / "tape.jsonl"
+        path.write_bytes(self.GOOD + b"\n\n" + bad + b"\n")  # the blank line still counts
+        with pytest.raises(ConfigError, match=reason) as info:
+            Cassette(path)
+        assert f"cassette {path} line 3:" in str(info.value)
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read cassette"):
+            Cassette(tmp_path)  # a directory exists but cannot be read
 
 
 class TestEndpointConfig:

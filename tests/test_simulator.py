@@ -23,39 +23,26 @@ class AstarPlanner:
         p = astar(grid, start, goal)
         return None if p is None else list(p.waypoints)
 
-    def replan(self, grid, current, goal, instruction_text):
-        return self.plan(grid, current, goal, instruction_text)
-
 
 class RecordingAstar(AstarPlanner):
     def __init__(self):
         self.calls = []
 
     def plan(self, grid, start, goal, instruction_text):
-        self.calls.append(("plan", grid, start))
+        self.calls.append((grid, start))
         return super().plan(grid, start, goal, instruction_text)
-
-    def replan(self, grid, current, goal, instruction_text):
-        self.calls.append(("replan", grid, current))
-        return super().plan(grid, current, goal, instruction_text)
 
 
 class ScriptedPlanner:
-    """Returns canned waypoint lists; one per plan/replan call, in order."""
+    """Returns canned waypoint lists; one per plan call (first plan or replan), in order."""
 
     def __init__(self, plans):
         self.plans = list(plans)
         self.calls = []
 
-    def _next(self, kind, pos):
-        self.calls.append((kind, pos))
-        return self.plans.pop(0)
-
     def plan(self, grid, start, goal, instruction_text):
-        return self._next("plan", start)
-
-    def replan(self, grid, current, goal, instruction_text):
-        return self._next("replan", current)
+        self.calls.append(start)
+        return self.plans.pop(0)
 
 
 def corridor_scenario(**over):
@@ -151,9 +138,10 @@ class TestExecuteDynamic:
         assert not rec.reached_goal and not rec.collided
         assert [tuple(p) for p in rec.visited] == [(1, 1), (2, 1), (3, 1)]
         assert rec.steps_taken == 2
-        kinds = [c[0] for c in planner.calls]
-        assert kinds == ["plan", "replan"]
-        assert planner.calls[1][2] == GridPose(3, 1)
+        # the replan is the second plan call, from the current cell on the sensed grid
+        assert len(planner.calls) == 2
+        grid, current = planner.calls[1]
+        assert current == GridPose(3, 1) and grid.cell(4, 1) is CellState.OCCUPIED
 
     def test_same_tick_appearance_defeats_sensing(self):
         sc = corridor_scenario(
@@ -180,7 +168,7 @@ class TestExecuteDynamic:
         planner = RecordingAstar()
         rec = execute(sc, planner)
         assert rec.reached_goal and rec.replan_count == 0
-        assert [c[0] for c in planner.calls] == ["plan"]
+        assert len(planner.calls) == 1
 
     def test_replan_detours_and_reaches(self):
         g = grid_from_rows([
@@ -202,8 +190,9 @@ class TestExecuteDynamic:
             (1, 1), (2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (5, 1),
         ]
         # the replan saw a working map with the sensed block; the base map is untouched
-        kind, grid, current = planner.calls[1]
-        assert kind == "replan" and current == GridPose(3, 1)
+        assert len(planner.calls) == 2
+        grid, current = planner.calls[1]
+        assert current == GridPose(3, 1)
         assert grid.cell(4, 1) is CellState.OCCUPIED
         assert sc.map.cell(4, 1) is CellState.FREE
 
@@ -215,8 +204,9 @@ class TestExecuteDynamic:
         rec = execute(sc, planner)
         assert rec.reached_goal and rec.replan_count == 0
         assert [tuple(p) for p in rec.visited] == [(1, 1), (1, 2), (2, 2), (3, 2), (3, 1)]
-        kind, grid, _ = planner.calls[0]
-        assert kind == "plan" and grid.cell(2, 1) is CellState.OCCUPIED
+        assert len(planner.calls) == 1
+        grid, _ = planner.calls[0]
+        assert grid.cell(2, 1) is CellState.OCCUPIED
 
     def test_sensing_radius_is_chebyshev(self):
         # the path bends, so the blocked waypoint sits diagonal to the robot:
@@ -231,7 +221,7 @@ class TestExecuteDynamic:
         ])
         rec = execute(sc, planner)
         assert rec.replan_count == 1
-        assert planner.calls == [("plan", GridPose(1, 1)), ("replan", GridPose(2, 1))]
+        assert planner.calls == [GridPose(1, 1), GridPose(2, 1)]
         assert rec.reached_goal
         assert [tuple(p) for p in rec.visited] == [(1, 1), (2, 1), (3, 1)]
 
@@ -365,15 +355,21 @@ class TestParseScenario:
         assert sc.start == GridPose(0, 0) and sc.goal == GridPose(2, 2)
         assert sc.instruction_text == "go"
         assert sc.dynamic_obstacles == ()
-        assert sc.sensing_radius == 1 and sc.seed == 0
+        assert sc.sensing_radius == 1
 
     def test_full_fields(self):
         sc = parse_scenario(scenario_doc(
             dynamic_obstacles=[{"cell": [1, 1], "appears_at_step": 3}],
-            sensing_radius=2, seed=7,
+            sensing_radius=2,
         ))
         assert sc.dynamic_obstacles == (DynamicObstacle(GridPose(1, 1), 3),)
-        assert sc.sensing_radius == 2 and sc.seed == 7
+        assert sc.sensing_radius == 2
+
+    @pytest.mark.parametrize("seed", [7, True, "x"])
+    def test_seed_key_ignored(self, seed):
+        # older scenario files carry a seed; trial seeds come from bench.trial_seed
+        sc = parse_scenario(scenario_doc(seed=seed))
+        assert sc == parse_scenario(scenario_doc())
 
     def test_map_file_resolved_against_base_dir(self, tmp_path):
         (tmp_path / "m.map").write_text("3 1 1.0\n...\n")
@@ -398,7 +394,7 @@ class TestParseScenario:
         ({"instruction_text": 5}, "string"),
         ({"sensing_radius": True}, "integer"),
         ({"sensing_radius": "2"}, "integer"),
-        ({"seed": True}, "integer"),
+        ({"sensing_radius": 1.5}, "integer"),
         ({"dynamic_obstacles": [{"cell": [1, 1]}]}, "appears_at_step"),
         ({"dynamic_obstacles": [{"appears_at_step": 0}]}, "cell"),
         ({"dynamic_obstacles": [{"cell": [1, 1], "appears_at_step": True}]}, "integer"),
