@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import yaml
 
 from .classical import PlannedPath, RrtParams, astar, path_length, rrt
-from .errors import ConfigError, EmptyPathList, MalformedReply, UnknownPlanner
+from .errors import ConfigError, EmptyPathList, GridGroundError, MalformedReply, UnknownPlanner
 from .gridmap import CellState, Connectivity, GridPose, OccupancyGrid
 from .grounded import Instruction, PlannerConfig, plan as grounded_plan
 from .scorers import MockScorer, OracleScorer, TaskScorerQuery
@@ -65,9 +65,13 @@ class TrialResult:
 
 
 # --- planner adapters -------------------------------------------------------
+# The only planning code: the registry below and `gridground plan` both build
+# these. After a plan that returned None, `failure` says why.
 
 
-class _AstarPlanner:
+class AstarPlanner:
+    failure = "no path found"
+
     def __init__(self, connectivity: Connectivity = Connectivity.FOUR):
         self.connectivity = connectivity
 
@@ -76,7 +80,9 @@ class _AstarPlanner:
         return list(p.waypoints) if p else None
 
 
-class _RrtPlanner:
+class RrtPlanner:
+    failure = "no path found"
+
     def __init__(self, params: RrtParams):
         self.params = params
 
@@ -85,7 +91,9 @@ class _RrtPlanner:
         return list(p.waypoints) if p else None
 
 
-class _GroundedPlanner:
+class GroundedPlanner:
+    failure = ""
+
     def __init__(self, scorer, config: PlannerConfig | None = None):
         self.scorer = scorer
         self.config = config
@@ -94,7 +102,11 @@ class _GroundedPlanner:
         result = grounded_plan(
             self.scorer, grid, start, Instruction(instruction_text, GridPose(*goal)), self.config
         )
-        return list(result.path.waypoints) if result.succeeded else None
+        if not result.succeeded:
+            steps = len(result.path.waypoints) - 1
+            self.failure = f"{result.failure.value} ({result.detail}) after {steps} steps"
+            return None
+        return list(result.path.waypoints)
 
 
 # fullpath reply producers return raw model-style text; the adapter parses it
@@ -122,16 +134,21 @@ def fullpath_oracle_reply(grid: OccupancyGrid, start: GridPose, instruction: Ins
     return translator.format_coordinate_list(list(p.waypoints))
 
 
-class _FullpathPlanner:
+class FullpathPlanner:
+    failure = ""
+
     def __init__(self, reply_fn: ReplyFn):
         self.reply_fn = reply_fn
 
     def plan(self, grid, start, goal, instruction_text):
-        instruction = Instruction(instruction_text, GridPose(*goal))
+        start, goal = GridPose(*start), GridPose(*goal)
+        if start == goal:  # nothing to ask the model
+            return [start]
         try:
-            reply = self.reply_fn(grid, GridPose(*start), instruction)
+            reply = self.reply_fn(grid, start, Instruction(instruction_text, goal))
             parsed = translator.parse_coordinate_list(reply)
-        except MalformedReply:
+        except MalformedReply as exc:
+            self.failure = str(exc)
             return None
         return list(parsed.waypoints)
 
@@ -153,18 +170,18 @@ PlannerFactory = Callable[[Scenario, int], TrialPlanner]
 def _make_grounded(scorer_factory) -> PlannerFactory:
     def factory(scenario: Scenario, seed: int) -> TrialPlanner:
         scorer = scorer_factory()
-        return TrialPlanner(_GroundedPlanner(scorer), scorer)
+        return TrialPlanner(GroundedPlanner(scorer), scorer)
 
     return factory
 
 
 _REGISTRY: dict[str, PlannerFactory] = {
-    "astar": lambda scenario, seed: TrialPlanner(_AstarPlanner()),
-    "rrt": lambda scenario, seed: TrialPlanner(_RrtPlanner(RrtParams(seed=seed))),
+    "astar": lambda scenario, seed: TrialPlanner(AstarPlanner()),
+    "rrt": lambda scenario, seed: TrialPlanner(RrtPlanner(RrtParams(seed=seed))),
     "grounded:mock": _make_grounded(lambda: MockScorer(tau=0.5)),
     "grounded:oracle": _make_grounded(OracleScorer),
-    "fullpath:mock": lambda scenario, seed: TrialPlanner(_FullpathPlanner(fullpath_mock_reply)),
-    "fullpath:oracle": lambda scenario, seed: TrialPlanner(_FullpathPlanner(fullpath_oracle_reply)),
+    "fullpath:mock": lambda scenario, seed: TrialPlanner(FullpathPlanner(fullpath_mock_reply)),
+    "fullpath:oracle": lambda scenario, seed: TrialPlanner(FullpathPlanner(fullpath_oracle_reply)),
 }
 
 
@@ -173,13 +190,17 @@ def register_planner(planner_id: str, factory: PlannerFactory) -> None:
     _REGISTRY[planner_id] = factory
 
 
-def make_planner(planner_id: str, scenario: Scenario, seed: int) -> TrialPlanner:
+def _factory(planner_id: str) -> PlannerFactory:
     factory = _REGISTRY.get(planner_id)
     if factory is None:
         raise UnknownPlanner(
             f"unknown planner id {planner_id!r}; registered: {sorted(_REGISTRY)}"
         )
-    return factory(scenario, seed)
+    return factory
+
+
+def make_planner(planner_id: str, scenario: Scenario, seed: int) -> TrialPlanner:
+    return _factory(planner_id)(scenario, seed)
 
 
 # --- timing wrappers --------------------------------------------------------
@@ -252,8 +273,9 @@ def _run_trial_full(
             path_length_m=length_m,
             replan_count=record.replan_count,
         )
-    except Exception:
-        # a failed trial is data, not a crash: record it as incorrect
+    except GridGroundError:
+        # a failed trial is data, not a crash: record it as incorrect; any
+        # other exception is a bug and propagates
         row = TrialResult(planner_id, scenario_id, seed, 0.0, 0.0, False, 0.0, 0)
     return row, visited
 
@@ -263,9 +285,12 @@ def run_trial(
 ) -> TrialResult:
     """Execute one trial; only the planner's plan calls are timed.
 
+    A GridGroundError inside the trial (an invalid scenario or endpoint, a
+    scorer failure) is recorded as an all-zero correct=False row; any other
+    exception is a bug, not a failed trial, and propagates.
+
     Raises:
-        UnknownPlanner: planner_id is not registered. Any failure inside the
-            trial itself is recorded as correct=False instead of raising.
+        UnknownPlanner: planner_id is not registered.
     """
     row, _ = _run_trial_full(scenario, planner_id, seed, scenario_id)
     return row
@@ -371,8 +396,7 @@ def run_suite(
     if not scenarios or not planners or trials_per_pair < 1:
         raise ConfigError("suite needs scenarios, planners, and trials_per_pair >= 1")
     for pid in planners:
-        if pid not in _REGISTRY:
-            raise UnknownPlanner(f"unknown planner id {pid!r}; registered: {sorted(_REGISTRY)}")
+        _factory(pid)
     rows: list[TrialResult] = []
     samples: dict[tuple[str, str], list[GridPose]] = {}
     for sid, scenario in scenarios:

@@ -50,7 +50,8 @@ def path_cost_cells(path: PlannedPath) -> float:
     return total
 
 
-def _check_endpoints(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> None:
+def check_endpoints(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> None:
+    """Raise InvalidEndpoint unless start and goal are free in-bounds cells."""
     for name, p in (("start", start), ("goal", goal)):
         if not grid.in_bounds(p[0], p[1]):
             raise InvalidEndpoint(f"{name} ({p[0]},{p[1]}) outside {grid.width}x{grid.height} grid")
@@ -77,7 +78,7 @@ def astar(
     Raises:
         InvalidEndpoint: start or goal out of bounds or not Free.
     """
-    _check_endpoints(grid, start, goal)
+    check_endpoints(grid, start, goal)
     start, goal = GridPose(*start), GridPose(*goal)
     if start == goal:
         return PlannedPath((start,), grid.resolution)
@@ -131,7 +132,7 @@ def dijkstra_oracle(
     Heuristic-free reference used to cross-check astar in tests. Returns
     None when the goal is unreachable.
     """
-    _check_endpoints(grid, start, goal)
+    check_endpoints(grid, start, goal)
     start, goal = GridPose(*start), GridPose(*goal)
     dist: dict[GridPose, float] = {start: 0.0}
     settled: set[GridPose] = set()
@@ -331,7 +332,7 @@ def grow_rrt_tree(
         raise InvalidParams(f"max_iterations must be >= 1, got {params.max_iterations}")
     if params.goal_tolerance < 0:
         raise InvalidParams(f"goal_tolerance must be >= 0, got {params.goal_tolerance}")
-    _check_endpoints(grid, start, goal)
+    check_endpoints(grid, start, goal)
 
     rng = random.Random(params.seed)
     goal_c = _center(GridPose(*goal))

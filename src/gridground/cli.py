@@ -19,10 +19,10 @@ import yaml
 
 from . import bench
 from .bundled import bundled_path
-from .classical import PlannedPath, RrtParams, astar, path_length, rrt
-from .errors import ConfigError, GridGroundError, MalformedReply, MapFormatError
+from .classical import PlannedPath, RrtParams, check_endpoints, path_length
+from .errors import ConfigError, GridGroundError, MapFormatError
 from .gridmap import Connectivity, GridPose, load_map, random_map, serialize_map
-from .grounded import Instruction, PlannerConfig, plan as grounded_plan
+from .grounded import PlannerConfig
 from .scorers import ChatEndpointConfig, Cassette, MockScorer, OracleScorer, RemoteScorer
 from . import translator
 
@@ -97,12 +97,9 @@ def _resolve(name: str, flag_value, file_cfg: dict):
 
 
 def _parse_xy(text: str, label: str) -> GridPose:
-    parts = text.split(",")
     try:
-        x, y = int(parts[0]), int(parts[1])
-    except (ValueError, IndexError):
-        raise _UsageError(f"{label} must be 'x,y', got {text!r}")
-    if len(parts) != 2:
+        x, y = map(int, text.split(","))  # a wrong count of parts is a ValueError too
+    except ValueError:
         raise _UsageError(f"{label} must be 'x,y', got {text!r}")
     return GridPose(x, y)
 
@@ -111,14 +108,17 @@ def _endpoint_config(file_cfg: dict) -> ChatEndpointConfig:
     remote = file_cfg.get("remote") or {}
     if not isinstance(remote, dict):
         raise _UsageError("config-file key 'remote' must be a mapping")
-    return ChatEndpointConfig(
-        base_url=remote.get("base_url", "https://api.openai.com/v1"),
-        model_name=remote.get("model_name", "gpt-3.5-turbo"),
-        api_key_env=remote.get("api_key_env", "API_KEY"),
-        timeout=float(remote.get("timeout", 30.0)),
-        max_retries=int(remote.get("max_retries", 3)),
-        temperature=float(remote.get("temperature", 0.0)),
-    )
+    try:
+        return ChatEndpointConfig(
+            base_url=remote.get("base_url", "https://api.openai.com/v1"),
+            model_name=remote.get("model_name", "gpt-3.5-turbo"),
+            api_key_env=remote.get("api_key_env", "API_KEY"),
+            timeout=float(remote.get("timeout", 30.0)),
+            max_retries=int(remote.get("max_retries", 3)),
+            temperature=float(remote.get("temperature", 0.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"bad config-file 'remote' value: {exc}")
 
 
 def _make_scorer(scorer_name: str, tau: float, allow_network: bool, file_cfg: dict, cassette: str | None):
@@ -140,6 +140,31 @@ def _make_scorer(scorer_name: str, tau: float, allow_network: bool, file_cfg: di
     raise _UsageError(f"unknown scorer {scorer_name!r} (expected mock, oracle, or remote)")
 
 
+# fullpath replies that need no scorer object
+_FULLPATH_REPLIES = {"mock": bench.fullpath_mock_reply, "oracle": bench.fullpath_oracle_reply}
+
+
+def _make_adapter(args, file_cfg: dict, planner: str, scorer_name: str, tau: float, seed: int,
+                  connectivity: int, max_steps: int | None):
+    """The bench planner adapter for one `plan` run, built from its resolved options."""
+    if planner == "astar":
+        return bench.AstarPlanner(Connectivity(connectivity))
+    if planner == "rrt":
+        return bench.RrtPlanner(RrtParams(seed=seed))
+    if planner == "fullpath" and scorer_name in _FULLPATH_REPLIES:
+        return bench.FullpathPlanner(_FULLPATH_REPLIES[scorer_name])
+    if planner not in ("grounded", "fullpath"):
+        raise _UsageError(f"unknown planner {planner!r} (expected astar, rrt, grounded, or fullpath)")
+    scorer = _make_scorer(scorer_name, tau, args.allow_network, file_cfg, args.cassette)
+    if planner == "grounded":
+        return bench.GroundedPlanner(scorer, PlannerConfig(max_steps=max_steps))
+    return bench.FullpathPlanner(
+        lambda grid, start, instruction: scorer.complete_text(
+            translator.serialize_fullpath_prompt(grid, start, instruction)
+        )
+    )
+
+
 def cmd_plan(args) -> int:
     file_cfg = _load_config_file(args.config)
     planner = _resolve("planner", args.planner, file_cfg)
@@ -150,6 +175,8 @@ def cmd_plan(args) -> int:
     max_steps = _resolve("max_steps", args.max_steps, file_cfg)
     if connectivity not in (4, 8):
         raise _UsageError(f"connectivity must be 4 or 8, got {connectivity}")
+    if max_steps is not None and max_steps < 1:
+        raise _UsageError(f"max_steps must be >= 1, got {max_steps}")
 
     try:
         grid = load_map(Path(args.map).read_text(encoding="utf-8"))
@@ -157,59 +184,25 @@ def cmd_plan(args) -> int:
         raise _UsageError(f"cannot read map {args.map}: {exc}")
     start = _parse_xy(args.start, "--start")
     goal = _parse_xy(args.goal, "--goal")
-    conn = Connectivity.FOUR if connectivity == 4 else Connectivity.EIGHT
+    adapter = _make_adapter(args, file_cfg, planner, scorer_name, tau, seed, connectivity, max_steps)
 
-    t0 = time.perf_counter()
     try:
-        if planner == "astar":
-            path = astar(grid, start, goal, conn)
-        elif planner == "rrt":
-            path = rrt(grid, start, goal, RrtParams(seed=seed))
-        elif planner == "grounded":
-            scorer = _make_scorer(scorer_name, tau, args.allow_network, file_cfg, args.cassette)
-            result = grounded_plan(
-                scorer, grid, start, Instruction(args.instruction, goal),
-                PlannerConfig(max_steps=max_steps),
-            )
-            if not result.succeeded:
-                elapsed_ms = (time.perf_counter() - t0) * 1000.0
-                print(
-                    f"planning failed: {result.failure.value} ({result.detail}) "
-                    f"after {len(result.path.waypoints) - 1} steps in {elapsed_ms:.3f} ms",
-                    file=sys.stderr,
-                )
-                return 2
-            path = result.path
-        elif planner == "fullpath":
-            instruction = Instruction(args.instruction, goal)
-            if scorer_name == "mock":
-                reply = bench.fullpath_mock_reply(grid, start, instruction)
-            elif scorer_name == "oracle":
-                reply = bench.fullpath_oracle_reply(grid, start, instruction)
-            else:
-                scorer = _make_scorer(scorer_name, tau, args.allow_network, file_cfg, args.cassette)
-                prompt = translator.serialize_fullpath_prompt(grid, start, instruction)
-                reply = scorer.complete_text(prompt)
-            try:
-                path = PlannedPath(translator.parse_coordinate_list(reply).waypoints, grid.resolution)
-            except MalformedReply as exc:
-                print(f"planning failed: {exc}", file=sys.stderr)
-                return 2
-        else:
-            raise _UsageError(f"unknown planner {planner!r} (expected astar, rrt, grounded, or fullpath)")
+        check_endpoints(grid, start, goal)
+        t0 = time.perf_counter()
+        waypoints = adapter.plan(grid, start, goal, args.instruction)
     except GridGroundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
-    if path is None:
-        print("no path found", file=sys.stderr)
+    if waypoints is None:
+        print(f"planning failed: {adapter.failure}", file=sys.stderr)
         return 2
-    for p in path.waypoints:
+    for p in waypoints:
         print(f"({p.x},{p.y})")
-    steps = len(path.waypoints) - 1
+    length = path_length(PlannedPath(tuple(waypoints), grid.resolution))
     print(
-        f"planned {steps} steps, length {path_length(path):.3f} m, {elapsed_ms:.3f} ms",
+        f"planned {len(waypoints) - 1} steps, length {length:.3f} m, {elapsed_ms:.3f} ms",
         file=sys.stderr,
     )
     return 0
@@ -235,10 +228,11 @@ def cmd_gen_maps(args) -> int:
     out_dir = Path(_resolve("out_dir", args.out_dir, file_cfg))
     seed = _resolve("seed", args.seed, file_cfg)
     try:
-        w_tok, h_tok = args.size.lower().split("x")
-        width, height = int(w_tok), int(h_tok)
+        width, height = map(int, args.size.lower().split("x"))
     except ValueError:
         raise _UsageError(f"--size must be WIDTHxHEIGHT, got {args.size!r}")
+    if width < 1 or height < 1:
+        raise _UsageError(f"--size dimensions must be >= 1, got {args.size!r}")
     if args.count < 1:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
     try:

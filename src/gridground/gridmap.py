@@ -90,9 +90,6 @@ class OccupancyGrid:
             raise OutOfBounds(f"({x},{y}) outside {self.width}x{self.height} grid")
         return self.cells[y * self.width + x]
 
-    def is_free(self, x: int, y: int) -> bool:
-        return self.cell(x, y) is CellState.FREE
-
     def with_occupied(self, poses: Iterable[GridPose]) -> "OccupancyGrid":
         """Return a copy with the given cells marked Occupied."""
         cells = list(self.cells)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .classical import PlannedPath
-from .errors import InvalidEndpoint, ScorerFailure
+from .classical import PlannedPath, check_endpoints
+from .errors import ScorerFailure
 from .gridmap import CellState, FOUR_DELTAS, GridPose, OccupancyGrid
 from .scorers import TaskScorerQuery
 
@@ -221,9 +221,7 @@ def plan(
     """
     config = config or PlannerConfig()
     goal = GridPose(*instruction.goal)
-    for name, p in (("start", start), ("goal", goal)):
-        if not grid.in_bounds(p[0], p[1]) or grid.cells[p[1] * grid.width + p[0]] is not CellState.FREE:
-            raise InvalidEndpoint(f"{name} ({p[0]},{p[1]}) is not a free in-bounds cell")
+    check_endpoints(grid, start, goal)
     max_steps = config.max_steps if config.max_steps is not None else 4 * (grid.width + grid.height)
     actions = tuple(_ACTION_BY_ID[aid] for aid in config.tie_break)
 

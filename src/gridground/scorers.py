@@ -84,23 +84,22 @@ class OracleScorer:
 
     A candidate is on a shortest path when its four-connected cost-to-goal
     equals the state's cost minus one. All-zero when the state itself is
-    disconnected from the goal. The distance field is memoized per
-    (grid, goal).
+    disconnected from the goal. The distance field of the last (grid, goal)
+    is kept, so a walk on one grid builds one field, and a grid the scorer
+    has moved past is released.
     """
 
     def __init__(self):
-        # keyed by (id(grid), goal); the grid is pinned in the value so the
-        # id cannot be recycled while the entry lives
-        self._fields: dict[tuple[int, GridPose], tuple[OccupancyGrid, list[float]]] = {}
+        self._grid: OccupancyGrid | None = None
+        self._goal: GridPose | None = None
+        self._field: list[float] = []
 
     def __call__(self, query: TaskScorerQuery) -> ScoreTuple:
         goal = GridPose(*query.instruction.goal)
-        key = (id(query.grid), goal)
-        entry = self._fields.get(key)
-        if entry is None:
-            entry = (query.grid, distance_field(query.grid, goal, Connectivity.FOUR))
-            self._fields[key] = entry
-        fld, grid, state = entry[1], query.grid, query.state
+        if query.grid is not self._grid or goal != self._goal:
+            self._grid, self._goal = query.grid, goal
+            self._field = distance_field(query.grid, goal, Connectivity.FOUR)
+        fld, grid, state = self._field, query.grid, query.state
         here = fld[state[1] * grid.width + state[0]] if grid.in_bounds(state[0], state[1]) else math.inf
         if not math.isfinite(here):
             return (0.0, 0.0, 0.0, 0.0)

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import MalformedReply, OverlappingMarkers
+from .errors import MalformedReply, OutOfBounds, OverlappingMarkers
 from .gridmap import GridPose, OccupancyGrid
 
 if TYPE_CHECKING:
@@ -46,6 +46,9 @@ def _render_map(grid: OccupancyGrid, state: GridPose, goal: GridPose) -> str:
             f"robot and goal both at ({state[0]},{state[1]}); a trivially solved "
             "query must be handled before prompt construction"
         )
+    for name, p in (("robot", state), ("goal", goal)):
+        if not grid.in_bounds(p[0], p[1]):
+            raise OutOfBounds(f"{name} marker ({p[0]},{p[1]}) outside {grid.width}x{grid.height} grid")
     rows = []
     for y in range(grid.height):
         row = [c.value for c in grid.cells[y * grid.width:(y + 1) * grid.width]]
@@ -70,6 +73,7 @@ def serialize_step_prompt(
 
     Raises:
         OverlappingMarkers: state and goal are the same cell.
+        OutOfBounds: state or goal lies outside the grid.
     """
     goal = instruction.goal
     c_up, c_right, c_left, c_down = candidates
@@ -94,7 +98,12 @@ def serialize_step_prompt(
 def serialize_fullpath_prompt(
     grid: OccupancyGrid, start: GridPose, instruction: "Instruction"
 ) -> StepPrompt:
-    """Render the whole-path prompt; the reply grammar is a path: line."""
+    """Render the whole-path prompt; the reply grammar is a path: line.
+
+    Raises:
+        OverlappingMarkers: start and goal are the same cell.
+        OutOfBounds: start or goal lies outside the grid.
+    """
     goal = instruction.goal
     user_text = (
         f"map {grid.width}x{grid.height}\n"

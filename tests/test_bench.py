@@ -9,6 +9,8 @@ from gridground.bench import (
     CORRECTNESS_NOTE,
     CSV_HEADER,
     REFERENCE_NOTE,
+    FullpathPlanner,
+    GroundedPlanner,
     TrialPlanner,
     TrialResult,
     aggregate,
@@ -16,6 +18,7 @@ from gridground.bench import (
     fullpath_mock_reply,
     fullpath_oracle_reply,
     load_suite,
+    make_planner,
     plot_trajectories,
     register_planner,
     rows_to_csv,
@@ -26,9 +29,10 @@ from gridground.bench import (
 )
 from gridground.bundled import bundled_path
 from gridground.classical import PlannedPath, astar, path_length
-from gridground.errors import ConfigError, EmptyPathList, UnknownPlanner
+from gridground.errors import ConfigError, EmptyPathList, InvalidEndpoint, UnknownPlanner
 from gridground.gridmap import GridPose
-from gridground.grounded import Instruction
+from gridground.grounded import Instruction, PlannerConfig
+from gridground.scorers import MockScorer
 from gridground.simulator import Scenario, load_scenario
 
 from conftest import grid_from_rows, open_grid
@@ -247,17 +251,57 @@ class TestRunTrial:
         finally:
             del bench._REGISTRY["test:straight"]
 
-    def test_registered_crashing_planner_zeroed(self):
+    def test_registered_crashing_planner_propagates(self):
+        # an exception that is not a GridGroundError is a bug, not a failed trial
         class Boom:
             def plan(self, grid, start, goal, instruction_text):
                 raise RuntimeError("kaput")
 
         register_planner("test:boom", lambda sc, seed: TrialPlanner(Boom()))
         try:
-            row = run_trial(corridor_scenario(), "test:boom", 0)
-            assert row.correct is False and row.planning_time_ms == 0.0
+            with pytest.raises(RuntimeError, match="kaput"):
+                run_trial(corridor_scenario(), "test:boom", 0)
         finally:
             del bench._REGISTRY["test:boom"]
+
+    def test_registered_planner_package_error_zeroed(self):
+        class Refuses:
+            def plan(self, grid, start, goal, instruction_text):
+                raise InvalidEndpoint("refused")
+
+        register_planner("test:refuses", lambda sc, seed: TrialPlanner(Refuses()))
+        try:
+            row = run_trial(corridor_scenario(), "test:refuses", 3)
+            assert row == TrialResult("test:refuses", "scenario", 3, 0.0, 0.0, False, 0.0, 0)
+        finally:
+            del bench._REGISTRY["test:refuses"]
+
+
+class TestAdapterFailure:
+    WALLED = [".#.", ".#.", ".#."]
+
+    @pytest.mark.parametrize("pid", ["astar", "rrt"])
+    def test_classical_no_path(self, pid):
+        adapter = make_planner(pid, corridor_scenario(), 0).planner
+        assert adapter.plan(grid_from_rows(self.WALLED), GridPose(0, 0), GridPose(2, 2), "x") is None
+        assert adapter.failure == "no path found"
+
+    def test_grounded_reason_detail_steps(self):
+        adapter = GroundedPlanner(MockScorer(), PlannerConfig(max_steps=3))
+        assert adapter.plan(open_grid(8, 1), GridPose(0, 0), GridPose(7, 0), "x") is None
+        assert adapter.failure == "step_limit (goal not reached within 3 steps) after 3 steps"
+
+    def test_fullpath_malformed_reply_text(self):
+        adapter = FullpathPlanner(fullpath_oracle_reply)
+        assert adapter.plan(grid_from_rows(self.WALLED), GridPose(0, 0), GridPose(2, 2), "x") is None
+        assert adapter.failure == "no path line found"
+
+    def test_fullpath_start_is_goal_asks_nothing(self):
+        def reply_fn(grid, start, instruction):
+            raise AssertionError("the model must not be asked")
+
+        adapter = FullpathPlanner(reply_fn)
+        assert adapter.plan(open_grid(3, 1), (1, 0), (1, 0), "x") == [GridPose(1, 0)]
 
 
 class TestFullpathReplies:

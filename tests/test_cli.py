@@ -3,10 +3,12 @@ import os
 
 import pytest
 
+from gridground.bench import make_planner
 from gridground.cli import main
 from gridground.gridmap import GridPose, load_map
 from gridground.grounded import ACTIONS, Instruction
 from gridground.scorers import request_fingerprint
+from gridground.simulator import Scenario
 from gridground import translator
 
 
@@ -43,7 +45,7 @@ class TestPlanAstar:
         out, err = capsys.readouterr()
         assert rc == 2
         assert out == ""
-        assert "no path found" in err
+        assert err == "planning failed: no path found\n"
 
     def test_blocked_endpoint_exit_2(self, tmp_path, capsys):
         m = write_map(tmp_path, [".#.", "...", "..."])
@@ -104,6 +106,73 @@ class TestUsageErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("extra,config", [
+        (["--max-steps", "0"], None),
+        (["--planner", "grounded", "--scorer", "remote", "--allow-network"], "remote:\n  timeout: abc\n"),
+        (["--planner", "grounded", "--scorer", "remote", "--allow-network"], "remote:\n  timeout: 0\n"),
+        (["--planner", "fullpath", "--scorer", "remote", "--allow-network"], "remote:\n  max_retries: -1\n"),
+    ])
+    def test_plan_bad_values(self, tmp_path, capsys, extra, config):
+        m = write_map(tmp_path, ["..."])
+        if config is not None:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(config)
+            extra = [*extra, "--config", str(cfg)]
+        rc = main(plan_args(m, "0,0", "2,0", *extra))
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+
+
+ENDPOINT_PLANNERS = [
+    ("astar", "mock"), ("rrt", "mock"), ("grounded", "mock"), ("grounded", "remote"),
+    ("fullpath", "mock"), ("fullpath", "oracle"), ("fullpath", "remote"),
+]
+
+
+class TestEndpointValidation:
+    # checked before any planner runs, so no planner or model sees a bad cell
+    @pytest.mark.parametrize("planner,scorer", ENDPOINT_PLANNERS)
+    @pytest.mark.parametrize("start,goal,bad", [
+        ("5,0", "1,0", "start (5,0) outside 3x1 grid"),
+        ("0,0", "-1,0", "goal (-1,0) outside 3x1 grid"),
+        ("0,0", "2,0", "goal (2,0) is not a free cell"),
+    ])
+    def test_bad_endpoint_exit_2(self, tmp_path, capsys, planner, scorer, start, goal, bad):
+        m = write_map(tmp_path, ["..#"])
+        tape = tmp_path / "empty.jsonl"
+        tape.write_text("")
+        rc = main(["plan", "--map", m, f"--start={start}", f"--goal={goal}",
+                   "--planner", planner, "--scorer", scorer, "--cassette", str(tape)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {bad}\n"
+
+
+PARITY_ROWS = [".......", ".#####.", "...#...", ".#...#."]
+
+
+class TestPlanAdapterParity:
+    # `gridground plan` prints exactly what the bench adapter's plan returns
+    @pytest.mark.parametrize("pid", [
+        "astar", "rrt", "grounded:mock", "grounded:oracle", "fullpath:mock", "fullpath:oracle",
+    ])
+    def test_waypoints_match_adapter(self, tmp_path, capsys, pid):
+        m = write_map(tmp_path, PARITY_ROWS)
+        grid = load_map((tmp_path / "m.map").read_text())
+        start, goal, text, seed = GridPose(0, 2), GridPose(6, 2), "reach the goal cell", 11
+        adapter = make_planner(pid, Scenario(grid, start, goal, text), seed).planner
+        expected = adapter.plan(grid, start, goal, text)
+        assert expected is not None and len(expected) > 1
+        kind, _, scorer = pid.partition(":")
+        rc = main(plan_args(m, "0,2", "6,2", "--planner", kind, "--scorer", scorer or "mock",
+                            "--seed", str(seed), "--instruction", text))
+        out, _ = capsys.readouterr()
+        assert rc == 0
+        assert out.splitlines() == [f"({p.x},{p.y})" for p in expected]
 
 
 class TestPlanGrounded:
@@ -258,6 +327,17 @@ class TestCassetteReplay:
         out, _ = capsys.readouterr()
         assert rc == 0
         assert out.splitlines() == ["(0,0)", "(1,0)", "(2,0)"]
+
+    def test_fullpath_remote_start_is_goal(self, tmp_path, capsys):
+        # like astar and grounded, a start on the goal needs no model exchange
+        m = write_map(tmp_path, ["..."])
+        tape = tmp_path / "empty.jsonl"
+        tape.write_text("")
+        rc = main(plan_args(m, "1,0", "1,0", "--planner", "fullpath", "--scorer", "remote",
+                            "--cassette", str(tape)))
+        out, _ = capsys.readouterr()
+        assert rc == 0
+        assert out.splitlines() == ["(1,0)"]
 
     def test_replay_miss_exit_2(self, tmp_path, capsys):
         m = write_map(tmp_path, ["..."])
@@ -434,6 +514,15 @@ class TestGenMaps:
                    "--out-dir", str(tmp_path)])
         assert rc == 1
         assert "--size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["0x5", "5x-3"])
+    def test_nonpositive_size(self, tmp_path, capsys, size):
+        rc = main(["gen-maps", "--count", "1", "--size", size, "--density", "0.2",
+                   "--out-dir", str(tmp_path / "maps")])
+        _, err = capsys.readouterr()
+        assert rc == 1
+        assert err.startswith("usage error: --size")
+        assert not (tmp_path / "maps").exists()
 
     def test_bad_count(self, tmp_path, capsys):
         rc = main(["gen-maps", "--count", "0", "--size", "4x4", "--density", "0.2",

@@ -1,0 +1,23 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import gridground
+
+SUBMODULES = ["bench", "classical", "errors", "gridmap", "grounded", "scorers", "simulator", "translator"]
+
+PROBE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import gridground; "
+    "print(*sorted(m for m in sys.modules if m.startswith('gridground.'))); "
+    "print(*sorted(n for n in vars(gridground) if not n.startswith('_')))"
+)
+
+
+def test_bare_import_loads_the_eight_submodules_and_exports_no_names():
+    src = Path(gridground.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, str(src)], capture_output=True, text=True, check=True
+    )
+    loaded, public = proc.stdout.splitlines()
+    assert loaded.split() == [f"gridground.{name}" for name in SUBMODULES]
+    assert public.split() == SUBMODULES

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import math
+import weakref
 
 import pytest
 import requests
@@ -132,6 +134,17 @@ class TestOracleScorerMemo:
         g2 = open_grid(6, 6)  # equal content, distinct object
         scorer(query_at(g2, (1, 1), (5, 5)))
         assert len(calls) == 3
+
+    def test_releases_grid_it_moved_past(self):
+        # only the last (grid, goal) field is kept, so sensed grids do not pile up
+        scorer = OracleScorer()
+        g1 = open_grid(6, 6)
+        scorer(query_at(g1, (1, 1), (5, 5)))
+        ref = weakref.ref(g1)
+        scorer(query_at(open_grid(6, 6), (1, 1), (5, 5)))
+        del g1
+        gc.collect()
+        assert ref() is None
 
     def test_matches_functional_form(self):
         # one shared scorer (memoized field) agrees with a fresh one per query

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridground.errors import MalformedReply, OverlappingMarkers
+from gridground.errors import MalformedReply, OutOfBounds, OverlappingMarkers
 from gridground.gridmap import GridPose
 from gridground.grounded import ACTIONS, Instruction
 from gridground.translator import (
@@ -86,6 +86,14 @@ class TestStepPrompt:
                 candidates_for(GridPose(1, 1)),
             )
 
+    def test_off_grid_robot_rejected(self):
+        g = grid_from_rows(["..."])
+        with pytest.raises(OutOfBounds):
+            serialize_step_prompt(
+                g, GridPose(-1, 0), Instruction("x", GridPose(2, 0)),
+                candidates_for(GridPose(-1, 0)),
+            )
+
     def test_deterministic_bytes(self):
         g = grid_from_rows(["....", ".#..", "...."])
         args = (g, GridPose(0, 0), Instruction("go", GridPose(3, 2)),
@@ -116,6 +124,13 @@ class TestFullpathPrompt:
         g = grid_from_rows(["..", ".."])
         with pytest.raises(OverlappingMarkers):
             serialize_fullpath_prompt(g, GridPose(0, 0), Instruction("x", GridPose(0, 0)))
+
+    @pytest.mark.parametrize("start,goal", [((-1, 0), (2, 0)), ((0, 0), (3, 0)), ((0, 0), (1, -1))])
+    def test_off_grid_marker_rejected(self, start, goal):
+        # a negative index would otherwise wrap and draw the marker on the far side
+        g = grid_from_rows(["..."])
+        with pytest.raises(OutOfBounds):
+            serialize_fullpath_prompt(g, GridPose(*start), Instruction("x", GridPose(*goal)))
 
 
 class TestParseActionScores:
