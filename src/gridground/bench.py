@@ -454,7 +454,10 @@ def run_suite_file(
     """
     suite = load_suite(suite_path)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}")
     rows, report, samples = run_suite(suite.scenarios, suite.planners, suite.trials_per_pair)
     (out / "rows.csv").write_text(rows_to_csv(rows), encoding="utf-8")
     (out / "report.txt").write_text(format_report(report), encoding="utf-8")

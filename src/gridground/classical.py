@@ -315,6 +315,57 @@ def _edge_free(grid: OccupancyGrid, p0: Point, p1: Point) -> bool:
     return True
 
 
+class _NodeBuckets:
+    """Tree nodes hashed into square buckets of side `size` for nearest-node queries."""
+
+    def __init__(self, size: float, points: list[Point]):
+        self.size = size
+        self.points = points  # the tree's own list; add(i) files its node i
+        self.buckets: dict[tuple[int, int], list[int]] = {}
+        for i in range(len(points)):
+            self.add(i)
+
+    def add(self, i: int) -> None:
+        x, y = self.points[i]
+        key = (math.floor(x / self.size), math.floor(y / self.size))
+        self.buckets.setdefault(key, []).append(i)
+
+    def nearest(self, target: Point) -> tuple[int, float]:
+        """Index of the node nearest target and its distance; ties go to the lowest index.
+
+        Rings of buckets are scanned outward from target's bucket until no
+        unscanned node can be as near as the best one found; when the next
+        ring holds more buckets than the tree holds nodes, one pass over all
+        nodes ends the search instead.
+        """
+        s, points, buckets = self.size, self.points, self.buckets
+        tx, ty = target
+        cx, cy = math.floor(tx / s), math.floor(ty / s)
+        # distance from target to the nearest edge of its own bucket; ring r
+        # pushes every edge of the scanned box r buckets further out
+        edge = min(tx - cx * s, (cx + 1) * s - tx, ty - cy * s, (cy + 1) * s - ty)
+        best_i, best_d = -1, math.inf
+        r = 0
+        while True:
+            if 8 * r > len(points):
+                keys = buckets.keys()
+            elif r == 0:
+                keys = ((cx, cy),)
+            else:
+                keys = [(x, y) for y in (cy - r, cy + r) for x in range(cx - r, cx + r + 1)]
+                keys += [(x, y) for x in (cx - r, cx + r) for y in range(cy - r + 1, cy + r)]
+            for key in keys:
+                for i in buckets.get(key, ()):
+                    d = math.dist(points[i], target)
+                    if d < best_d or (d == best_d and i < best_i):
+                        best_i, best_d = i, d
+            # strict, with slack for rounding in floor(x / s): an unscanned
+            # node at exactly best_d might carry a lower index
+            if 8 * r > len(points) or best_d < edge + r * s - 1e-9:
+                return best_i, best_d
+            r += 1
+
+
 def grow_rrt_tree(
     grid: OccupancyGrid, start: GridPose, goal: GridPose, params: RrtParams
 ) -> RrtTree:
@@ -323,6 +374,9 @@ def grow_rrt_tree(
     One RNG stream seeded from params.seed is consumed in a fixed order per
     iteration: the free-space sample (x then y per rejection attempt), then
     the goal-bias coin. Every accepted edge passes the supercover check.
+    Each target extends its nearest node: least Euclidean distance, ties to
+    the lowest node index (found through buckets of side step_size, with the
+    same result as a scan of every node).
     """
     if not (params.step_size > 0):
         raise InvalidParams(f"step_size must be > 0, got {params.step_size}")
@@ -347,6 +401,7 @@ def grow_rrt_tree(
         tree.accepted = 0
         return tree
 
+    index = _NodeBuckets(params.step_size, tree.points)
     for _ in range(params.max_iterations):
         while True:
             sx = rng.uniform(0.0, grid.width)
@@ -356,11 +411,7 @@ def grow_rrt_tree(
                 break
         target: Point = goal_c if rng.random() < params.goal_bias else (sx, sy)
 
-        best_i, best_d = 0, math.inf
-        for i, p in enumerate(tree.points):
-            d = math.dist(p, target)
-            if d < best_d:
-                best_i, best_d = i, d
+        best_i, best_d = index.nearest(target)
         near = tree.points[best_i]
         if best_d < 1e-9:
             continue
@@ -373,6 +424,7 @@ def grow_rrt_tree(
             continue
         tree.points.append(new_p)
         tree.parents.append(best_i)
+        index.add(len(tree.points) - 1)
         if math.dist(new_p, goal_c) <= params.goal_tolerance and _edge_free(grid, new_p, goal_c):
             tree.accepted = len(tree.points) - 1
             return tree

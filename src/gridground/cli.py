@@ -89,9 +89,10 @@ def _resolve(name: str, flag_value, file_cfg: dict):
         except ValueError:
             raise _UsageError(f"bad value {env_val!r} for {ENV_PREFIX + name.upper()}")
     if name in file_cfg and file_cfg[name] is not None:
+        # converted from its text, as a flag is: 1.7 and true are no ints, true is no float
         try:
-            return conv(file_cfg[name])
-        except (TypeError, ValueError):
+            return conv(str(file_cfg[name]))
+        except ValueError:
             raise _UsageError(f"bad config-file value {file_cfg[name]!r} for {name}")
     return _DEFAULTS[name]
 
@@ -241,7 +242,7 @@ def cmd_gen_maps(args) -> int:
             grid = random_map(width, height, args.density, seed + i)
             name = f"map_{width}x{height}_d{args.density:g}_s{seed + i}.map"
             (out_dir / name).write_text(serialize_map(grid), encoding="utf-8")
-    except GridGroundError as exc:
+    except (GridGroundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {args.count} maps under {out_dir}", file=sys.stderr)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridground.classical import (
     PlannedPath,
+    RrtTree,
     RrtParams,
     SQRT2,
     astar,
@@ -17,6 +18,7 @@ from gridground.classical import (
     path_length,
     rrt,
     supercover_cells,
+    _NodeBuckets,
 )
 from gridground.errors import EmptyPath, InvalidEndpoint, InvalidParams
 from gridground.gridmap import CellState, Connectivity, GridPose, random_map
@@ -327,7 +329,7 @@ class TestRrt:
             expected = (near[0] + (target[0] - near[0]) * f,
                         near[1] + (target[1] - near[1]) * f)
         tree = grow_rrt_tree(g, GridPose(1, 1), GridPose(7, 7), params)
-        assert tree.points[1] == pytest.approx(expected)
+        assert tree.points[1] == expected
 
     def test_tree_edges_pass_supercover(self):
         g = random_map(15, 15, 0.25, seed=2)
@@ -349,3 +351,120 @@ class TestRrt:
         assert p.waypoints[-1] == GridPose(14, 14)
         assert_four_adjacent(p.waypoints)
         assert_all_free(g, p.waypoints)
+
+
+def linear_scan_tree(grid, start, goal, params):
+    """grow_rrt_tree as it was with a scan of every node for the nearest one.
+
+    Kept as the reference the bucketed search must reproduce byte for byte.
+    """
+    rng = random.Random(params.seed)
+    goal_c = (goal[0] + 0.5, goal[1] + 0.5)
+    tree = RrtTree(points=[(start[0] + 0.5, start[1] + 0.5)], parents=[-1], accepted=None)
+
+    def free(x, y):
+        return grid.in_bounds(x, y) and grid.cell(x, y) is CellState.FREE
+
+    def edge_free(p0, p1):
+        return all(free(c.x, c.y) for c in supercover_cells(p0, p1))
+
+    if start == goal or (
+        math.dist(tree.points[0], goal_c) <= params.goal_tolerance
+        and edge_free(tree.points[0], goal_c)
+    ):
+        tree.accepted = 0
+        return tree
+    for _ in range(params.max_iterations):
+        while True:
+            sx = rng.uniform(0.0, grid.width)
+            sy = rng.uniform(0.0, grid.height)
+            if free(math.floor(sx), math.floor(sy)):
+                break
+        target = goal_c if rng.random() < params.goal_bias else (sx, sy)
+        best_i, best_d = 0, math.inf
+        for i, p in enumerate(tree.points):
+            d = math.dist(p, target)
+            if d < best_d:
+                best_i, best_d = i, d
+        near = tree.points[best_i]
+        if best_d < 1e-9:
+            continue
+        if best_d <= params.step_size:
+            new_p = target
+        else:
+            f = params.step_size / best_d
+            new_p = (near[0] + (target[0] - near[0]) * f, near[1] + (target[1] - near[1]) * f)
+        if not edge_free(near, new_p):
+            continue
+        tree.points.append(new_p)
+        tree.parents.append(best_i)
+        if math.dist(new_p, goal_c) <= params.goal_tolerance and edge_free(new_p, goal_c):
+            tree.accepted = len(tree.points) - 1
+            return tree
+    return tree
+
+
+EQUIVALENCE_MAPS = {
+    "square": random_map(14, 14, 0.2, seed=7),
+    "wide": random_map(23, 6, 0.15, seed=3),
+    "column": open_grid(1, 17),
+    "walled": grid_from_rows([
+        "..........",
+        "..........",
+        "....#.....",
+        "....#.....",
+        "....#.....",
+        "....#.....",
+    ]),
+}
+
+
+def free_corners(grid):
+    free = [GridPose(x, y) for y in range(grid.height) for x in range(grid.width)
+            if grid.cell(x, y) is CellState.FREE]
+    return free[0], free[-1]
+
+
+class TestRrtNearestNode:
+    @pytest.mark.parametrize("goal_bias", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("step_size", [0.5, 1.0, 3.0, 7.3, 40.0])
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_MAPS))
+    def test_matches_linear_scan(self, name, step_size, goal_bias):
+        grid = EQUIVALENCE_MAPS[name]
+        start, goal = free_corners(grid)
+        for seed in range(6):
+            params = RrtParams(step_size=step_size, goal_bias=goal_bias,
+                               max_iterations=400, seed=seed)
+            got = grow_rrt_tree(grid, start, goal, params)
+            want = linear_scan_tree(grid, start, goal, params)
+            assert (got.points, got.parents, got.accepted) == (
+                want.points, want.parents, want.accepted), seed
+
+    def test_matches_linear_scan_on_large_trees(self):
+        # the goal is walled off, so every iteration grows the tree
+        grid = grid_from_rows([
+            "..........",
+            "..........",
+            "........##",
+            "........#.",
+        ])
+        for seed in range(3):
+            params = RrtParams(step_size=1.3, max_iterations=1500, seed=seed)
+            got = grow_rrt_tree(grid, GridPose(0, 0), GridPose(9, 3), params)
+            want = linear_scan_tree(grid, GridPose(0, 0), GridPose(9, 3), params)
+            assert got.accepted is None and len(got.points) > 500
+            assert (got.points, got.parents) == (want.points, want.parents)
+
+    def test_tie_across_buckets_goes_to_lowest_index(self):
+        # node 0 sits one bucket left of the target's, node 1 in it; the
+        # filler keeps the search on rings instead of one pass over all nodes
+        filler = [(30.0 + k, 30.0) for k in range(8)]
+        index = _NodeBuckets(3.0, [(2.0, 1.5), (4.0, 1.5), *filler])
+        assert index.nearest((3.0, 1.5)) == (0, 1.0)
+
+    def test_tie_on_scanned_box_edge_goes_to_lowest_index(self):
+        # node 0 lies exactly on the far edge of the target's bucket, as far
+        # from the target as node 1 inside it: the ring search must not stop
+        filler = [(30.0 + k, 30.0) for k in range(8)]
+        index = _NodeBuckets(2.0, [(4.0, 1.0), (3.0, 0.0), *filler])
+        assert index.nearest((3.0, 1.0)) == (0, 1.0)

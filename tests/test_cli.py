@@ -112,6 +112,13 @@ class TestUsageErrors:
         (["--planner", "grounded", "--scorer", "remote", "--allow-network"], "remote:\n  timeout: abc\n"),
         (["--planner", "grounded", "--scorer", "remote", "--allow-network"], "remote:\n  timeout: 0\n"),
         (["--planner", "fullpath", "--scorer", "remote", "--allow-network"], "remote:\n  max_retries: -1\n"),
+        # usage errors as flags, so not truncated or coerced in a config file either
+        (["--planner", "grounded"], "seed: 1.7\n"),
+        (["--planner", "grounded"], "seed: true\n"),
+        (["--planner", "grounded"], "connectivity: 4.9\n"),
+        (["--planner", "grounded"], "connectivity: 8.0\n"),
+        (["--planner", "grounded"], "max_steps: 2.5\n"),
+        (["--planner", "grounded"], "tau: true\n"),
     ])
     def test_plan_bad_values(self, tmp_path, capsys, extra, config):
         m = write_map(tmp_path, ["..."])
@@ -124,6 +131,13 @@ class TestUsageErrors:
         assert rc == 1
         assert out == ""
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("config", ["seed: '3'", "tau: 1", "tau: '0.25'"])
+    def test_config_values_from_text(self, tmp_path, capsys, config):
+        m = write_map(tmp_path, ["..."])
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config + "\n")
+        assert main(plan_args(m, "0,0", "2,0", "--planner", "grounded", "--config", str(cfg))) == 0
 
 
 ENDPOINT_PLANNERS = [
@@ -472,6 +486,14 @@ class TestBenchCommand:
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_out_dir_is_a_file(self, tmp_path, capsys):
+        suite = write_tiny_suite(tmp_path)
+        rc = main(["bench", "--suite", str(suite), "--out-dir", str(suite)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot create output directory {suite}")
+
     def test_out_dir_from_env(self, tmp_path, capsys, monkeypatch):
         suite = write_tiny_suite(tmp_path)
         monkeypatch.setenv("GRIDGROUND_OUT_DIR", str(tmp_path / "envout"))
@@ -535,3 +557,13 @@ class TestGenMaps:
         _, err = capsys.readouterr()
         assert rc == 1
         assert "error:" in err
+
+    def test_out_dir_is_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        rc = main(["gen-maps", "--count", "1", "--size", "4x4", "--density", "0.2",
+                   "--out-dir", str(blocker)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and str(blocker) in err
