@@ -14,6 +14,7 @@ import io
 import statistics
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -504,21 +505,17 @@ def plot_trajectories(
         f'<rect x="0" y="0" width="{width_px}" height="{height_px}" fill="#ffffff"/>',
     ]
     # run-length merge per row keeps the file small on big maps
-    for y in range(grid.height):
+    for y, row in enumerate(grid.rows()):
         x = 0
-        while x < grid.width:
-            state = grid.cells[y * grid.width + x]
-            if state is CellState.FREE:
-                x += 1
-                continue
-            x0 = x
-            while x < grid.width and grid.cells[y * grid.width + x] is state:
-                x += 1
-            fill = "#333333" if state is CellState.OCCUPIED else "#bbbbbb"
-            out.append(
-                f'<rect x="{x0 * cell}" y="{y * cell}" width="{(x - x0) * cell}" '
-                f'height="{cell}" fill="{fill}"/>'
-            )
+        for ch, run in groupby(row):
+            n = len(list(run))
+            if ch != CellState.FREE.value:
+                fill = "#333333" if ch == CellState.OCCUPIED.value else "#bbbbbb"
+                out.append(
+                    f'<rect x="{x * cell}" y="{y * cell}" width="{n * cell}" '
+                    f'height="{cell}" fill="{fill}"/>'
+                )
+            x += n
     for i, (label, path) in enumerate(paths):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(

@@ -9,11 +9,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from itertools import count
 
 from .errors import EmptyPath, InvalidEndpoint, InvalidParams
-from .gridmap import CellState, Connectivity, GridPose, OccupancyGrid, neighbors
+from .gridmap import Connectivity, GridPose, OccupancyGrid, neighbors
 
 SQRT2 = math.sqrt(2.0)
 
@@ -55,7 +56,7 @@ def check_endpoints(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> Non
     for name, p in (("start", start), ("goal", goal)):
         if not grid.in_bounds(p[0], p[1]):
             raise InvalidEndpoint(f"{name} ({p[0]},{p[1]}) outside {grid.width}x{grid.height} grid")
-        if grid.cells[p[1] * grid.width + p[0]] is not CellState.FREE:
+        if not grid.is_free(p[0], p[1]):
             raise InvalidEndpoint(f"{name} ({p[0]},{p[1]}) is not a free cell")
 
 
@@ -154,49 +155,26 @@ def dijkstra_oracle(
     return dist[goal] if goal in settled else None
 
 
-def distance_field(
-    grid: OccupancyGrid, goal: GridPose, connectivity: Connectivity = Connectivity.FOUR
-) -> list[float]:
-    """Cost-to-goal for every cell, row-major; unreachable cells hold inf.
+def distance_field(grid: OccupancyGrid, goal: GridPose) -> list[float]:
+    """Four-connected cost-to-goal for every cell, row-major; unreachable cells hold inf.
 
-    BFS under four-connectivity (all steps cost 1), Dijkstra otherwise.
-    A blocked or out-of-bounds goal yields an all-inf field.
+    A BFS: every step costs 1. A blocked or out-of-bounds goal yields an
+    all-inf field.
     """
     field = [math.inf] * (grid.width * grid.height)
-    if not grid.in_bounds(goal[0], goal[1]):
-        return field
-    if grid.cells[goal[1] * grid.width + goal[0]] is not CellState.FREE:
+    if not grid.is_free(goal[0], goal[1]):
         return field
     goal = GridPose(*goal)
-    if connectivity is Connectivity.FOUR:
-        from collections import deque
-
-        field[goal.y * grid.width + goal.x] = 0.0
-        queue = deque([goal])
-        while queue:
-            cur = queue.popleft()
-            d = field[cur.y * grid.width + cur.x]
-            for nb in neighbors(grid, cur, Connectivity.FOUR):
-                idx = nb.y * grid.width + nb.x
-                if field[idx] == math.inf:
-                    field[idx] = d + 1.0
-                    queue.append(nb)
-        return field
-    tick = count()
     field[goal.y * grid.width + goal.x] = 0.0
-    pq: list[tuple[float, int, GridPose]] = [(0.0, next(tick), goal)]
-    settled: set[GridPose] = set()
-    while pq:
-        d, _, cur = heapq.heappop(pq)
-        if cur in settled:
-            continue
-        settled.add(cur)
-        for nb in neighbors(grid, cur, connectivity):
-            step = SQRT2 if nb.x != cur.x and nb.y != cur.y else 1.0
+    queue = deque([goal])
+    while queue:
+        cur = queue.popleft()
+        d = field[cur.y * grid.width + cur.x]
+        for nb in neighbors(grid, cur):
             idx = nb.y * grid.width + nb.x
-            if d + step < field[idx]:
-                field[idx] = d + step
-                heapq.heappush(pq, (d + step, next(tick), nb))
+            if field[idx] == math.inf:
+                field[idx] = d + 1.0
+                queue.append(nb)
     return field
 
 
@@ -307,10 +285,9 @@ def chain_cells(p0: Point, p1: Point) -> list[GridPose]:
 
 
 def _edge_free(grid: OccupancyGrid, p0: Point, p1: Point) -> bool:
+    is_free = grid.is_free
     for c in supercover_cells(p0, p1):
-        if not grid.in_bounds(c.x, c.y):
-            return False
-        if grid.cells[c.y * grid.width + c.x] is not CellState.FREE:
+        if not is_free(c.x, c.y):
             return False
     return True
 
@@ -407,7 +384,7 @@ def grow_rrt_tree(
             sx = rng.uniform(0.0, grid.width)
             sy = rng.uniform(0.0, grid.height)
             c = _cell_of((sx, sy))
-            if grid.in_bounds(c.x, c.y) and grid.cells[c.y * grid.width + c.x] is CellState.FREE:
+            if grid.is_free(c.x, c.y):
                 break
         target: Point = goal_c if rng.random() < params.goal_bias else (sx, sy)
 

@@ -178,6 +178,8 @@ def cmd_plan(args) -> int:
         raise _UsageError(f"connectivity must be 4 or 8, got {connectivity}")
     if max_steps is not None and max_steps < 1:
         raise _UsageError(f"max_steps must be >= 1, got {max_steps}")
+    if not tau > 0:
+        raise _UsageError(f"tau must be > 0, got {tau}")
 
     try:
         grid = load_map(Path(args.map).read_text(encoding="utf-8"))

@@ -61,7 +61,8 @@ class OccupancyGrid:
         width: number of columns, >= 1.
         height: number of rows, >= 1.
         resolution: meters per cell edge, > 0.
-        cells: row-major tuple of length width * height.
+        cells: row-major tuple of length width * height. Other modules read
+            it through is_free, cell and rows, so the layout is known here only.
     """
 
     width: int
@@ -83,6 +84,16 @@ class OccupancyGrid:
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
+
+    def is_free(self, x: int, y: int) -> bool:
+        """Whether (x, y) is a Free cell; False outside the grid."""
+        w = self.width
+        return 0 <= x < w and 0 <= y < self.height and self.cells[y * w + x] is CellState.FREE
+
+    def rows(self) -> list[str]:
+        """The map text rows, top to bottom, one character per cell."""
+        text = "".join([c.value for c in self.cells])
+        return [text[i:i + self.width] for i in range(0, len(text), self.width)]
 
     def cell(self, x: int, y: int) -> CellState:
         """Return the state at (x, y), raising OutOfBounds outside the grid."""
@@ -126,9 +137,12 @@ def load_map(text: str) -> OccupancyGrid:
             f"line 1: expected '<width> <height> <resolution>', got {header!r}"
         )
     w_tok, h_tok, res_tok = parts
-    if not (w_tok.isdigit() and h_tok.isdigit()):
+    if not (w_tok.isdecimal() and h_tok.isdecimal()):
         raise MalformedHeader(f"line 1: width and height must be decimal integers, got {header!r}")
-    width, height = int(w_tok), int(h_tok)
+    try:
+        width, height = int(w_tok), int(h_tok)
+    except ValueError:  # more digits than int() converts
+        raise MalformedHeader("line 1: width or height has too many digits") from None
     if width < 1 or height < 1:
         raise MalformedHeader(f"line 1: dimensions must be >= 1, got {width}x{height}")
     try:
@@ -159,11 +173,7 @@ def load_map(text: str) -> OccupancyGrid:
 
 def serialize_map(grid: OccupancyGrid) -> str:
     """Render a grid back to ASCII map text (inverse of load_map)."""
-    out = [f"{grid.width} {grid.height} {grid.resolution!r}"]
-    for y in range(grid.height):
-        row = grid.cells[y * grid.width:(y + 1) * grid.width]
-        out.append("".join(c.value for c in row))
-    return "\n".join(out) + "\n"
+    return "\n".join([f"{grid.width} {grid.height} {grid.resolution!r}", *grid.rows()]) + "\n"
 
 
 def random_map(width: int, height: int, density: float, seed: int) -> OccupancyGrid:
@@ -209,20 +219,16 @@ def neighbors(
     """
     if not grid.in_bounds(s[0], s[1]):
         raise OutOfBounds(f"({s[0]},{s[1]}) outside {grid.width}x{grid.height} grid")
+    is_free = grid.is_free
     result: list[GridPose] = []
     for dx, dy in FOUR_DELTAS:
         nx, ny = s[0] + dx, s[1] + dy
-        if grid.in_bounds(nx, ny) and grid.cells[ny * grid.width + nx] is CellState.FREE:
+        if is_free(nx, ny):
             result.append(GridPose(nx, ny))
     if connectivity is Connectivity.EIGHT:
         for dx, dy in DIAGONAL_DELTAS:
             nx, ny = s[0] + dx, s[1] + dy
-            if not (grid.in_bounds(nx, ny) and grid.cells[ny * grid.width + nx] is CellState.FREE):
-                continue
             # both adjacent cardinals blocked -> no squeezing through the corner
-            side_a = grid.cells[s[1] * grid.width + nx] is not CellState.FREE
-            side_b = grid.cells[ny * grid.width + s[0]] is not CellState.FREE
-            if side_a and side_b:
-                continue
-            result.append(GridPose(nx, ny))
+            if is_free(nx, ny) and (is_free(nx, s[1]) or is_free(s[0], ny)):
+                result.append(GridPose(nx, ny))
     return result

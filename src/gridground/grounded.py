@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .classical import PlannedPath, check_endpoints
 from .errors import ScorerFailure
-from .gridmap import CellState, FOUR_DELTAS, GridPose, OccupancyGrid
+from .gridmap import FOUR_DELTAS, GridPose, OccupancyGrid
 from .scorers import TaskScorerQuery
 
 
@@ -36,15 +36,13 @@ class Action:
     description: str
 
 
-# Canonical action set; order doubles as the default tie-break order.
+# Canonical action set; its order is the scoring and tie-break order.
 ACTIONS: tuple[Action, ...] = (
     Action(ActionId.UP, (0, -1), "move up one cell"),
     Action(ActionId.RIGHT, (1, 0), "move right one cell"),
     Action(ActionId.LEFT, (-1, 0), "move left one cell"),
     Action(ActionId.DOWN, (0, 1), "move down one cell"),
 )
-
-_ACTION_BY_ID = {a.id: a for a in ACTIONS}
 
 
 @dataclass(frozen=True)
@@ -72,20 +70,18 @@ class PlannerConfig:
 
     max_steps None derives 4 * (width + height) from the grid at plan time.
     revisit_penalty multiplies p_combined of candidates already visited.
-    tie_break fixes the action order used for scoring and argmax ties.
+    Actions are always scored, and argmax ties broken, in ACTIONS order
+    (up, right, left, down).
     """
 
     max_steps: int | None = None
     revisit_penalty: float = 0.5
-    tie_break: tuple[ActionId, ...] = (ActionId.UP, ActionId.RIGHT, ActionId.LEFT, ActionId.DOWN)
 
     def __post_init__(self):
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if not (0.0 <= self.revisit_penalty <= 1.0):
             raise ValueError(f"revisit_penalty must be in [0, 1], got {self.revisit_penalty}")
-        if sorted(a.value for a in self.tie_break) != sorted(a.value for a in ActionId):
-            raise ValueError(f"tie_break must be a permutation of the four actions, got {self.tie_break}")
 
 
 TaskScorer = Callable[[TaskScorerQuery], Sequence[float]]
@@ -99,15 +95,10 @@ def affordance(grid: OccupancyGrid, s: GridPose, action: Action) -> float:
     0.8 otherwise, discounting wall-adjacent cells.
     """
     cx, cy = s[0] + action.delta[0], s[1] + action.delta[1]
-    if not grid.in_bounds(cx, cy):
-        return 0.0
-    if grid.cells[cy * grid.width + cx] is not CellState.FREE:
+    if not grid.is_free(cx, cy):
         return 0.0
     for dx, dy in FOUR_DELTAS:
-        nx, ny = cx + dx, cy + dy
-        if not grid.in_bounds(nx, ny):
-            return 0.8
-        if grid.cells[ny * grid.width + nx] is not CellState.FREE:
+        if not grid.is_free(cx + dx, cy + dy):
             return 0.8
     return 1.0
 
@@ -117,7 +108,6 @@ def score_candidates(
     instruction: Instruction,
     grid: OccupancyGrid,
     s: GridPose,
-    actions: Sequence[Action] = ACTIONS,
 ) -> list[ScoredAction]:
     """Run one scorer call and attach normalized task and affordance terms.
 
@@ -128,7 +118,7 @@ def score_candidates(
     Raises:
         ScorerFailure: the backend failed or returned unusable values.
     """
-    candidates = tuple(GridPose(s[0] + a.delta[0], s[1] + a.delta[1]) for a in actions)
+    candidates = tuple(GridPose(s[0] + a.delta[0], s[1] + a.delta[1]) for a in ACTIONS)
     query = TaskScorerQuery(instruction=instruction, grid=grid, state=GridPose(*s), candidates=candidates)
     try:
         raw = [float(v) for v in scorer(query)]
@@ -136,14 +126,14 @@ def score_candidates(
         raise
     except Exception as exc:  # a buggy backend must surface as a scorer failure
         raise ScorerFailure(f"scorer raised {type(exc).__name__}: {exc}") from exc
-    if len(raw) != len(actions):
-        raise ScorerFailure(f"scorer returned {len(raw)} scores for {len(actions)} actions")
+    if len(raw) != len(ACTIONS):
+        raise ScorerFailure(f"scorer returned {len(raw)} scores for {len(ACTIONS)} actions")
     if any(not (0.0 <= v < math.inf) for v in raw):
         raise ScorerFailure(f"scores must be finite and non-negative, got {raw}")
     total = sum(raw)
-    p_gpts = [v / total for v in raw] if total > 0 else [1.0 / len(actions)] * len(actions)
+    p_gpts = [v / total for v in raw] if total > 0 else [1.0 / len(ACTIONS)] * len(ACTIONS)
     scored = []
-    for a, cand, p_gpt in zip(actions, candidates, p_gpts):
+    for a, cand, p_gpt in zip(ACTIONS, candidates, p_gpts):
         p_util = affordance(grid, s, a)
         scored.append(ScoredAction(a, cand, p_gpt, p_util, p_gpt * p_util))
     return scored
@@ -154,9 +144,9 @@ def select_action(
 ) -> ScoredAction | None:
     """Argmax of revisit-adjusted p_combined; None signals Stuck.
 
-    ``scored`` must already be in the config's tie-break order, so the first
-    maximum wins ties. Returns None when every adjusted score is zero, which
-    guarantees a selected action always has p_util > 0.
+    ``scored`` must be in ACTIONS order, so the first maximum wins ties.
+    Returns None when every adjusted score is zero, which guarantees a
+    selected action always has p_util > 0.
     """
     if len(scored) != 4:
         raise ValueError(f"expected 4 scored actions, got {len(scored)}")
@@ -223,7 +213,6 @@ def plan(
     goal = GridPose(*instruction.goal)
     check_endpoints(grid, start, goal)
     max_steps = config.max_steps if config.max_steps is not None else 4 * (grid.width + grid.height)
-    actions = tuple(_ACTION_BY_ID[aid] for aid in config.tie_break)
 
     s = GridPose(*start)
     waypoints = [s]
@@ -234,7 +223,7 @@ def plan(
 
     for step in range(max_steps):
         try:
-            scored = score_candidates(scorer, instruction, grid, s, actions)
+            scored = score_candidates(scorer, instruction, grid, s)
         except ScorerFailure as exc:
             return PlanResult(
                 PlannedPath(tuple(waypoints), grid.resolution),

@@ -28,7 +28,7 @@ from .errors import (
     ScorerFailure,
     ScorerTimeout,
 )
-from .gridmap import Connectivity, GridPose, OccupancyGrid
+from .gridmap import GridPose, OccupancyGrid
 from . import translator
 
 if TYPE_CHECKING:
@@ -98,7 +98,7 @@ class OracleScorer:
         goal = GridPose(*query.instruction.goal)
         if query.grid is not self._grid or goal != self._goal:
             self._grid, self._goal = query.grid, goal
-            self._field = distance_field(query.grid, goal, Connectivity.FOUR)
+            self._field = distance_field(query.grid, goal)
         fld, grid, state = self._field, query.grid, query.state
         here = fld[state[1] * grid.width + state[0]] if grid.in_bounds(state[0], state[1]) else math.inf
         if not math.isfinite(here):

@@ -18,7 +18,7 @@ from typing import Protocol
 import yaml
 
 from .errors import InvalidScenario
-from .gridmap import CellState, GridPose, OccupancyGrid, load_map
+from .gridmap import GridPose, OccupancyGrid, load_map
 
 SCENARIO_VERSION = "scenario_v1"
 
@@ -45,7 +45,7 @@ class Scenario:
         for name, p in (("start", self.start), ("goal", self.goal)):
             if not grid.in_bounds(p[0], p[1]):
                 raise InvalidScenario(f"{name} ({p[0]},{p[1]}) outside the map")
-            if grid.cells[p[1] * grid.width + p[0]] is not CellState.FREE:
+            if not grid.is_free(p[0], p[1]):
                 raise InvalidScenario(f"{name} ({p[0]},{p[1]}) is not Free on the base map")
         if not self.instruction_text:
             raise InvalidScenario("instruction_text must be non-empty")
@@ -112,9 +112,6 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
             if ob.appears_at_step <= tick:
                 materialized.add(GridPose(*ob.cell))
 
-    def occupied_now(c: GridPose) -> bool:
-        return grid.cells[c.y * grid.width + c.x] is not CellState.FREE or c in materialized
-
     def plan_from(cell: GridPose) -> deque[GridPose] | None:
         """The planner's waypoints from ``cell`` on the sensed grid, ``cell`` itself dropped."""
         path = planner.plan(working, cell, goal, scenario.instruction_text)
@@ -149,7 +146,7 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
         materialize(tick)
         nxt = upcoming.popleft()
         steps_taken += 1
-        if not grid.in_bounds(nxt.x, nxt.y) or occupied_now(nxt):
+        if not grid.is_free(nxt.x, nxt.y) or nxt in materialized:
             collided = True
             break
         pos = nxt
@@ -192,7 +189,7 @@ def validate_external_path(scenario: Scenario, waypoints: list[GridPose]) -> Pat
         p = GridPose(*raw)
         if prev is not None and abs(p.x - prev.x) + abs(p.y - prev.y) != 1:
             return PathValidation(False, "adjacency", i)
-        if not grid.in_bounds(p.x, p.y) or grid.cells[p.y * grid.width + p.x] is not CellState.FREE:
+        if not grid.is_free(p.x, p.y):
             return PathValidation(False, "freeness", i)
         prev = p
     if GridPose(*waypoints[-1]) != GridPose(*scenario.goal):

@@ -49,13 +49,10 @@ def _render_map(grid: OccupancyGrid, state: GridPose, goal: GridPose) -> str:
     for name, p in (("robot", state), ("goal", goal)):
         if not grid.in_bounds(p[0], p[1]):
             raise OutOfBounds(f"{name} marker ({p[0]},{p[1]}) outside {grid.width}x{grid.height} grid")
-    rows = []
-    for y in range(grid.height):
-        row = [c.value for c in grid.cells[y * grid.width:(y + 1) * grid.width]]
-        rows.append(row)
-    rows[state[1]][state[0]] = "R"
-    rows[goal[1]][goal[0]] = "G"
-    return "\n".join("".join(r) for r in rows)
+    rows = grid.rows()
+    for mark, (x, y) in (("R", state), ("G", goal)):
+        rows[y] = rows[y][:x] + mark + rows[y][x + 1:]
+    return "\n".join(rows)
 
 
 def serialize_step_prompt(
@@ -185,7 +182,8 @@ def parse_coordinate_list(reply: str | bytes) -> CoordinateReply:
     executed paths so bad model output stays measurable.
 
     Raises:
-        MalformedReply: no path line, an empty one, or stray tokens on it.
+        MalformedReply: no path line, an empty one, stray tokens on it, or a
+            coordinate too long to convert.
     """
     text = _as_text(reply)
     lines = [ln for ln in text.splitlines() if ln.lstrip().startswith("path:")]
@@ -196,7 +194,10 @@ def parse_coordinate_list(reply: str | bytes) -> CoordinateReply:
         raise MalformedReply(
             "path line must be whitespace-separated (x,y) pairs", reply=text
         )
-    waypoints = tuple(GridPose(int(x), int(y)) for x, y in _PAIR_RE.findall(payload))
+    try:
+        waypoints = tuple(GridPose(int(x), int(y)) for x, y in _PAIR_RE.findall(payload))
+    except ValueError:  # more digits than int() converts
+        raise MalformedReply("path coordinate has too many digits", reply=text) from None
     return CoordinateReply(waypoints)
 
 

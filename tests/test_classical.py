@@ -183,12 +183,6 @@ class TestDistanceField:
         assert all(v == math.inf for v in distance_field(g, GridPose(1, 1)))
         assert all(v == math.inf for v in distance_field(g, GridPose(9, 9)))
 
-    def test_eight_uses_diagonal_costs(self):
-        g = open_grid(4, 4)
-        fld = distance_field(g, GridPose(0, 0), Connectivity.EIGHT)
-        assert fld[3 * 4 + 3] == pytest.approx(3 * SQRT2)
-        assert fld[0 * 4 + 3] == pytest.approx(3.0)
-
     def test_agrees_with_search_per_cell(self):
         g = random_map(10, 10, 0.3, seed=9)
         goal = GridPose(0, 0)

@@ -95,7 +95,11 @@ class TestUsageErrors:
         assert rc == 1
         assert "cannot read map" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [b"3 3 1.0\n...\n.x.\n...\n", b"3 1 1.0\n\xff..\n"])
+    @pytest.mark.parametrize("text", [
+        b"3 3 1.0\n...\n.x.\n...\n",
+        b"3 1 1.0\n\xff..\n",
+        "\u00b2 1 1.0\n...\n".encode(),
+    ])
     def test_malformed_map_file(self, tmp_path, capsys, text):
         m = tmp_path / "m.map"
         m.write_bytes(text)
@@ -119,6 +123,9 @@ class TestUsageErrors:
         (["--planner", "grounded"], "connectivity: 8.0\n"),
         (["--planner", "grounded"], "max_steps: 2.5\n"),
         (["--planner", "grounded"], "tau: true\n"),
+        (["--planner", "grounded", "--tau", "0"], None),
+        (["--planner", "grounded", "--tau", "-1"], None),
+        (["--planner", "grounded", "--tau", "nan"], None),
     ])
     def test_plan_bad_values(self, tmp_path, capsys, extra, config):
         m = write_map(tmp_path, ["..."])
@@ -220,11 +227,11 @@ class TestPlanGrounded:
         assert rc == 2
         assert "step_limit" in err
 
-    def test_bad_tau_exit_2(self, tmp_path, capsys):
+    def test_bad_tau_is_usage_error(self, tmp_path, capsys):
         m = write_map(tmp_path, ["..."])
         rc = main(plan_args(m, "0,0", "2,0", "--planner", "grounded", "--tau", "-1"))
-        assert rc == 2
-        assert "scorer_failure" in capsys.readouterr().err
+        assert rc == 1
+        assert capsys.readouterr().err == "usage error: tau must be > 0, got -1.0\n"
 
 
 class TestPlanFullpath:

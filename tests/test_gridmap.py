@@ -49,6 +49,10 @@ class TestLoadMap:
         "", "3 2", "3 2 1.0 extra", "3  2 1.0", "a 2 1.0", "3 b 1.0",
         "3 2 zero", "-3 2 1.0", "3 2 -1.0", "3 2 0", "3 2 inf", "3 2 nan",
         "0 2 1.0", "3.5 2 1.0",
+        # passes str.isdigit() but not int()
+        "\u00b2 2 1.0",
+        # longer than the int-string conversion limit
+        pytest.param("1" * 5000 + " 2 1.0", id="width-5000-digits"),
     ])
     def test_bad_header(self, header):
         with pytest.raises(MalformedHeader):
@@ -124,6 +128,19 @@ class TestOccupancyGrid:
     def test_with_occupied_out_of_bounds(self):
         with pytest.raises(OutOfBounds):
             open_grid(2, 2).with_occupied([GridPose(5, 5)])
+
+    @pytest.mark.parametrize("x,y", [(-1, 0), (0, -1), (3, 0), (0, 2), (-1, -1), (3, 2)])
+    def test_is_free_false_outside(self, x, y):
+        assert not open_grid(3, 2).is_free(x, y)
+
+    def test_is_free_only_on_free_cells(self):
+        g = load_map("3 1 1.0\n.#?\n")
+        assert [g.is_free(x, 0) for x in range(3)] == [True, False, False]
+
+    def test_rows_are_the_serialized_body(self):
+        g = load_map("3 2 0.5\n.#?\n?..\n")
+        assert g.rows() == [".#?", "?.."]
+        assert g.rows() == serialize_map(g).splitlines()[1:]
 
 
 class TestRandomMap:

@@ -211,8 +211,6 @@ class TestPlannerConfig:
         {"max_steps": -5},
         {"revisit_penalty": -0.1},
         {"revisit_penalty": 1.1},
-        {"tie_break": (ActionId.UP, ActionId.UP, ActionId.LEFT, ActionId.DOWN)},
-        {"tie_break": (ActionId.UP, ActionId.RIGHT)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -310,18 +308,6 @@ class TestPlan:
         assert res.failure is FailureReason.SCORER_FAILURE
         assert "endpoint down" in res.detail
         assert res.path.waypoints == (GridPose(0, 0), GridPose(1, 0))
-
-    def test_tie_break_order_controls_scoring(self):
-        g = open_grid(5, 5)
-        flat = CapturingScorer((1.0, 1.0, 1.0, 1.0))
-        order = (ActionId.DOWN, ActionId.LEFT, ActionId.RIGHT, ActionId.UP)
-        res = plan(
-            flat, g, GridPose(2, 2), Instruction("x", GridPose(0, 0)),
-            PlannerConfig(max_steps=1, tie_break=order),
-        )
-        assert res.trace[0].chosen.action.id is ActionId.DOWN
-        # the query presents candidates in the same reordered sequence
-        assert flat.queries[0].candidates[0] == GridPose(2, 3)
 
     def test_deterministic(self):
         g = grid_from_rows([

@@ -21,3 +21,9 @@ def test_bare_import_loads_the_eight_submodules_and_exports_no_names():
     loaded, public = proc.stdout.splitlines()
     assert loaded.split() == [f"gridground.{name}" for name in SUBMODULES]
     assert public.split() == SUBMODULES
+
+
+def test_only_gridmap_reads_the_cell_layout():
+    src = Path(gridground.__file__).resolve().parent
+    readers = sorted(p.name for p in src.glob("*.py") if p.name != "gridmap.py" and ".cells" in p.read_text())
+    assert readers == []

@@ -250,6 +250,8 @@ class TestParseCoordinateList:
         "path: (-1,0)",
         "path: (0.5,1)",
         "path: (0,0) junk",
+        # longer than the int-string conversion limit
+        pytest.param("path: (" + "1" * 5000 + ",0)", id="x-5000-digits"),
     ])
     def test_rejections(self, reply):
         with pytest.raises(MalformedReply):
