@@ -423,9 +423,9 @@ class Suite:
 def load_suite(path: str | Path) -> Suite:
     """Read a suite_v1 file; scenario paths resolve beside it."""
     p = Path(path)
-    try:
+    try:  # a ValueError is a file that is not UTF-8 or an int past Python's digit limit
         doc = yaml.safe_load(p.read_text(encoding="utf-8"))
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read suite file {p}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != SUITE_VERSION:
         raise ConfigError(f"suite file must declare version {SUITE_VERSION!r}")

@@ -1,4 +1,7 @@
-"""Classical grid planners: A*, a uniform-cost oracle, and RRT.
+"""Classical grid planners: A*, a BFS distance field, and RRT.
+
+A*, the distance field and the RRT free-space checks run on the grid's flat
+free mask (OccupancyGrid.free_mask), addressed through the gridmap helpers.
 
 Costs are measured in cells: 1 per cardinal step, sqrt(2) per diagonal step.
 path_length converts to meters via the grid resolution.
@@ -9,12 +12,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import count
 
 from .errors import EmptyPath, InvalidEndpoint, InvalidParams
-from .gridmap import Connectivity, GridPose, OccupancyGrid, neighbors
+from .gridmap import DIAGONAL_DELTAS, FOUR_DELTAS, Connectivity, GridPose, OccupancyGrid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,16 +41,6 @@ def path_length(path: PlannedPath) -> float:
     for a, b in zip(path.waypoints, path.waypoints[1:]):
         total += math.hypot(b[0] - a[0], b[1] - a[1])
     return total * path.resolution
-
-
-def path_cost_cells(path: PlannedPath) -> float:
-    """Path cost in cell units (1 per cardinal step, sqrt(2) per diagonal)."""
-    if not path.waypoints:
-        raise EmptyPath("path has no waypoints")
-    total = 0.0
-    for a, b in zip(path.waypoints, path.waypoints[1:]):
-        total += SQRT2 if a[0] != b[0] and a[1] != b[1] else 1.0
-    return total
 
 
 def check_endpoints(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> None:
@@ -84,98 +76,85 @@ def astar(
     if start == goal:
         return PlannedPath((start,), grid.resolution)
 
+    # nodes are free_mask indices; each heap entry carries its node's (x, y)
+    # after the (f, h, tick) key, which alone decides the order
+    gx, gy = goal
     if connectivity is Connectivity.FOUR:
-        def h(p: GridPose) -> float:
-            return abs(p.x - goal.x) + abs(p.y - goal.y)
+        def h(x: int, y: int) -> float:
+            return abs(x - gx) + abs(y - gy)
+        moves = tuple(zip(grid.flat_offsets, FOUR_DELTAS))
     else:
-        def h(p: GridPose) -> float:
-            dx, dy = abs(p.x - goal.x), abs(p.y - goal.y)
+        def h(x: int, y: int) -> float:
+            dx, dy = abs(x - gx), abs(y - gy)
             return max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy)
+        moves = tuple(zip(grid.flat_offsets, FOUR_DELTAS + DIAGONAL_DELTAS))
 
+    mask = grid.free_mask
+    src, dst = grid.flat_index(*start), grid.flat_index(*goal)
     tick = count()
-    g: dict[GridPose, float] = {start: 0.0}
-    parent: dict[GridPose, GridPose] = {}
-    open_heap: list[tuple[float, float, int, GridPose]] = [(h(start), h(start), next(tick), start)]
-    closed: set[GridPose] = set()
+    g = [math.inf] * len(mask)
+    g[src] = 0.0
+    parent: dict[int, int] = {}
+    closed = bytearray(len(mask))
+    h0 = h(*start)
+    open_heap = [(h0, h0, next(tick), src, start.x, start.y)]
 
     while open_heap:
-        _, _, _, cur = heapq.heappop(open_heap)
-        if cur in closed:
+        _, _, _, cur, x, y = heapq.heappop(open_heap)
+        if closed[cur]:
             continue
-        closed.add(cur)
-        if cur == goal:
+        closed[cur] = 1
+        if cur == dst:
             path = [cur]
-            while path[-1] != start:
+            while path[-1] != src:
                 path.append(parent[path[-1]])
-            path.reverse()
-            return PlannedPath(tuple(path), grid.resolution)
-        for nb in neighbors(grid, cur, connectivity):
-            if nb in closed:
+            return PlannedPath(tuple(grid.flat_pose(i) for i in reversed(path)), grid.resolution)
+        g_cur = g[cur]
+        for o, (dx, dy) in moves:
+            nb = cur + o
+            if not mask[nb] or closed[nb]:
                 continue
-            step = SQRT2 if nb.x != cur.x and nb.y != cur.y else 1.0
-            ng = g[cur] + step
-            if ng < g.get(nb, math.inf):
+            if dx and dy:
+                # both adjacent cardinals blocked -> no squeezing through the corner
+                if not (mask[cur + dx] or mask[nb - dx]):
+                    continue
+                ng = g_cur + SQRT2
+            else:
+                ng = g_cur + 1.0
+            if ng < g[nb]:
                 g[nb] = ng
                 parent[nb] = cur
-                hn = h(nb)
-                heapq.heappush(open_heap, (ng + hn, hn, next(tick), nb))
+                hn = h(x + dx, y + dy)
+                heapq.heappush(open_heap, (ng + hn, hn, next(tick), nb, x + dx, y + dy))
     return None
-
-
-def dijkstra_oracle(
-    grid: OccupancyGrid,
-    start: GridPose,
-    goal: GridPose,
-    connectivity: Connectivity = Connectivity.FOUR,
-) -> float | None:
-    """Exhaustive uniform-cost search; returns the optimal cost in cells.
-
-    Heuristic-free reference used to cross-check astar in tests. Returns
-    None when the goal is unreachable.
-    """
-    check_endpoints(grid, start, goal)
-    start, goal = GridPose(*start), GridPose(*goal)
-    dist: dict[GridPose, float] = {start: 0.0}
-    settled: set[GridPose] = set()
-    tick = count()
-    pq: list[tuple[float, int, GridPose]] = [(0.0, next(tick), start)]
-    while pq:
-        d, _, cur = heapq.heappop(pq)
-        if cur in settled:
-            continue
-        settled.add(cur)
-        for nb in neighbors(grid, cur, connectivity):
-            if nb in settled:
-                continue
-            step = SQRT2 if nb.x != cur.x and nb.y != cur.y else 1.0
-            nd = d + step
-            if nd < dist.get(nb, math.inf):
-                dist[nb] = nd
-                heapq.heappush(pq, (nd, next(tick), nb))
-    return dist[goal] if goal in settled else None
 
 
 def distance_field(grid: OccupancyGrid, goal: GridPose) -> list[float]:
     """Four-connected cost-to-goal for every cell, row-major; unreachable cells hold inf.
 
-    A BFS: every step costs 1. A blocked or out-of-bounds goal yields an
-    all-inf field.
+    A level-by-level BFS over the free mask: every step costs 1. A blocked
+    or out-of-bounds goal yields an all-inf field.
     """
-    field = [math.inf] * (grid.width * grid.height)
     if not grid.is_free(goal[0], goal[1]):
-        return field
-    goal = GridPose(*goal)
-    field[goal.y * grid.width + goal.x] = 0.0
-    queue = deque([goal])
-    while queue:
-        cur = queue.popleft()
-        d = field[cur.y * grid.width + cur.x]
-        for nb in neighbors(grid, cur):
-            idx = nb.y * grid.width + nb.x
-            if field[idx] == math.inf:
-                field[idx] = d + 1.0
-                queue.append(nb)
-    return field
+        return [math.inf] * (grid.width * grid.height)
+    unseen = bytearray(grid.free_mask)  # free cells not reached yet
+    field = [math.inf] * len(unseen)
+    offsets = grid.flat_offsets[:4]
+    frontier = [grid.flat_index(goal[0], goal[1])]
+    unseen[frontier[0]] = 0
+    d = 0.0
+    while frontier:
+        reached = []
+        for i in frontier:
+            field[i] = d
+            for o in offsets:
+                j = i + o
+                if unseen[j]:
+                    unseen[j] = 0
+                    reached.append(j)
+        frontier = reached
+        d += 1.0
+    return grid.strip_pad(field)
 
 
 # --- RRT ---
@@ -285,9 +264,10 @@ def chain_cells(p0: Point, p1: Point) -> list[GridPose]:
 
 
 def _edge_free(grid: OccupancyGrid, p0: Point, p1: Point) -> bool:
-    is_free = grid.is_free
-    for c in supercover_cells(p0, p1):
-        if not is_free(c.x, c.y):
+    # p0 and p1 lie in [0, width] x [0, height], so each cell is on the map or its pad
+    mask, flat_index = grid.free_mask, grid.flat_index
+    for x, y in supercover_cells(p0, p1):
+        if not mask[flat_index(x, y)]:
             return False
     return True
 
@@ -379,12 +359,13 @@ def grow_rrt_tree(
         return tree
 
     index = _NodeBuckets(params.step_size, tree.points)
+    mask, flat_index = grid.free_mask, grid.flat_index
     for _ in range(params.max_iterations):
         while True:
             sx = rng.uniform(0.0, grid.width)
             sy = rng.uniform(0.0, grid.height)
-            c = _cell_of((sx, sy))
-            if grid.is_free(c.x, c.y):
+            # 0 <= sx <= width and 0 <= sy <= height: the cell is on the map or its pad
+            if mask[flat_index(math.floor(sx), math.floor(sy))]:
                 break
         target: Point = goal_c if rng.random() < params.goal_bias else (sx, sy)
 

@@ -66,9 +66,9 @@ _DEFAULTS = {
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    try:
+    try:  # a ValueError is a file that is not UTF-8 or an int past Python's digit limit
         doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}")
     if doc is None:
         return {}

@@ -11,7 +11,9 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     InvalidDensity,
@@ -31,6 +33,9 @@ class CellState(Enum):
 
 
 _CHAR_TO_CELL = {c.value: c for c in CellState}
+_CELL_CHAR = attrgetter("_value_")  # a member's map character, without the Enum.value property
+# map character -> free-mask byte: 1 for Free, 0 for Occupied and Unknown
+_FREE_BYTE = bytes.maketrans(b".#?", b"\x01\x00\x00")
 
 
 class Connectivity(Enum):
@@ -63,6 +68,17 @@ class OccupancyGrid:
         resolution: meters per cell edge, > 0.
         cells: row-major tuple of length width * height. Other modules read
             it through is_free, cell and rows, so the layout is known here only.
+
+    Views derived from ``cells`` are built on first use and then kept for as
+    long as the grid lives (the grid is frozen, so they never go stale):
+
+    * the map text rows behind ``rows()``;
+    * ``free_mask``, the flat kernel: one byte per cell, 1 where Free, row-major
+      with a one-cell pad of 0 bytes around the grid, so every in-bounds cell
+      has all eight neighbours in range. Kernels address it through
+      ``flat_index``, ``flat_offsets``, ``flat_pose`` and ``strip_pad`` only.
+
+    ``with_occupied`` derives a sensed grid's views from its parent's.
     """
 
     width: int
@@ -90,10 +106,44 @@ class OccupancyGrid:
         w = self.width
         return 0 <= x < w and 0 <= y < self.height and self.cells[y * w + x] is CellState.FREE
 
+    @cached_property
+    def _rows(self) -> tuple[str, ...]:
+        text = "".join(map(_CELL_CHAR, self.cells))
+        return tuple(text[i:i + self.width] for i in range(0, len(text), self.width))
+
     def rows(self) -> list[str]:
-        """The map text rows, top to bottom, one character per cell."""
-        text = "".join([c.value for c in self.cells])
-        return [text[i:i + self.width] for i in range(0, len(text), self.width)]
+        """The map text rows, top to bottom, one character per cell (a fresh list)."""
+        return list(self._rows)
+
+    @cached_property
+    def free_mask(self) -> bytes:
+        """Padded row-major free mask, (width + 2) * (height + 2) bytes; see the class docstring."""
+        edge = "#" * (self.width + 2)
+        text = f"{edge}#{'##'.join(self._rows)}#{edge}"
+        return text.encode("ascii").translate(_FREE_BYTE)
+
+    @cached_property
+    def flat_offsets(self) -> tuple[int, ...]:
+        """free_mask index steps of FOUR_DELTAS, then of DIAGONAL_DELTAS."""
+        stride = self.width + 2
+        return tuple(dx + dy * stride for dx, dy in FOUR_DELTAS + DIAGONAL_DELTAS)
+
+    def flat_index(self, x: int, y: int) -> int:
+        """Index of cell (x, y) in free_mask; the pad cells around the grid have indices too."""
+        return (y + 1) * (self.width + 2) + x + 1
+
+    def flat_pose(self, i: int) -> GridPose:
+        """The cell at free_mask index i (inverse of flat_index)."""
+        y, x = divmod(i, self.width + 2)
+        return GridPose(x - 1, y - 1)
+
+    def strip_pad(self, values: Sequence) -> list:
+        """A list of one value per free_mask index, reduced to the grid's cells in row-major order."""
+        w, stride = self.width, self.width + 2
+        out: list = []
+        for i in range(stride + 1, stride * (self.height + 1), stride):
+            out += values[i:i + w]
+        return out
 
     def cell(self, x: int, y: int) -> CellState:
         """Return the state at (x, y), raising OutOfBounds outside the grid."""
@@ -102,13 +152,23 @@ class OccupancyGrid:
         return self.cells[y * self.width + x]
 
     def with_occupied(self, poses: Iterable[GridPose]) -> "OccupancyGrid":
-        """Return a copy with the given cells marked Occupied."""
-        cells = list(self.cells)
+        """Return a new grid with the given cells marked Occupied.
+
+        The new grid's views are this grid's, copied with only the given
+        cells changed, instead of being rebuilt from its cells. The result is
+        always a new object, also for no poses.
+        """
+        cells, rows, mask = list(self.cells), list(self._rows), bytearray(self.free_mask)
         for p in poses:
-            if not self.in_bounds(p[0], p[1]):
-                raise OutOfBounds(f"({p[0]},{p[1]}) outside {self.width}x{self.height} grid")
-            cells[p[1] * self.width + p[0]] = CellState.OCCUPIED
-        return OccupancyGrid(self.width, self.height, self.resolution, tuple(cells))
+            x, y = p[0], p[1]
+            if not self.in_bounds(x, y):
+                raise OutOfBounds(f"({x},{y}) outside {self.width}x{self.height} grid")
+            cells[y * self.width + x] = CellState.OCCUPIED
+            rows[y] = f"{rows[y][:x]}#{rows[y][x + 1:]}"
+            mask[self.flat_index(x, y)] = 0
+        grid = OccupancyGrid(self.width, self.height, self.resolution, tuple(cells))
+        vars(grid).update(_rows=tuple(rows), free_mask=bytes(mask))
+        return grid
 
 
 def load_map(text: str) -> OccupancyGrid:
@@ -168,7 +228,9 @@ def load_map(text: str) -> OccupancyGrid:
                     f"row {i + 1} (line {i + 2}), column {j + 1}: unexpected character {ch!r}"
                 )
             cells.append(state)
-    return OccupancyGrid(width, height, resolution, tuple(cells))
+    grid = OccupancyGrid(width, height, resolution, tuple(cells))
+    vars(grid)["_rows"] = tuple(rows)  # the validated rows are the cached view already
+    return grid
 
 
 def serialize_map(grid: OccupancyGrid) -> str:
@@ -217,18 +279,14 @@ def neighbors(
     Raises:
         OutOfBounds: ``s`` itself is outside the grid.
     """
-    if not grid.in_bounds(s[0], s[1]):
-        raise OutOfBounds(f"({s[0]},{s[1]}) outside {grid.width}x{grid.height} grid")
-    is_free = grid.is_free
-    result: list[GridPose] = []
-    for dx, dy in FOUR_DELTAS:
-        nx, ny = s[0] + dx, s[1] + dy
-        if is_free(nx, ny):
-            result.append(GridPose(nx, ny))
+    x, y = s[0], s[1]
+    if not grid.in_bounds(x, y):
+        raise OutOfBounds(f"({x},{y}) outside {grid.width}x{grid.height} grid")
+    mask, i, offsets = grid.free_mask, grid.flat_index(x, y), grid.flat_offsets
+    result = [GridPose(x + dx, y + dy) for o, (dx, dy) in zip(offsets, FOUR_DELTAS) if mask[i + o]]
     if connectivity is Connectivity.EIGHT:
-        for dx, dy in DIAGONAL_DELTAS:
-            nx, ny = s[0] + dx, s[1] + dy
-            # both adjacent cardinals blocked -> no squeezing through the corner
-            if is_free(nx, ny) and (is_free(nx, s[1]) or is_free(s[0], ny)):
-                result.append(GridPose(nx, ny))
+        for o, (dx, dy) in zip(offsets[4:], DIAGONAL_DELTAS):
+            # both adjacent cardinals (i + dx, i + o - dx) blocked -> no squeezing through the corner
+            if mask[i + o] and (mask[i + dx] or mask[i + o - dx]):
+                result.append(GridPose(x + dx, y + dy))
     return result

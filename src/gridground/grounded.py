@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .classical import PlannedPath, check_endpoints
 from .errors import ScorerFailure
-from .gridmap import FOUR_DELTAS, GridPose, OccupancyGrid
+from .gridmap import GridPose, OccupancyGrid
 from .scorers import TaskScorerQuery
 
 
@@ -97,8 +97,10 @@ def affordance(grid: OccupancyGrid, s: GridPose, action: Action) -> float:
     cx, cy = s[0] + action.delta[0], s[1] + action.delta[1]
     if not grid.is_free(cx, cy):
         return 0.0
-    for dx, dy in FOUR_DELTAS:
-        if not grid.is_free(cx + dx, cy + dy):
+    # a Free candidate is on the map, so its cardinals are on the map or its pad
+    mask, i = grid.free_mask, grid.flat_index(cx, cy)
+    for o in grid.flat_offsets[:4]:
+        if not mask[i + o]:
             return 0.8
     return 1.0
 

@@ -221,7 +221,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     """
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
         raise InvalidScenario(f"unparseable scenario file: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidScenario("scenario file must be a mapping")
@@ -241,7 +241,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         map_path = Path(base_dir) / doc["map_file"]
         try:
             map_text = map_path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidScenario(f"cannot read map file {map_path}: {exc}") from exc
     try:
         grid = load_map(map_text)
@@ -282,6 +282,6 @@ def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidScenario(f"cannot read scenario file {p}: {exc}") from exc
     return parse_scenario(text, base_dir=p.parent)

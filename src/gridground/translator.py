@@ -161,19 +161,6 @@ def parse_action_scores(reply: str | bytes) -> tuple[float, float, float, float]
     return (values[0], values[1], values[2], values[3])
 
 
-def format_action_scores(scores: Sequence[float]) -> str:
-    """Render a scores reply line at six significant digits."""
-    if len(scores) != 4:
-        raise ValueError(f"expected 4 scores, got {len(scores)}")
-    rendered = []
-    for v in scores:
-        v = float(v)
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"scores must be finite and non-negative, got {v!r}")
-        rendered.append(f"{v + 0.0:.6g}")  # +0.0 normalizes -0.0
-    return "scores: " + " ".join(rendered)
-
-
 def parse_coordinate_list(reply: str | bytes) -> CoordinateReply:
     """Extract waypoints from the last ``path:`` line of a reply.
 

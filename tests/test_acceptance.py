@@ -20,8 +20,6 @@ from gridground.bundled import bundled_path
 from gridground.classical import (
     RrtParams,
     astar,
-    dijkstra_oracle,
-    path_cost_cells,
     rrt,
     supercover_cells,
 )
@@ -42,6 +40,7 @@ from gridground.translator import parse_action_scores, parse_coordinate_list
 
 import conftest
 from conftest import open_grid
+from reference import dijkstra_oracle, path_cost_cells
 
 
 @pytest.fixture(autouse=True)

@@ -490,6 +490,18 @@ class TestSuiteFiles:
         with pytest.raises(ConfigError, match="cannot read"):
             load_suite(tmp_path / "absent.yaml")
 
+    def test_not_utf8(self, tmp_path):
+        path = write_suite(tmp_path)
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        with pytest.raises(ConfigError, match="cannot read suite file"):
+            load_suite(path)
+
+    def test_integer_past_digit_limit(self, tmp_path):
+        path = write_suite(tmp_path)
+        path.write_text(path.read_text().replace("trials_per_pair: 1", "trials_per_pair: " + "1" * 5000))
+        with pytest.raises(ConfigError, match="cannot read suite file"):
+            load_suite(path)
+
     def test_run_suite_file_outputs(self, tmp_path):
         suite = write_suite(tmp_path, planners=("astar", "grounded:mock"), trials=2)
         out = tmp_path / "out"

@@ -11,10 +11,8 @@ from gridground.classical import (
     SQRT2,
     astar,
     chain_cells,
-    dijkstra_oracle,
     distance_field,
     grow_rrt_tree,
-    path_cost_cells,
     path_length,
     rrt,
     supercover_cells,
@@ -24,6 +22,7 @@ from gridground.errors import EmptyPath, InvalidEndpoint, InvalidParams
 from gridground.gridmap import CellState, Connectivity, GridPose, random_map
 
 from conftest import grid_from_rows, open_grid
+from reference import dijkstra_oracle, path_cost_cells
 
 
 def assert_four_adjacent(waypoints):

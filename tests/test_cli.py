@@ -422,6 +422,18 @@ class TestPrecedence:
         cfg.write_text("connectivity: [4]\n")
         assert main(plan_args(m, "0,0", "2,0", "--config", str(cfg))) == 1
 
+    @pytest.mark.parametrize("config", [b"seed: 1 # \xff\n", b"seed: " + b"1" * 5000 + b"\n"],
+                             ids=["not_utf8", "int_past_digit_limit"])
+    def test_unreadable_config_file(self, tmp_path, capsys, config):
+        m = write_map(tmp_path, ["..."])
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_bytes(config)
+        rc = main(plan_args(m, "0,0", "2,0", "--config", str(cfg)))
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"usage error: cannot read config file {cfg}: ")
+
     def test_config_file_must_be_mapping(self, tmp_path, capsys):
         m = write_map(tmp_path, ["..."])
         cfg = tmp_path / "cfg.yaml"
@@ -470,6 +482,24 @@ class TestBenchCommand:
         assert (out_dir / "rows.csv").exists()
         assert (out_dir / "report.txt").exists()
         assert (out_dir / "trajectories_tiny.svg").exists()
+
+    @pytest.mark.parametrize("name,tail,message", [
+        ("suite.yaml", b"# \xff\n", "cannot read suite file"),
+        ("suite.yaml", b"extra: " + b"1" * 5000 + b"\n", "cannot read suite file"),
+        ("case.yaml", b"# \xff\n", "cannot read scenario file"),
+        ("case.yaml", b"extra: " + b"1" * 5000 + b"\n", "unparseable scenario file"),
+        ("c.map", b"\xff", "cannot read map file"),
+    ], ids=["suite_not_utf8", "suite_int_past_digit_limit", "scenario_not_utf8",
+            "scenario_int_past_digit_limit", "map_not_utf8"])
+    def test_unreadable_input_file(self, tmp_path, capsys, name, tail, message):
+        suite = write_tiny_suite(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + tail)
+        rc = main(["bench", "--suite", str(suite), "--out-dir", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_missing_suite_file(self, tmp_path, capsys):
         rc = main(["bench", "--suite", str(tmp_path / "absent.yaml"),

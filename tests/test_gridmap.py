@@ -15,6 +15,7 @@ from gridground.gridmap import (
     Connectivity,
     GridPose,
     OccupancyGrid,
+    DIAGONAL_DELTAS,
     FOUR_DELTAS,
     load_map,
     neighbors,
@@ -23,6 +24,16 @@ from gridground.gridmap import (
 )
 
 from conftest import grid_from_rows, open_grid
+from reference import reference_neighbors
+
+
+@st.composite
+def grids(draw, max_side=8):
+    """Small grids over all three cell states."""
+    w = draw(st.integers(1, max_side))
+    h = draw(st.integers(1, max_side))
+    rows = draw(st.lists(st.text(".#?", min_size=w, max_size=w), min_size=h, max_size=h))
+    return grid_from_rows(rows)
 
 
 class TestLoadMap:
@@ -141,6 +152,68 @@ class TestOccupancyGrid:
         g = load_map("3 2 0.5\n.#?\n?..\n")
         assert g.rows() == [".#?", "?.."]
         assert g.rows() == serialize_map(g).splitlines()[1:]
+
+
+class TestDerivedViews:
+    def test_rows_returns_a_fresh_list(self):
+        g = load_map("2 2 1.0\n.#\n..\n")
+        g.rows()[0] = "##"
+        assert g.rows() == [".#", ".."]
+
+    def test_views_are_built_once(self):
+        g = open_grid(3, 2)
+        assert g.free_mask is g.free_mask
+        assert g.flat_offsets is g.flat_offsets
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids())
+    def test_free_mask_matches_is_free_with_a_blocked_pad(self, g):
+        mask = g.free_mask
+        assert len(mask) == (g.width + 2) * (g.height + 2)
+        indices = [g.flat_index(x, y) for y in range(-1, g.height + 1) for x in range(-1, g.width + 1)]
+        assert indices == list(range(len(mask)))
+        for y in range(-1, g.height + 1):
+            for x in range(-1, g.width + 1):
+                assert mask[g.flat_index(x, y)] == g.is_free(x, y)
+                assert g.flat_pose(g.flat_index(x, y)) == GridPose(x, y)
+
+    def test_flat_offsets_follow_the_deltas(self):
+        g = open_grid(4, 3)
+        deltas = FOUR_DELTAS + DIAGONAL_DELTAS
+        assert [g.flat_index(1 + dx, 1 + dy) - g.flat_index(1, 1) for dx, dy in deltas] == list(g.flat_offsets)
+
+    def test_strip_pad_keeps_the_cells_in_row_major_order(self):
+        g = open_grid(3, 2)
+        assert g.strip_pad(list(range(len(g.free_mask)))) == [
+            g.flat_index(x, y) for y in range(2) for x in range(3)
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids())
+    def test_neighbors_match_the_cell_by_cell_reference(self, g):
+        for conn in Connectivity:
+            for y in range(g.height):
+                for x in range(g.width):
+                    assert neighbors(g, GridPose(x, y), conn) == reference_neighbors(g, GridPose(x, y), conn)
+
+    @settings(max_examples=80, deadline=None)
+    @given(grids(), st.data(), st.booleans())
+    def test_sensed_grid_views_equal_a_loaded_grid(self, g, data, loaded_parent):
+        poses = data.draw(st.lists(st.builds(GridPose, st.integers(0, g.width - 1), st.integers(0, g.height - 1))))
+        # a loaded grid starts from its map text; a constructed one builds its views from its cells
+        parent = g if loaded_parent else OccupancyGrid(g.width, g.height, g.resolution, g.cells)
+        sensed = parent.with_occupied(poses)
+        loaded = load_map(serialize_map(sensed))
+        assert loaded.cells == sensed.cells
+        assert loaded.rows() == sensed.rows()
+        assert loaded.free_mask == sensed.free_mask
+        assert OccupancyGrid(g.width, g.height, g.resolution, sensed.cells).free_mask == sensed.free_mask
+        rebuilt = OccupancyGrid(g.width, g.height, g.resolution, g.cells)
+        assert (parent.rows(), parent.free_mask) == (rebuilt.rows(), rebuilt.free_mask)  # parent untouched
+
+    def test_with_occupied_returns_a_new_grid_for_no_poses(self):
+        g = open_grid(2, 2)
+        assert g.with_occupied([]) is not g
 
 
 class TestRandomMap:

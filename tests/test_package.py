@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,16 @@ def test_bare_import_loads_the_eight_submodules_and_exports_no_names():
     assert public.split() == SUBMODULES
 
 
+# Reading cells, or building a free_mask index by hand (a stride, width + 2,
+# the private views or the mask's byte table), belongs in gridmap alone; other
+# modules go through is_free/cell/rows and flat_index/flat_offsets/flat_pose/strip_pad.
+LAYOUT_READS = re.compile(r"\.cells\b|\bstride\b|width \+ 2|\._rows\b|_FREE_BYTE")
+
+
 def test_only_gridmap_reads_the_cell_layout():
     src = Path(gridground.__file__).resolve().parent
-    readers = sorted(p.name for p in src.glob("*.py") if p.name != "gridmap.py" and ".cells" in p.read_text())
+    readers = sorted(
+        (p.name, m.group()) for p in src.glob("*.py") if p.name != "gridmap.py"
+        for m in LAYOUT_READS.finditer(p.read_text())
+    )
     assert readers == []

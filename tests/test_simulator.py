@@ -1,10 +1,12 @@
 import yaml
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gridground import bench
 from gridground.classical import astar
-from gridground.errors import InvalidScenario
-from gridground.gridmap import CellState, GridPose
+from gridground.errors import InvalidEndpoint, InvalidScenario
+from gridground.gridmap import CellState, GridPose, OccupancyGrid, random_map
 from gridground.simulator import (
     DynamicObstacle,
     PathValidation,
@@ -16,6 +18,8 @@ from gridground.simulator import (
 )
 
 from conftest import grid_from_rows, open_grid
+
+BIG_INT = "1" * 5000  # past Python's 4,300-digit int-string limit, which yaml.safe_load hits
 
 
 class AstarPlanner:
@@ -260,6 +264,54 @@ class TestExecuteDynamic:
             assert not (rec.collided and rec.reached_goal)
 
 
+class RecordingPlanner:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def plan(self, grid, start, goal, instruction_text):
+        self.calls.append((grid, start, goal))
+        return self.inner.plan(grid, start, goal, instruction_text)
+
+
+@st.composite
+def dynamic_scenarios(draw):
+    """Random bordered maps, corner to corner, with obstacles at any tick, anywhere or on the A* route."""
+    w, h = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    grid = random_map(w, h, draw(st.sampled_from([0.0, 0.2, 0.35])), draw(st.integers(0, 10_000)))
+    start, goal = GridPose(0, 0), GridPose(w - 1, h - 1)
+    route = astar(grid, start, goal).waypoints  # the border ring keeps the corners connected
+    cell = st.builds(GridPose, st.integers(0, w - 1), st.integers(0, h - 1)) | st.sampled_from(route)
+    obstacles = draw(st.lists(st.builds(DynamicObstacle, cell, st.integers(0, w + h)), max_size=6))
+    return Scenario(grid, start, goal, "go", tuple(obstacles), draw(st.integers(1, 3)))
+
+
+class TestExecuteProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(dynamic_scenarios(), st.sampled_from(["astar", "grounded:oracle"]))
+    def test_walk_invariants(self, sc, planner_id):
+        planner = RecordingPlanner(bench.make_planner(planner_id, sc, 0).planner)
+        try:
+            rec = execute(sc, planner)
+        except InvalidEndpoint:
+            # the one exception that escapes: the planners reject a sensed grid
+            # on which an obstacle covers the robot's cell or the goal
+            grid, start, goal = planner.calls[-1]
+            assert not (grid.is_free(*start) and grid.is_free(*goal))
+            return
+        walk = rec.visited
+        assert walk[0] == sc.start
+        assert all(abs(a.x - b.x) + abs(a.y - b.y) == 1 for a, b in zip(walk, walk[1:]))
+        for tick, cell in enumerate(walk[1:], 1):  # one step per tick
+            assert sc.map.is_free(*cell)
+            assert all(cell != ob.cell or ob.appears_at_step > tick for ob in sc.dynamic_obstacles)
+        assert not (rec.collided and rec.reached_goal)
+        assert rec.reached_goal == (walk[-1] == sc.goal)
+        for grid, _, _ in planner.calls:  # sensed grids' views, derived from the base grid's
+            rebuilt = OccupancyGrid(grid.width, grid.height, grid.resolution, grid.cells)
+            assert (grid.rows(), grid.free_mask) == (rebuilt.rows(), rebuilt.free_mask)
+
+
 class TestScenarioValidation:
     @pytest.mark.parametrize("over,msg", [
         ({"start": GridPose(9, 9)}, "outside"),
@@ -419,6 +471,16 @@ class TestParseScenario:
         with pytest.raises(InvalidScenario, match="unparseable"):
             parse_scenario("version: [unclosed")
 
+    def test_integer_past_digit_limit(self):
+        with pytest.raises(InvalidScenario, match="unparseable"):
+            parse_scenario(scenario_doc(_drop=("start",)) + f"start: [{BIG_INT}, 0]\n")
+
+    def test_map_file_not_utf8(self, tmp_path):
+        (tmp_path / "m.map").write_bytes(b"3 3 1.0\n...\n..\xff\n...\n")
+        doc = scenario_doc(map_file="m.map", _drop=("map",))
+        with pytest.raises(InvalidScenario, match="cannot read map file"):
+            parse_scenario(doc, base_dir=tmp_path)
+
     def test_non_mapping_document(self):
         with pytest.raises(InvalidScenario, match="mapping"):
             parse_scenario("- 1\n- 2\n")
@@ -434,3 +496,15 @@ class TestParseScenario:
     def test_load_scenario_missing_file(self, tmp_path):
         with pytest.raises(InvalidScenario, match="cannot read"):
             load_scenario(tmp_path / "absent.yaml")
+
+    def test_load_scenario_not_utf8(self, tmp_path):
+        path = tmp_path / "case.yaml"
+        path.write_bytes(scenario_doc().encode() + b"# \xff\n")
+        with pytest.raises(InvalidScenario, match="cannot read scenario file"):
+            load_scenario(path)
+
+    def test_load_scenario_integer_past_digit_limit(self, tmp_path):
+        path = tmp_path / "case.yaml"
+        path.write_text(scenario_doc(_drop=("start",)) + f"start: [{BIG_INT}, 0]\n")
+        with pytest.raises(InvalidScenario, match="unparseable"):
+            load_scenario(path)

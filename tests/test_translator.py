@@ -9,7 +9,6 @@ from gridground.grounded import ACTIONS, Instruction
 from gridground.translator import (
     GRAMMAR_VERSION,
     SYSTEM_TEXT,
-    format_action_scores,
     format_coordinate_list,
     parse_action_scores,
     parse_coordinate_list,
@@ -18,6 +17,7 @@ from gridground.translator import (
 )
 
 from conftest import grid_from_rows
+from reference import format_action_scores
 
 
 def candidates_for(state):
