@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-import requests
-
 from .classical import distance_field
 from .errors import (
     AuthMissing,
@@ -127,8 +125,10 @@ class ChatEndpointConfig:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if not (self.timeout > 0):
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not (0 < self.timeout < math.inf):
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
@@ -193,13 +193,43 @@ class Cassette:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-# transport signature: (url, headers, json_body, timeout) -> (status_code, body_text)
+# transport signature: (url, headers, json_body, timeout) -> (status_code, body_text);
+# a transport raises TimeoutError for a timeout and any other OSError for a failure
 Transport = Callable[[str, dict, dict, float], tuple[int, str]]
 
 
-def _requests_transport(url: str, headers: dict, body: dict, timeout: float) -> tuple[int, str]:
-    resp = requests.post(url, headers=headers, json=body, timeout=timeout)
-    return resp.status_code, resp.text
+def _urllib_transport(url: str, headers: dict, body: dict, timeout: float) -> tuple[int, str]:
+    """POST ``body`` as JSON; a 4xx/5xx reply comes back as ``(status, text)``, not raised.
+
+    The reply is decoded with its declared charset, UTF-8 when it names none.
+    A URL urllib cannot use, or a reply that is not HTTP, is raised as
+    ``ConnectionError``, so every transport failure is an ``OSError``. urllib
+    is imported here rather than at module level, because it loads ssl,
+    http.client and email, which no run without a live endpoint needs.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    data = json.dumps(body, allow_nan=False).encode("utf-8")
+    try:
+        request = urllib.request.Request(
+            url, data, {**headers, "Content-Type": "application/json"}, method="POST"
+        )
+        try:
+            reply = urllib.request.urlopen(request, timeout=timeout)
+            status = reply.status
+        except urllib.error.HTTPError as exc:
+            reply, status = exc, exc.code
+        with reply:
+            raw = reply.read()
+    except (ValueError, http.client.HTTPException) as exc:
+        raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+    charset = reply.headers.get_content_charset() or "utf-8"
+    try:
+        return status, raw.decode(charset, errors="replace")
+    except LookupError:  # a charset Python does not know
+        return status, raw.decode("utf-8", errors="replace")
 
 
 class RemoteScorer:
@@ -207,17 +237,19 @@ class RemoteScorer:
 
     Builds the step prompt through the translator, POSTs it to
     ``{base_url}/chat/completions`` with a Bearer key read from the
-    environment, and parses the reply's scores line. Transport errors and
-    429/5xx responses are retried with exponential backoff (1 s base,
-    factor 2) up to max_retries. With a replay cassette no network or key
-    is needed at all.
+    environment, and parses the reply's scores line. Transport errors (any
+    ``OSError``) and 429/5xx responses are retried with exponential backoff
+    (1 s base, factor 2) up to max_retries. When the last attempt timed out
+    (a ``TimeoutError``, bare or as a ``URLError``'s reason) the failure is
+    ``ScorerTimeout``, otherwise ``RetriesExhausted``. With a replay cassette
+    no network or key is needed at all.
     """
 
     def __init__(
         self,
         config: ChatEndpointConfig,
         cassette: Cassette | None = None,
-        transport: Transport = _requests_transport,
+        transport: Transport = _urllib_transport,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.config = config
@@ -273,12 +305,10 @@ class RemoteScorer:
         for attempt in range(self.config.max_retries + 1):
             try:
                 status, text = self._transport(url, headers, body, self.config.timeout)
-            except requests.Timeout as exc:
-                timed_out, last_error = True, f"timeout: {exc}"
-                status = None
-            except requests.RequestException as exc:
-                timed_out, last_error = False, f"transport error: {exc}"
-                status = None
+            except OSError as exc:  # urllib wraps a connect timeout as a URLError's reason
+                reason = getattr(exc, "reason", None)
+                timed_out = isinstance(exc, TimeoutError) or isinstance(reason, TimeoutError)
+                last_error = f"{'timeout' if timed_out else 'transport error'}: {exc}"
             else:
                 if status == 200:
                     self.call_log.append((attempt, "ok", 0.0))

@@ -93,7 +93,10 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
 
     The robot walks one waypoint per tick within a global step budget of
     10 * (width + height). Collision and goal arrival are mutually
-    exclusive and both end the episode.
+    exclusive and both end the episode. When a sensed obstacle covers the
+    goal, or the robot's cell at tick 0, the planner is not called and the
+    plan counts as "no path": a first plan ends the episode before any
+    step, a replan ends it with the cells walked so far.
 
     Raises:
         InvalidScenario: the scenario fails validation.
@@ -113,7 +116,12 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
                 materialized.add(GridPose(*ob.cell))
 
     def plan_from(cell: GridPose) -> deque[GridPose] | None:
-        """The planner's waypoints from ``cell`` on the sensed grid, ``cell`` itself dropped."""
+        """The planner's waypoints from ``cell`` on the sensed grid, ``cell`` itself dropped.
+
+        None, without asking the planner, when the sensed grid blocks either endpoint.
+        """
+        if not (working.is_free(cell.x, cell.y) and working.is_free(goal.x, goal.y)):
+            return None
         path = planner.plan(working, cell, goal, scenario.instruction_text)
         if path is None:
             return None

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridground
 from gridground.bench import make_planner
 from gridground.cli import main
 from gridground.gridmap import GridPose, load_map
@@ -285,6 +289,19 @@ class TestRemoteGating:
         assert rc == 1
         assert "MY_PLANNER_KEY" in err
 
+    @pytest.mark.parametrize("setting", ["timeout: .inf", "temperature: .nan", "temperature: -.inf"])
+    def test_non_finite_endpoint_value(self, tmp_path, capsys, monkeypatch, setting):
+        # the key is set, so only the config check stands between this run and a request
+        monkeypatch.setenv("API_KEY", "k")
+        m = write_map(tmp_path, ["..."])
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"remote:\n  base_url: http://127.0.0.1:9/v1\n  max_retries: 0\n  {setting}\n")
+        rc = main(plan_args(m, "0,0", "2,0", "--planner", "grounded", "--scorer", "remote",
+                            "--allow-network", "--config", str(cfg)))
+        _, err = capsys.readouterr()
+        assert rc == 1
+        assert "bad config-file 'remote' value" in err
+
 
 def chat_json(content):
     return json.dumps({"choices": [{"message": {"content": content}}]})
@@ -348,6 +365,27 @@ class TestCassetteReplay:
         out, _ = capsys.readouterr()
         assert rc == 0
         assert out.splitlines() == ["(0,0)", "(1,0)", "(2,0)"]
+
+    def test_replay_needs_no_requests_package(self, tmp_path):
+        m = write_map(tmp_path, ["..."])
+        grid = load_map((tmp_path / "m.map").read_text())
+        prompt = translator.serialize_fullpath_prompt(
+            grid, GridPose(0, 0), Instruction("reach the goal cell", GridPose(2, 0))
+        )
+        tape = tmp_path / "tape.jsonl"
+        tape.write_text(cassette_line(request_body(prompt), "path: (0,0) (1,0) (2,0)") + "\n")
+        probe = (
+            "import sys; sys.modules['requests'] = None; sys.path.insert(0, sys.argv[1]); "
+            "from gridground.cli import main; sys.exit(main(sys.argv[2:]))"
+        )
+        src = Path(gridground.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(src),
+             *plan_args(m, "0,0", "2,0", "--planner", "fullpath", "--scorer", "remote", "--cassette", str(tape))],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout.splitlines()) == (0, ["(0,0)", "(1,0)", "(2,0)"])
+        assert proc.stderr.startswith("planned 2 steps")
 
     def test_fullpath_remote_start_is_goal(self, tmp_path, capsys):
         # like astar and grounded, a start on the goal needs no model exchange

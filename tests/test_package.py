@@ -24,6 +24,17 @@ def test_bare_import_loads_the_eight_submodules_and_exports_no_names():
     assert public.split() == SUBMODULES
 
 
+# what the remote transport loads only when a live request is made
+LAZY = ["requests", "urllib3", "charset_normalizer", "urllib.request", "http.client", "ssl"]
+
+
+def test_bare_import_loads_no_http_stack():
+    src = Path(gridground.__file__).resolve().parent.parent
+    probe = f"import sys; sys.path.insert(0, sys.argv[1]); import gridground; print(*[m for m in {LAZY!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
+
+
 # Reading cells, or building a free_mask index by hand (a stride, width + 2,
 # the private views or the mask's byte table), belongs in gridmap alone; other
 # modules go through is_free/cell/rows and flat_index/flat_offsets/flat_pose/strip_pad.

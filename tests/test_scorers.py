@@ -2,10 +2,13 @@ import gc
 import hashlib
 import json
 import math
+import socket
+import threading
+import urllib.error
 import weakref
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 import gridground.scorers as scorers_mod
 from gridground.errors import (
@@ -281,7 +284,7 @@ class TestRemoteScorer:
         assert scorer.call_log[-1] == (3, "HTTP 503", 0.0)
 
     def test_timeout_classified_separately(self, config, with_key):
-        scorer, _, slept = make_scorer(config, [requests.Timeout("slow")] * 4)
+        scorer, _, slept = make_scorer(config, [TimeoutError("slow")] * 4)
         with pytest.raises(ScorerTimeout):
             scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
         assert slept == [1.0, 2.0, 4.0]
@@ -290,7 +293,7 @@ class TestRemoteScorer:
         # a timeout early on does not make the final verdict a timeout
         scorer, _, _ = make_scorer(
             config,
-            [requests.Timeout("slow"), (500, "x"), (500, "x"), (500, "x")],
+            [TimeoutError("slow"), (500, "x"), (500, "x"), (500, "x")],
         )
         with pytest.raises(RetriesExhausted):
             scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
@@ -298,10 +301,22 @@ class TestRemoteScorer:
     def test_connection_errors_retry(self, config, with_key):
         scorer, _, slept = make_scorer(
             config,
-            [requests.ConnectionError("refused"), (200, chat_body("scores: 1 1 1 1"))],
+            [ConnectionError("refused"), (200, chat_body("scores: 1 1 1 1"))],
         )
         assert scorer(query_at(open_grid(4, 4), (1, 1), (3, 3))) == (1.0, 1.0, 1.0, 1.0)
         assert slept == [1.0]
+
+    def test_wrapped_timeout_is_a_timeout(self, config, with_key):
+        # urllib wraps a connect timeout in URLError(reason=TimeoutError)
+        scorer, _, _ = make_scorer(config, [urllib.error.URLError(TimeoutError("slow"))] * 4)
+        with pytest.raises(ScorerTimeout, match="timeout"):
+            scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
+
+    def test_other_url_error_is_a_transport_error(self, config, with_key):
+        scorer, _, slept = make_scorer(config, [urllib.error.URLError("refused")] * 4)
+        with pytest.raises(RetriesExhausted, match="transport error"):
+            scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
+        assert slept == [1.0, 2.0, 4.0]
 
     def test_client_error_fails_fast(self, config, with_key):
         scorer, transport, slept = make_scorer(config, [(400, "bad request")])
@@ -417,7 +432,116 @@ class TestCassetteFile:
 class TestEndpointConfig:
     @pytest.mark.parametrize("kwargs", [
         {"timeout": 0.0}, {"timeout": -1.0}, {"max_retries": -1},
+        {"timeout": math.inf}, {"timeout": math.nan},
+        {"temperature": math.inf}, {"temperature": -math.inf}, {"temperature": math.nan},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ChatEndpointConfig(base_url="u", model_name="m", **kwargs)
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Replies by path: /ok, /latin1, /nocodec, /busy (503), /garbage (not HTTP), /slow (never replies)."""
+
+    def do_POST(self):
+        server = self.server
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        server.seen.append((self.path, self.headers["Content-Type"], self.headers["Authorization"], json.loads(body)))
+        route = self.path.split("/")[1]
+        if route == "slow":
+            server.release.wait(2.0)
+            return
+        if route == "garbage":
+            self.wfile.write(b"garbage\r\n\r\n")
+            return
+        status, ctype, payload = {
+            "ok": (200, "application/json", chat_body("scores: 1 0.5 0 0").encode()),
+            "latin1": (200, "text/plain; charset=latin-1", "caf\u00e9".encode("latin-1")),
+            "nocodec": (200, "text/plain; charset=no-such-codec", "caf\u00e9".encode("utf-8")),
+            "busy": (503, "text/plain", b"try later"),
+        }[route]
+        self.send_response(status)
+        self.send_header("Content-Type", ctype)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture(scope="module")
+def live_server():
+    try:
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    except OSError as exc:
+        pytest.skip(f"cannot bind a local socket: {exc}")
+    server.seen, server.release = [], threading.Event()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}", server
+    server.release.set()
+    server.shutdown()
+    server.server_close()
+
+
+def closed_port_url():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+class TestUrllibTransport:
+    """The default transport against an in-process HTTP server on 127.0.0.1."""
+
+    BODY = {"model": "m", "temperature": 0.0, "messages": [{"role": "user", "content": "h\u00e9"}]}
+
+    def test_ok_posts_json(self, live_server):
+        base, server = live_server
+        status, text = scorers_mod._urllib_transport(f"{base}/ok", {"Authorization": "Bearer k"}, self.BODY, 2.0)
+        assert (status, text) == (200, chat_body("scores: 1 0.5 0 0"))
+        assert ("/ok", "application/json", "Bearer k", self.BODY) in server.seen
+
+    @pytest.mark.parametrize("route", ["latin1", "nocodec"])  # an unknown charset falls back to UTF-8
+    def test_declared_charset_decodes(self, live_server, route):
+        base, _ = live_server
+        assert scorers_mod._urllib_transport(f"{base}/{route}", {}, self.BODY, 2.0) == (200, "caf\u00e9")
+
+    def test_error_status_is_returned(self, live_server):
+        base, _ = live_server
+        assert scorers_mod._urllib_transport(f"{base}/busy", {}, self.BODY, 2.0) == (503, "try later")
+
+    def test_non_http_reply_is_a_connection_error(self, live_server):
+        base, _ = live_server
+        with pytest.raises(ConnectionError, match="BadStatusLine"):
+            scorers_mod._urllib_transport(f"{base}/garbage", {}, self.BODY, 2.0)
+
+    def remote(self, base_url, monkeypatch):
+        monkeypatch.setenv("LIVE_SCORER_KEY", "k")
+        cfg = ChatEndpointConfig(base_url=base_url, model_name="m", api_key_env="LIVE_SCORER_KEY",
+                                 timeout=0.2, max_retries=1)
+        slept = []
+        return RemoteScorer(cfg, sleep=slept.append), slept
+
+    def test_ok_through_remote_scorer(self, live_server, monkeypatch):
+        scorer, slept = self.remote(f"{live_server[0]}/ok", monkeypatch)
+        assert scorer(query_at(open_grid(4, 4), (1, 1), (3, 3))) == (1.0, 0.5, 0.0, 0.0)
+        assert slept == []
+
+    def test_slow_endpoint_times_out(self, live_server, monkeypatch):
+        scorer, slept = self.remote(f"{live_server[0]}/slow", monkeypatch)
+        with pytest.raises(ScorerTimeout, match="timeout"):
+            scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
+        assert slept == [1.0]
+
+    def test_closed_port_exhausts_retries(self, monkeypatch):
+        scorer, slept = self.remote(closed_port_url(), monkeypatch)
+        with pytest.raises(RetriesExhausted, match="transport error"):
+            scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
+        assert slept == [1.0]
+
+    def test_unusable_url_is_a_transport_error(self, monkeypatch):
+        scorer, _ = self.remote("no-scheme", monkeypatch)
+        with pytest.raises(RetriesExhausted, match="transport error"):
+            scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))

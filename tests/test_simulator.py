@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridground import bench
 from gridground.classical import astar
-from gridground.errors import InvalidEndpoint, InvalidScenario
+from gridground.errors import InvalidScenario
 from gridground.gridmap import CellState, GridPose, OccupancyGrid, random_map
 from gridground.simulator import (
     DynamicObstacle,
@@ -291,14 +291,7 @@ class TestExecuteProperties:
     @given(dynamic_scenarios(), st.sampled_from(["astar", "grounded:oracle"]))
     def test_walk_invariants(self, sc, planner_id):
         planner = RecordingPlanner(bench.make_planner(planner_id, sc, 0).planner)
-        try:
-            rec = execute(sc, planner)
-        except InvalidEndpoint:
-            # the one exception that escapes: the planners reject a sensed grid
-            # on which an obstacle covers the robot's cell or the goal
-            grid, start, goal = planner.calls[-1]
-            assert not (grid.is_free(*start) and grid.is_free(*goal))
-            return
+        rec = execute(sc, planner)  # never raises
         walk = rec.visited
         assert walk[0] == sc.start
         assert all(abs(a.x - b.x) + abs(a.y - b.y) == 1 for a, b in zip(walk, walk[1:]))
@@ -310,6 +303,34 @@ class TestExecuteProperties:
         for grid, _, _ in planner.calls:  # sensed grids' views, derived from the base grid's
             rebuilt = OccupancyGrid(grid.width, grid.height, grid.resolution, grid.cells)
             assert (grid.rows(), grid.free_mask) == (rebuilt.rows(), rebuilt.free_mask)
+
+
+PLANNER_IDS = ["astar", "rrt", "grounded:mock", "grounded:oracle", "fullpath:mock", "fullpath:oracle"]
+
+
+class TestCoveredEndpoints:
+    """A sensed obstacle on the goal or the robot's cell is "no path", not a planner call."""
+
+    @pytest.mark.parametrize("planner_id", PLANNER_IDS)
+    @pytest.mark.parametrize("cell,radius", [(GridPose(1, 1), 1), (GridPose(5, 1), 4)],
+                             ids=["start", "goal"])
+    def test_covered_at_tick_0_ends_before_any_step(self, planner_id, cell, radius):
+        sc = corridor_scenario(sensing_radius=radius, dynamic_obstacles=(DynamicObstacle(cell, 0),))
+        planner = RecordingPlanner(bench.make_planner(planner_id, sc, 0).planner)
+        rec = execute(sc, planner)
+        assert planner.calls == []
+        assert (rec.visited, rec.collided, rec.reached_goal, rec.replan_count, rec.steps_taken) == (
+            [GridPose(1, 1)], False, False, 0, 0
+        )
+
+    @pytest.mark.parametrize("planner_id", PLANNER_IDS)
+    def test_goal_covered_on_replan_keeps_the_walk(self, planner_id):
+        sc = corridor_scenario(dynamic_obstacles=(DynamicObstacle(GridPose(5, 1), 2),))
+        planner = RecordingPlanner(bench.make_planner(planner_id, sc, 0).planner)
+        rec = execute(sc, planner)
+        assert [start for _, start, _ in planner.calls] == [GridPose(1, 1)]  # the replan asks no planner
+        assert rec.visited == [GridPose(x, 1) for x in range(1, 5)]
+        assert (rec.collided, rec.reached_goal, rec.replan_count, rec.steps_taken) == (False, False, 1, 3)
 
 
 class TestScenarioValidation:
