@@ -12,8 +12,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat, starmap
 
 from .errors import EmptyPath, InvalidEndpoint, InvalidParams
 from .gridmap import DIAGONAL_DELTAS, FOUR_DELTAS, Connectivity, GridPose, OccupancyGrid
@@ -182,22 +183,26 @@ class RrtTree:
 
 Point = tuple[float, float]
 
-
-def _cell_of(p: Point) -> GridPose:
-    return GridPose(int(math.floor(p[0])), int(math.floor(p[1])))
+# _NodeBuckets tuning (see its docstring). _SCAN_RATIO: one C-level pass over
+# all n points beats looking up more than n / _SCAN_RATIO buckets one by one.
+_NODES_PER_BUCKET = 6
+_MAX_HALVINGS = 4
+_SCAN_RATIO = 8
 
 
 def _center(c: GridPose) -> Point:
     return (c[0] + 0.5, c[1] + 0.5)
 
 
-def _traverse(p0: Point, p1: Point, supercover: bool) -> list[GridPose]:
+def _traverse(p0: Point, p1: Point, supercover: bool) -> Iterator[tuple[int, int]]:
     # Amanatides-Woo grid walk. With supercover=True an exact corner
     # crossing contributes both side cells (every touched cell appears);
     # otherwise the walk steps x first so consecutive cells stay 4-adjacent.
-    x, y = _cell_of(p0)
-    xe, ye = _cell_of(p1)
-    cells = [GridPose(x, y)]
+    x, y = math.floor(p0[0]), math.floor(p0[1])
+    xe, ye = math.floor(p1[0]), math.floor(p1[1])
+    yield x, y
+    if x == xe and y == ye:
+        return  # most RRT edges in a crowded tree stay in one cell
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
     step_x = 1 if dx > 0 else -1 if dx < 0 else 0
     step_y = 1 if dy > 0 else -1 if dy < 0 else 0
@@ -216,11 +221,10 @@ def _traverse(p0: Point, p1: Point, supercover: bool) -> list[GridPose]:
     t_delta_x = abs(1.0 / dx) if dx else math.inf
     t_delta_y = abs(1.0 / dy) if dy else math.inf
 
-    cap = abs(xe - x) + abs(ye - y) + 4
-    for _ in range(cap):
-        if (x, y) == (xe, ye):
-            break
-        if min(t_max_x, t_max_y) >= 1.0:
+    for _ in range(abs(xe - x) + abs(ye - y) + 4):
+        if x == xe and y == ye:
+            return
+        if t_max_x >= 1.0 and t_max_y >= 1.0:
             break  # next crossing sits at or past the endpoint
         if t_max_x < t_max_y:
             x += step_x
@@ -230,53 +234,58 @@ def _traverse(p0: Point, p1: Point, supercover: bool) -> list[GridPose]:
             t_max_y += t_delta_y
         else:
             # exact corner crossing
+            yield x + step_x, y
             if supercover:
-                cells.append(GridPose(x + step_x, y))
-                cells.append(GridPose(x, y + step_y))
-            else:
-                cells.append(GridPose(x + step_x, y))
+                yield x, y + step_y
             x += step_x
             y += step_y
             t_max_x += t_delta_x
             t_max_y += t_delta_y
-        cells.append(GridPose(x, y))
-    if (x, y) != (xe, ye):
+        yield x, y
+    if x != xe or y != ye:
         # Endpoint lies exactly on a boundary of the current cell; its floor
         # cell was never entered by a crossing below t=1. Bridge to it, going
         # through the x-side cell first when the endpoint is a corner so the
         # non-supercover walk stays 4-adjacent.
         if x != xe and y != ye:
-            cells.append(GridPose(xe, y))
+            yield xe, y
             if supercover:
-                cells.append(GridPose(x, ye))
-        cells.append(GridPose(xe, ye))
-    return cells
+                yield x, ye
+        yield xe, ye
 
 
 def supercover_cells(p0: Point, p1: Point) -> list[GridPose]:
     """Every cell the segment touches, side cells included at corner crossings."""
-    return _traverse(p0, p1, supercover=True)
+    return list(starmap(GridPose, _traverse(p0, p1, supercover=True)))
 
 
 def chain_cells(p0: Point, p1: Point) -> list[GridPose]:
     """Cells along the segment as a 4-adjacent chain (subset of the supercover)."""
-    return _traverse(p0, p1, supercover=False)
+    return list(starmap(GridPose, _traverse(p0, p1, supercover=False)))
 
 
 def _edge_free(grid: OccupancyGrid, p0: Point, p1: Point) -> bool:
-    # p0 and p1 lie in [0, width] x [0, height], so each cell is on the map or its pad
+    # p0 and p1 lie in [0, width] x [0, height], so each cell is on the map or
+    # its pad; the walk stops at the first blocked cell
     mask, flat_index = grid.free_mask, grid.flat_index
-    for x, y in supercover_cells(p0, p1):
+    for x, y in _traverse(p0, p1, supercover=True):
         if not mask[flat_index(x, y)]:
             return False
     return True
 
 
 class _NodeBuckets:
-    """Tree nodes hashed into square buckets of side `size` for nearest-node queries."""
+    """Tree nodes hashed into square buckets for nearest-node queries.
+
+    The side starts at `size` and halves, refiling every node, whenever the
+    tree holds more than _NODES_PER_BUCKET nodes per occupied bucket, until
+    it reaches size / 2**_MAX_HALVINGS. Each bucket lists its nodes in index
+    order.
+    """
 
     def __init__(self, size: float, points: list[Point]):
         self.size = size
+        self.min_size = size / 2**_MAX_HALVINGS
         self.points = points  # the tree's own list; add(i) files its node i
         self.buckets: dict[tuple[int, int], list[int]] = {}
         for i in range(len(points)):
@@ -284,43 +293,69 @@ class _NodeBuckets:
 
     def add(self, i: int) -> None:
         x, y = self.points[i]
-        key = (math.floor(x / self.size), math.floor(y / self.size))
-        self.buckets.setdefault(key, []).append(i)
+        s = self.size
+        self.buckets.setdefault((math.floor(x / s), math.floor(y / s)), []).append(i)
+        while i >= _NODES_PER_BUCKET * len(self.buckets) and self.size > self.min_size:
+            # O(i) per halving, and at most _MAX_HALVINGS of them per tree
+            self.size = s = self.size / 2
+            self.buckets = buckets = {}
+            for j, (x, y) in enumerate(self.points[:i + 1]):
+                buckets.setdefault((math.floor(x / s), math.floor(y / s)), []).append(j)
 
     def nearest(self, target: Point) -> tuple[int, float]:
         """Index of the node nearest target and its distance; ties go to the lowest index.
 
         Rings of buckets are scanned outward from target's bucket until no
-        unscanned node can be as near as the best one found; when the next
-        ring holds more buckets than the tree holds nodes, one pass over all
-        nodes ends the search instead.
+        unscanned node can be as near as the best one found. A ring skips
+        every bucket whose box lies farther than the best distance from
+        target along x or along y. When the next ring would take the buckets
+        looked up past n / _SCAN_RATIO for n nodes, one pass over all nodes
+        ends the search instead, so a query costs O(n) whatever the side.
         """
         s, points, buckets = self.size, self.points, self.buckets
+        floor, dist = math.floor, math.dist
         tx, ty = target
-        cx, cy = math.floor(tx / s), math.floor(ty / s)
+        cx, cy = floor(tx / s), floor(ty / s)
         # distance from target to the nearest edge of its own bucket; ring r
         # pushes every edge of the scanned box r buckets further out
         edge = min(tx - cx * s, (cx + 1) * s - tx, ty - cy * s, (cy + 1) * s - ty)
         best_i, best_d = -1, math.inf
-        r = 0
-        while True:
-            if 8 * r > len(points):
-                keys = buckets.keys()
-            elif r == 0:
-                keys = ((cx, cy),)
+        for i in buckets.get((cx, cy), ()):  # in index order: the first of equals wins
+            d = dist(points[i], target)
+            if d < best_d:
+                best_i, best_d = i, d
+        r = 1
+        # strict, with slack for rounding in floor(x / s): an unscanned node
+        # at exactly best_d might carry a lower index
+        while best_d >= edge + (r - 1) * s - 1e-9:
+            if _SCAN_RATIO * (2 * r + 1) ** 2 > len(points):
+                ds = list(map(dist, points, repeat(target)))
+                best_d = min(ds)
+                return ds.index(best_d), best_d
+            if best_d == math.inf:
+                x0, x1, y0, y1 = cx - r, cx + r, cy - r, cy + r
             else:
-                keys = [(x, y) for y in (cy - r, cy + r) for x in range(cx - r, cx + r + 1)]
-                keys += [(x, y) for x in (cx - r, cx + r) for y in range(cy - r + 1, cy + r)]
+                reach = best_d + 1e-9
+                x0, x1 = max(cx - r, floor((tx - reach) / s)), min(cx + r, floor((tx + reach) / s))
+                y0, y1 = max(cy - r, floor((ty - reach) / s)), min(cy + r, floor((ty + reach) / s))
+            # the ring's rows and columns that survive the clip to [x0, x1] x [y0, y1]
+            keys = []
+            if y0 == cy - r:
+                keys += [(x, y0) for x in range(x0, x1 + 1)]
+            if y1 == cy + r:
+                keys += [(x, y1) for x in range(x0, x1 + 1)]
+            inner = range(max(y0, cy - r + 1), min(y1, cy + r - 1) + 1)
+            if x0 == cx - r:
+                keys += [(x0, y) for y in inner]
+            if x1 == cx + r:
+                keys += [(x1, y) for y in inner]
             for key in keys:
                 for i in buckets.get(key, ()):
-                    d = math.dist(points[i], target)
+                    d = dist(points[i], target)
                     if d < best_d or (d == best_d and i < best_i):
                         best_i, best_d = i, d
-            # strict, with slack for rounding in floor(x / s): an unscanned
-            # node at exactly best_d might carry a lower index
-            if 8 * r > len(points) or best_d < edge + r * s - 1e-9:
-                return best_i, best_d
             r += 1
+        return best_i, best_d
 
 
 def grow_rrt_tree(
@@ -332,16 +367,17 @@ def grow_rrt_tree(
     iteration: the free-space sample (x then y per rejection attempt), then
     the goal-bias coin. Every accepted edge passes the supercover check.
     Each target extends its nearest node: least Euclidean distance, ties to
-    the lowest node index (found through buckets of side step_size, with the
-    same result as a scan of every node).
+    the lowest node index, with the same result as a scan of every node. It
+    is found through buckets whose side starts at step_size and halves as
+    the tree grows denser, down to a floor of step_size / 16.
     """
-    if not (params.step_size > 0):
-        raise InvalidParams(f"step_size must be > 0, got {params.step_size}")
+    if not (0 < params.step_size < math.inf):
+        raise InvalidParams(f"step_size must be finite and > 0, got {params.step_size}")
     if not (0.0 <= params.goal_bias <= 1.0):
         raise InvalidParams(f"goal_bias must be in [0, 1], got {params.goal_bias}")
     if params.max_iterations < 1:
         raise InvalidParams(f"max_iterations must be >= 1, got {params.max_iterations}")
-    if params.goal_tolerance < 0:
+    if not (params.goal_tolerance >= 0):
         raise InvalidParams(f"goal_tolerance must be >= 0, got {params.goal_tolerance}")
     check_endpoints(grid, start, goal)
 
@@ -360,14 +396,16 @@ def grow_rrt_tree(
 
     index = _NodeBuckets(params.step_size, tree.points)
     mask, flat_index = grid.free_mask, grid.flat_index
+    width, height, rand = grid.width, grid.height, rng.random
     for _ in range(params.max_iterations):
         while True:
-            sx = rng.uniform(0.0, grid.width)
-            sy = rng.uniform(0.0, grid.height)
+            # rng.uniform(0.0, w) is 0.0 + w * random(): the same float from the same draw
+            sx = width * rand()
+            sy = height * rand()
             # 0 <= sx <= width and 0 <= sy <= height: the cell is on the map or its pad
             if mask[flat_index(math.floor(sx), math.floor(sy))]:
                 break
-        target: Point = goal_c if rng.random() < params.goal_bias else (sx, sy)
+        target: Point = goal_c if rand() < params.goal_bias else (sx, sy)
 
         best_i, best_d = index.nearest(target)
         near = tree.points[best_i]

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
+from urllib.parse import urlsplit
 
 from .classical import distance_field
 from .errors import (
@@ -125,6 +126,10 @@ class ChatEndpointConfig:
     temperature: float = 0.0
 
     def __post_init__(self):
+        # RemoteScorer would retry a URL that urllib cannot post to through the full backoff
+        url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
+        if url is None or url.scheme not in ("http", "https") or not url.netloc:
+            raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
         if not (0 < self.timeout < math.inf):
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         if not math.isfinite(self.temperature):

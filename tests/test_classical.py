@@ -16,6 +16,7 @@ from gridground.classical import (
     path_length,
     rrt,
     supercover_cells,
+    _MAX_HALVINGS,
     _NodeBuckets,
 )
 from gridground.errors import EmptyPath, InvalidEndpoint, InvalidParams
@@ -298,6 +299,7 @@ class TestRrt:
     @pytest.mark.parametrize("kwargs", [
         {"step_size": 0.0}, {"step_size": -1.0}, {"goal_bias": -0.1},
         {"goal_bias": 1.5}, {"max_iterations": 0}, {"goal_tolerance": -0.5},
+        {"step_size": math.inf}, {"step_size": math.nan}, {"goal_tolerance": math.nan},
     ])
     def test_invalid_params(self, kwargs):
         g = open_grid(4, 4)
@@ -461,3 +463,47 @@ class TestRrtNearestNode:
         filler = [(30.0 + k, 30.0) for k in range(8)]
         index = _NodeBuckets(2.0, [(4.0, 1.0), (3.0, 0.0), *filler])
         assert index.nearest((3.0, 1.0)) == (0, 1.0)
+
+    def test_dense_tree_halves_the_side(self):
+        # a 6x6 room with the goal walled off: every iteration grows the tree,
+        # which crowds the room until the side has halved at least twice
+        grid = grid_from_rows(["......"] * 5 + ["....##", "....#."])
+        params = RrtParams(step_size=3.0, max_iterations=1500, seed=4)
+        got = grow_rrt_tree(grid, GridPose(0, 0), GridPose(5, 6), params)
+        want = linear_scan_tree(grid, GridPose(0, 0), GridPose(5, 6), params)
+        assert (got.points, got.parents, got.accepted) == (want.points, want.parents, want.accepted)
+        index = _NodeBuckets(params.step_size, got.points)
+        assert index.size <= params.step_size / 4
+        rng = random.Random(0)
+        for _ in range(300):
+            target = (rng.uniform(-2.0, 8.0), rng.uniform(-2.0, 9.0))
+            ds = [math.dist(p, target) for p in got.points]
+            assert index.nearest(target) == (ds.index(min(ds)), min(ds))
+
+    def test_coincident_nodes_stop_at_the_floor(self):
+        # no halving can split these nodes, so the side stops at its floor
+        points = [(5.0 + k * 1e-12, 5.0) for k in range(200)]
+        index = _NodeBuckets(1.0, points)
+        assert index.size == index.min_size == 1.0 / 2**_MAX_HALVINGS
+        assert index.nearest((5.0, 5.0)) == (0, 0.0)
+        assert index.nearest((9.0, 5.0))[0] == 199
+
+    def test_far_query_is_bounded_by_the_tree_size(self):
+        class CountingBuckets(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
+        # a crowded cluster drives the side to its floor; the target is far
+        # from every node, so rings alone would look up ~(2 * 400 / 0.25)^2 buckets
+        rng = random.Random(1)
+        points = [(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)) for _ in range(500)]
+        index = _NodeBuckets(4.0, points)
+        assert index.size == index.min_size
+        index.buckets = CountingBuckets(index.buckets)
+        target = (400.0, 400.0)
+        ds = [math.dist(p, target) for p in points]
+        assert index.nearest(target) == (ds.index(min(ds)), min(ds))
+        assert 0 < index.buckets.lookups <= 2 * len(points)

@@ -302,6 +302,18 @@ class TestRemoteGating:
         assert rc == 1
         assert "bad config-file 'remote' value" in err
 
+    def test_schemeless_base_url(self, tmp_path, capsys, monkeypatch):
+        # rejected before any request, instead of being retried through the backoff
+        monkeypatch.setenv("API_KEY", "k")
+        m = write_map(tmp_path, ["..."])
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("remote:\n  base_url: no-scheme\n")
+        rc = main(plan_args(m, "0,0", "2,0", "--planner", "grounded", "--scorer", "remote",
+                            "--allow-network", "--config", str(cfg)))
+        _, err = capsys.readouterr()
+        assert rc == 1
+        assert "usage error:" in err and "base_url must be an http:// or https:// URL" in err
+
 
 def chat_json(content):
     return json.dumps({"choices": [{"message": {"content": content}}]})

@@ -3,7 +3,9 @@
 The inputs are the three bundled scenarios and seeded random maps (16x16,
 32x32, 64x64 and a non-square 40x12). Each map is also checked as a sensed
 grid (``with_occupied`` over a few cells of its A* path), and executed with
-and without dynamic obstacles. ``tests/golden.json`` holds the digests.
+and without dynamic obstacles. The bundled suite is run as ``gridground
+bench`` runs it: its ``rows.csv`` and ``report.txt`` are digested without
+their timing columns, its SVGs whole. ``tests/golden.json`` holds the digests.
 Regenerate it only in a change that alters these outputs on purpose, and
 name each moved key in CHANGES.md:
 
@@ -12,13 +14,16 @@ name each moved key in CHANGES.md:
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
-from gridground.bench import AstarPlanner, GroundedPlanner, plot_trajectories
+from gridground.bench import AstarPlanner, GroundedPlanner, plot_trajectories, run_suite_file
 from gridground.bundled import bundled_path
 from gridground.classical import RrtParams, astar, distance_field, grow_rrt_tree
 from gridground.gridmap import Connectivity, GridPose, neighbors, random_map, serialize_map
@@ -38,6 +43,8 @@ GOLDEN = Path(__file__).with_name("golden.json")
 KEY_ENV = "GRIDGROUND_GOLDEN_KEY"
 RRT_SEEDS = range(6)
 RRT_ITERATIONS = 400  # keeps the 64x64 trees cheap; they still span the map
+RRT_FULL_SCENARIOS = ("corridor", "reference_world")  # also grown with default RrtParams
+TIMING_COLUMNS = ("planning_time_ms", "scorer_wall_time_ms", "mean_ms", "median_ms")
 
 
 def _sha(obj) -> str:
@@ -95,6 +102,30 @@ def _query(grid, s: GridPose, instruction: Instruction) -> TaskScorerQuery:
     return TaskScorerQuery(instruction, grid, s, cands)
 
 
+def _without_timing(table: list[list[str]]) -> list[list[str]]:
+    """The table (header row first) without its TIMING_COLUMNS."""
+    keep = [j for j, name in enumerate(table[0]) if name not in TIMING_COLUMNS]
+    return [[row[j] for j in keep] for row in table]
+
+
+def _suite_digests() -> dict[str, str]:
+    """rows.csv and report.txt without their timing columns, and every SVG, of the bundled suite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        run_suite_file(bundled_path("default_suite.yaml"), out)
+        rows = list(csv.reader(io.StringIO((out / "rows.csv").read_text(encoding="utf-8"))))
+        report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+        table = next(k for k, line in enumerate(report) if line.startswith("planner "))
+        digests = {
+            "bundled_suite/rows_csv": _sha(_without_timing(rows)),
+            "bundled_suite/report": _sha((report[:table],
+                                          _without_timing([line.split() for line in report[table:]]))),
+        }
+        for svg in sorted(out.glob("*.svg")):
+            digests[f"bundled_suite/{svg.name}"] = _sha(svg.read_text(encoding="utf-8"))
+    return digests
+
+
 def compute_digests() -> dict[str, str]:
     """Every golden key and its digest, from the code under test."""
     fingerprints: list[str] = []
@@ -118,6 +149,9 @@ def compute_digests() -> dict[str, str]:
         for seed in RRT_SEEDS:
             t = grow_rrt_tree(grid, start, goal, RrtParams(seed=seed, max_iterations=RRT_ITERATIONS))
             out[f"{name}/rrt/seed{seed}"] = _sha((t.points, t.parents, t.accepted))
+            if name in RRT_FULL_SCENARIOS:
+                t = grow_rrt_tree(grid, start, goal, RrtParams(seed=seed))
+                out[f"{name}/rrt_full/seed{seed}"] = _sha((t.points, t.parents, t.accepted))
 
         instruction = Instruction(sc.instruction_text, goal)
         path = astar(grid, start, goal).waypoints
@@ -141,6 +175,7 @@ def compute_digests() -> dict[str, str]:
         out[f"{name}/execute/astar_obstacles"] = _execute_digest(obstacled, AstarPlanner())
         out[f"{name}/execute/oracle_obstacles"] = _execute_digest(obstacled, GroundedPlanner(OracleScorer()))
         out[f"{name}/svg"] = _sha(plot_trajectories(sc, [("astar", astar(grid, start, goal))]))
+    out.update(_suite_digests())
     return out
 
 
