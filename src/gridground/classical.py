@@ -375,8 +375,9 @@ def grow_rrt_tree(
         raise InvalidParams(f"step_size must be finite and > 0, got {params.step_size}")
     if not (0.0 <= params.goal_bias <= 1.0):
         raise InvalidParams(f"goal_bias must be in [0, 1], got {params.goal_bias}")
-    if params.max_iterations < 1:
-        raise InvalidParams(f"max_iterations must be >= 1, got {params.max_iterations}")
+    n = params.max_iterations
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidParams(f"max_iterations must be an integer >= 1, got {n!r}")
     if not (params.goal_tolerance >= 0):
         raise InvalidParams(f"goal_tolerance must be >= 0, got {params.goal_tolerance}")
     check_endpoints(grid, start, goal)

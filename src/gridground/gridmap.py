@@ -215,20 +215,17 @@ def load_map(text: str) -> OccupancyGrid:
     rows = lines[1:]
     if len(rows) != height:
         raise RaggedRows(f"expected {height} map rows after the header, found {len(rows)}")
-    cells: list[CellState] = []
     for i, row in enumerate(rows):
         if len(row) != width:
             raise RaggedRows(
                 f"row {i + 1} (line {i + 2}): expected {width} characters, found {len(row)}"
             )
-        for j, ch in enumerate(row):
-            state = _CHAR_TO_CELL.get(ch)
-            if state is None:
-                raise UnknownCharacter(
-                    f"row {i + 1} (line {i + 2}), column {j + 1}: unexpected character {ch!r}"
-                )
-            cells.append(state)
-    grid = OccupancyGrid(width, height, resolution, tuple(cells))
+        if row.strip(".#?"):  # something outside the cell alphabet: name the first one
+            j, ch = next((j, ch) for j, ch in enumerate(row) if ch not in _CHAR_TO_CELL)
+            raise UnknownCharacter(
+                f"row {i + 1} (line {i + 2}), column {j + 1}: unexpected character {ch!r}"
+            )
+    grid = OccupancyGrid(width, height, resolution, tuple(map(_CHAR_TO_CELL.__getitem__, "".join(rows))))
     vars(grid)["_rows"] = tuple(rows)  # the validated rows are the cached view already
     return grid
 

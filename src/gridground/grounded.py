@@ -3,7 +3,7 @@
 Each iteration scores the four cardinal candidate cells with a task-scorer
 backend (p_gpt after normalization), weights them by a local traversability
 affordance (p_util), and greedily executes the argmax of the product. The
-full per-step scoring record is kept as an audit trace.
+per-step scores are kept; the audit trace is built from them on first read.
 """
 
 from __future__ import annotations
@@ -12,10 +12,12 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from functools import cached_property
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 from .classical import PlannedPath, check_endpoints
-from .errors import ScorerFailure
+from .errors import OutOfBounds, ScorerFailure
 from .gridmap import GridPose, OccupancyGrid
 from .scorers import TaskScorerQuery
 
@@ -78,13 +80,84 @@ class PlannerConfig:
     revisit_penalty: float = 0.5
 
     def __post_init__(self):
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        steps = self.max_steps
+        if steps is not None and (not isinstance(steps, int) or isinstance(steps, bool) or steps < 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {steps!r}")
         if not (0.0 <= self.revisit_penalty <= 1.0):
             raise ValueError(f"revisit_penalty must be in [0, 1], got {self.revisit_penalty}")
 
 
 TaskScorer = Callable[[TaskScorerQuery], Sequence[float]]
+
+
+def _affordances(grid: OccupancyGrid, x: int, y: int) -> list[float]:
+    """p_util of the four ACTIONS candidates of the on-grid cell (x, y), read from the free mask.
+
+    0.0 for a candidate that is not Free (the mask's pad covers the ones off
+    the grid), 1.0 when it and its four cardinal neighbours are Free, else 0.8.
+    """
+    mask, i = grid.free_mask, grid.flat_index(x, y)
+    up, right, left, down = grid.flat_offsets[:4]  # ACTIONS order
+    # a Free candidate is on the grid, so its cardinals are on the grid or its pad
+    return [
+        (1.0 if mask[c + up] and mask[c + right] and mask[c + left] and mask[c + down] else 0.8) if mask[c] else 0.0
+        for c in (i + up, i + right, i + left, i + down)
+    ]
+
+
+def _candidates(x: int, y: int) -> tuple[GridPose, ...]:
+    """The cells the four ACTIONS lead to from (x, y), in ACTIONS order."""
+    return (GridPose(x, y - 1), GridPose(x + 1, y), GridPose(x - 1, y), GridPose(x, y + 1))
+
+
+def _on_grid(grid: OccupancyGrid, s: GridPose) -> GridPose:
+    """s as a GridPose; the kernel reads the mask around s, which covers on-grid cells only."""
+    if not grid.in_bounds(s[0], s[1]):
+        raise OutOfBounds(f"({s[0]},{s[1]}) outside {grid.width}x{grid.height} grid")
+    return GridPose(*s)
+
+
+def _score(
+    scorer: TaskScorer, instruction: Instruction, grid: OccupancyGrid, s: GridPose
+) -> tuple[tuple[GridPose, ...], list[float], list[float]]:
+    """One scoring step from the on-grid cell s: (candidates, p_gpts, p_utils), each in ACTIONS order.
+
+    Makes exactly one scorer call. Raw scores are normalized to sum to 1; an
+    all-zero reply falls back to the uniform 0.25 so the affordance term
+    alone can still steer.
+
+    Raises:
+        ScorerFailure: the backend failed or returned unusable values.
+    """
+    x, y = s
+    candidates = _candidates(x, y)
+    try:
+        raw = [float(v) for v in scorer(TaskScorerQuery(instruction, grid, s, candidates))]
+    except ScorerFailure:
+        raise
+    except Exception as exc:  # a buggy backend must surface as a scorer failure
+        raise ScorerFailure(f"scorer raised {type(exc).__name__}: {exc}") from exc
+    if len(raw) != 4:
+        raise ScorerFailure(f"scorer returned {len(raw)} scores for {len(ACTIONS)} actions")
+    a, b, c, d = raw
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf and 0.0 <= c < math.inf and 0.0 <= d < math.inf):
+        raise ScorerFailure(f"scores must be finite and non-negative, got {raw}")
+    total = sum(raw)
+    p_gpts = [v / total for v in raw] if total > 0 else [0.25, 0.25, 0.25, 0.25]
+    return candidates, p_gpts, _affordances(grid, x, y)
+
+
+def _argmax(
+    combined: Iterable[float], candidates: Sequence[GridPose], visited: set[GridPose], penalty: float
+) -> int | None:
+    """Index of the largest revisit-adjusted combined score, the first on ties; None when all are 0."""
+    best, best_v = None, 0.0
+    for k, (v, cand) in enumerate(zip(combined, candidates)):
+        if cand in visited:
+            v *= penalty
+        if v > best_v:
+            best, best_v = k, v
+    return best
 
 
 def affordance(grid: OccupancyGrid, s: GridPose, action: Action) -> float:
@@ -93,16 +166,12 @@ def affordance(grid: OccupancyGrid, s: GridPose, action: Action) -> float:
     0.0 when the candidate cell is out of bounds or not Free; 1.0 when the
     candidate and all four of its cardinal neighbors are Free (in bounds);
     0.8 otherwise, discounting wall-adjacent cells.
+
+    Raises:
+        OutOfBounds: ``s`` itself is outside the grid.
     """
-    cx, cy = s[0] + action.delta[0], s[1] + action.delta[1]
-    if not grid.is_free(cx, cy):
-        return 0.0
-    # a Free candidate is on the map, so its cardinals are on the map or its pad
-    mask, i = grid.free_mask, grid.flat_index(cx, cy)
-    for o in grid.flat_offsets[:4]:
-        if not mask[i + o]:
-            return 0.8
-    return 1.0
+    s = _on_grid(grid, s)
+    return _affordances(grid, s.x, s.y)[ACTIONS.index(action)]
 
 
 def score_candidates(
@@ -118,27 +187,11 @@ def score_candidates(
     alone can still steer. Exactly one scorer call is made.
 
     Raises:
+        OutOfBounds: ``s`` is outside the grid.
         ScorerFailure: the backend failed or returned unusable values.
     """
-    candidates = tuple(GridPose(s[0] + a.delta[0], s[1] + a.delta[1]) for a in ACTIONS)
-    query = TaskScorerQuery(instruction=instruction, grid=grid, state=GridPose(*s), candidates=candidates)
-    try:
-        raw = [float(v) for v in scorer(query)]
-    except ScorerFailure:
-        raise
-    except Exception as exc:  # a buggy backend must surface as a scorer failure
-        raise ScorerFailure(f"scorer raised {type(exc).__name__}: {exc}") from exc
-    if len(raw) != len(ACTIONS):
-        raise ScorerFailure(f"scorer returned {len(raw)} scores for {len(ACTIONS)} actions")
-    if any(not (0.0 <= v < math.inf) for v in raw):
-        raise ScorerFailure(f"scores must be finite and non-negative, got {raw}")
-    total = sum(raw)
-    p_gpts = [v / total for v in raw] if total > 0 else [1.0 / len(ACTIONS)] * len(ACTIONS)
-    scored = []
-    for a, cand, p_gpt in zip(ACTIONS, candidates, p_gpts):
-        p_util = affordance(grid, s, a)
-        scored.append(ScoredAction(a, cand, p_gpt, p_util, p_gpt * p_util))
-    return scored
+    candidates, p_gpts, p_utils = _score(scorer, instruction, grid, _on_grid(grid, s))
+    return [ScoredAction(a, c, g, u, g * u) for a, c, g, u in zip(ACTIONS, candidates, p_gpts, p_utils)]
 
 
 def select_action(
@@ -152,13 +205,8 @@ def select_action(
     """
     if len(scored) != 4:
         raise ValueError(f"expected 4 scored actions, got {len(scored)}")
-    best: ScoredAction | None = None
-    best_v = 0.0
-    for sa in scored:
-        v = sa.p_combined * (config.revisit_penalty if sa.candidate in visited else 1.0)
-        if v > best_v:
-            best, best_v = sa, v
-    return best
+    k = _argmax([sa.p_combined for sa in scored], [sa.candidate for sa in scored], visited, config.revisit_penalty)
+    return None if k is None else scored[k]
 
 
 class FailureReason(Enum):
@@ -177,22 +225,39 @@ class StepRecord:
     chosen: ScoredAction | None
 
 
+# One plan iteration as plan records it: the state, its p_gpts and p_utils in
+# ACTIONS order, and the index of the chosen action (None when Stuck).
+StepScores = tuple[GridPose, list[float], list[float], int | None]
+
+
 @dataclass
 class PlanResult:
-    """Outcome of plan: the path walked, the trace, and any failure.
+    """Outcome of plan: the path walked, the per-step scores, and any failure.
 
     failure is None on success; on failure ``path`` holds the partial path
-    walked so far and the trace still covers every iteration.
+    walked so far and ``steps`` still covers every iteration.
     """
 
     path: PlannedPath
-    trace: list[StepRecord]
+    steps: list[StepScores]
     failure: FailureReason | None = None
     detail: str = ""
 
     @property
     def succeeded(self) -> bool:
         return self.failure is None
+
+    @cached_property
+    def trace(self) -> list[StepRecord]:
+        """The audit trace, one StepRecord per iteration; built from ``steps`` on first read."""
+        trace = []
+        for step, (s, p_gpts, p_utils, k) in enumerate(self.steps):
+            scored = [
+                ScoredAction(a, cand, p_gpt, p_util, p_gpt * p_util)
+                for a, cand, p_gpt, p_util in zip(ACTIONS, _candidates(*s), p_gpts, p_utils)
+            ]
+            trace.append(StepRecord(step, s, tuple(scored), None if k is None else scored[k]))
+        return trace
 
 
 def plan(
@@ -215,41 +280,42 @@ def plan(
     goal = GridPose(*instruction.goal)
     check_endpoints(grid, start, goal)
     max_steps = config.max_steps if config.max_steps is not None else 4 * (grid.width + grid.height)
+    penalty = config.revisit_penalty
 
     s = GridPose(*start)
     waypoints = [s]
     visited = {s}
-    trace: list[StepRecord] = []
+    steps: list[StepScores] = []
     if s == goal:
-        return PlanResult(PlannedPath((s,), grid.resolution), trace)
+        return PlanResult(PlannedPath((s,), grid.resolution), steps)
 
-    for step in range(max_steps):
+    for _ in range(max_steps):
         try:
-            scored = score_candidates(scorer, instruction, grid, s)
+            candidates, p_gpts, p_utils = _score(scorer, instruction, grid, s)
         except ScorerFailure as exc:
             return PlanResult(
                 PlannedPath(tuple(waypoints), grid.resolution),
-                trace,
+                steps,
                 FailureReason.SCORER_FAILURE,
                 detail=str(exc),
             )
-        choice = select_action(scored, visited, config)
-        trace.append(StepRecord(step, s, tuple(scored), choice))
-        if choice is None:
+        k = _argmax(map(mul, p_gpts, p_utils), candidates, visited, penalty)
+        steps.append((s, p_gpts, p_utils, k))
+        if k is None:
             return PlanResult(
                 PlannedPath(tuple(waypoints), grid.resolution),
-                trace,
+                steps,
                 FailureReason.STUCK,
                 detail=f"all adjusted scores zero at ({s.x},{s.y})",
             )
-        s = choice.candidate
+        s = candidates[k]
         waypoints.append(s)
         visited.add(s)
         if s == goal:
-            return PlanResult(PlannedPath(tuple(waypoints), grid.resolution), trace)
+            return PlanResult(PlannedPath(tuple(waypoints), grid.resolution), steps)
     return PlanResult(
         PlannedPath(tuple(waypoints), grid.resolution),
-        trace,
+        steps,
         FailureReason.STEP_LIMIT,
         detail=f"goal not reached within {max_steps} steps",
     )

@@ -61,11 +61,10 @@ def mock_score(query: TaskScorerQuery, tau: float = 0.5) -> ScoreTuple:
     """
     if not (tau > 0):
         raise ScorerFailure(f"tau must be > 0, got {tau}")
-    goal = query.instruction.goal
-    dists = [abs(c[0] - goal[0]) + abs(c[1] - goal[1]) for c in query.candidates]
+    gx, gy = query.instruction.goal
+    dists = [abs(cx - gx) + abs(cy - gy) for cx, cy in query.candidates]
     d_min = min(dists)
-    scores = tuple(math.exp(-(d - d_min) / tau) for d in dists)
-    return scores  # type: ignore[return-value]
+    return tuple([math.exp(-(d - d_min) / tau) for d in dists])  # type: ignore[return-value]
 
 
 @dataclass
@@ -94,21 +93,19 @@ class OracleScorer:
         self._field: list[float] = []
 
     def __call__(self, query: TaskScorerQuery) -> ScoreTuple:
-        goal = GridPose(*query.instruction.goal)
-        if query.grid is not self._grid or goal != self._goal:
-            self._grid, self._goal = query.grid, goal
-            self._field = distance_field(query.grid, goal)
-        fld, grid, state = self._field, query.grid, query.state
-        here = fld[state[1] * grid.width + state[0]] if grid.in_bounds(state[0], state[1]) else math.inf
+        grid, goal = query.grid, query.instruction.goal
+        if grid is not self._grid or goal != self._goal:
+            self._grid, self._goal = grid, GridPose(*goal)
+            self._field = distance_field(grid, self._goal)
+        fld, w, h = self._field, grid.width, grid.height
+        sx, sy = query.state
+        here = fld[sy * w + sx] if 0 <= sx < w and 0 <= sy < h else math.inf
         if not math.isfinite(here):
             return (0.0, 0.0, 0.0, 0.0)
-        out = []
-        for c in query.candidates:
-            if grid.in_bounds(c[0], c[1]) and fld[c[1] * grid.width + c[0]] == here - 1.0:
-                out.append(1.0)
-            else:
-                out.append(0.0)
-        return (out[0], out[1], out[2], out[3])
+        on_path = here - 1.0
+        return tuple(  # type: ignore[return-value]
+            [1.0 if 0 <= cx < w and 0 <= cy < h and fld[cy * w + cx] == on_path else 0.0 for cx, cy in query.candidates]
+        )
 
 
 # --- remote chat endpoint ---

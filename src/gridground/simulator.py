@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Protocol
 
@@ -109,11 +110,22 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
 
     materialized: set[GridPose] = set()
     sensed: set[GridPose] = set()
+    unsensed: set[GridPose] = set()  # materialized - sensed
+    pending = deque(sorted(scenario.dynamic_obstacles, key=attrgetter("appears_at_step")))
 
     def materialize(tick: int) -> None:
-        for ob in scenario.dynamic_obstacles:
-            if ob.appears_at_step <= tick:
-                materialized.add(GridPose(*ob.cell))
+        while pending and pending[0].appears_at_step <= tick:
+            cell = GridPose(*pending.popleft().cell)
+            materialized.add(cell)
+            if cell not in sensed:
+                unsensed.add(cell)
+
+    def sense(pos: GridPose) -> set[GridPose]:
+        """Move the unsensed materialized cells within the sensing radius into sensed; returns them."""
+        newly = {c for c in unsensed if _chebyshev(c, pos) <= scenario.sensing_radius}
+        sensed.update(newly)
+        unsensed.difference_update(newly)
+        return newly
 
     def plan_from(cell: GridPose) -> deque[GridPose] | None:
         """The planner's waypoints from ``cell`` on the sensed grid, ``cell`` itself dropped.
@@ -138,8 +150,7 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
     reached = pos == goal
 
     materialize(0)
-    newly = {c for c in materialized - sensed if _chebyshev(c, pos) <= scenario.sensing_radius}
-    sensed |= newly
+    sense(pos)
     working = grid.with_occupied(sensed) if sensed else grid
 
     upcoming: deque[GridPose] = deque()
@@ -162,12 +173,9 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
         if pos == goal:
             reached = True
             break
-        newly = {c for c in materialized - sensed if _chebyshev(c, pos) <= scenario.sensing_radius}
-        if newly:
-            sensed |= newly
+        if unsensed and (newly := sense(pos)):
             working = grid.with_occupied(sensed)
-            remaining = set(upcoming)
-            if newly & remaining:
+            if not newly.isdisjoint(upcoming):
                 replan_count += 1
                 upcoming = plan_from(pos) or deque()
     return ExecutionRecord(visited, collided, reached, replan_count, steps_taken)

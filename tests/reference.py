@@ -8,12 +8,26 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
+from dataclasses import dataclass
 from itertools import count
 from typing import Sequence
 
 from gridground.classical import SQRT2, PlannedPath, check_endpoints
-from gridground.errors import EmptyPath
-from gridground.gridmap import DIAGONAL_DELTAS, FOUR_DELTAS, Connectivity, GridPose, OccupancyGrid
+from gridground.errors import EmptyPath, RaggedRows, ScorerFailure, UnknownCharacter
+from gridground.gridmap import DIAGONAL_DELTAS, FOUR_DELTAS, CellState, Connectivity, GridPose, OccupancyGrid
+from gridground.grounded import (
+    ACTIONS,
+    Action,
+    FailureReason,
+    Instruction,
+    PlannerConfig,
+    ScoredAction,
+    StepRecord,
+    TaskScorer,
+)
+from gridground.scorers import TaskScorerQuery
+from gridground.simulator import ExecutionRecord, Scenario, SimPlanner
 
 
 def reference_neighbors(
@@ -84,3 +98,210 @@ def format_action_scores(scores: Sequence[float]) -> str:
             raise ValueError(f"scores must be finite and non-negative, got {v!r}")
         rendered.append(f"{v + 0.0:.6g}")  # +0.0 normalizes -0.0
     return "scores: " + " ".join(rendered)
+
+
+def reference_load_rows(rows: list[str], width: int) -> list[CellState]:
+    """load_map's row check character by character: the cells, or its first RaggedRows/UnknownCharacter."""
+    lookup = {c.value: c for c in CellState}
+    cells: list[CellState] = []
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise RaggedRows(
+                f"row {i + 1} (line {i + 2}): expected {width} characters, found {len(row)}"
+            )
+        for j, ch in enumerate(row):
+            state = lookup.get(ch)
+            if state is None:
+                raise UnknownCharacter(
+                    f"row {i + 1} (line {i + 2}), column {j + 1}: unexpected character {ch!r}"
+                )
+            cells.append(state)
+    return cells
+
+
+# --- the grounded planner, one ScoredAction and StepRecord per step ---
+
+
+def reference_affordance(grid: OccupancyGrid, s: GridPose, action: Action) -> float:
+    """grounded's p_util, cell by cell: 0.0 blocked, 1.0 with four Free cardinals, else 0.8."""
+    cx, cy = s[0] + action.delta[0], s[1] + action.delta[1]
+    if not grid.is_free(cx, cy):
+        return 0.0
+    for dx, dy in FOUR_DELTAS:
+        if not grid.is_free(cx + dx, cy + dy):
+            return 0.8
+    return 1.0
+
+
+def reference_score_candidates(
+    scorer: TaskScorer, instruction: Instruction, grid: OccupancyGrid, s: GridPose
+) -> list[ScoredAction]:
+    candidates = tuple(GridPose(s[0] + a.delta[0], s[1] + a.delta[1]) for a in ACTIONS)
+    query = TaskScorerQuery(instruction=instruction, grid=grid, state=GridPose(*s), candidates=candidates)
+    try:
+        raw = [float(v) for v in scorer(query)]
+    except ScorerFailure:
+        raise
+    except Exception as exc:  # a buggy backend must surface as a scorer failure
+        raise ScorerFailure(f"scorer raised {type(exc).__name__}: {exc}") from exc
+    if len(raw) != len(ACTIONS):
+        raise ScorerFailure(f"scorer returned {len(raw)} scores for {len(ACTIONS)} actions")
+    if any(not (0.0 <= v < math.inf) for v in raw):
+        raise ScorerFailure(f"scores must be finite and non-negative, got {raw}")
+    total = sum(raw)
+    p_gpts = [v / total for v in raw] if total > 0 else [1.0 / len(ACTIONS)] * len(ACTIONS)
+    scored = []
+    for a, cand, p_gpt in zip(ACTIONS, candidates, p_gpts):
+        p_util = reference_affordance(grid, s, a)
+        scored.append(ScoredAction(a, cand, p_gpt, p_util, p_gpt * p_util))
+    return scored
+
+
+def reference_select_action(
+    scored: Sequence[ScoredAction], visited: set[GridPose], config: PlannerConfig
+) -> ScoredAction | None:
+    if len(scored) != 4:
+        raise ValueError(f"expected 4 scored actions, got {len(scored)}")
+    best: ScoredAction | None = None
+    best_v = 0.0
+    for sa in scored:
+        v = sa.p_combined * (config.revisit_penalty if sa.candidate in visited else 1.0)
+        if v > best_v:
+            best, best_v = sa, v
+    return best
+
+
+@dataclass
+class ReferencePlanResult:
+    path: PlannedPath
+    trace: list[StepRecord]
+    failure: FailureReason | None = None
+    detail: str = ""
+
+
+def reference_plan(
+    scorer: TaskScorer,
+    grid: OccupancyGrid,
+    start: GridPose,
+    instruction: Instruction,
+    config: PlannerConfig | None = None,
+) -> ReferencePlanResult:
+    """grounded.plan as a loop that builds its trace as it walks."""
+    config = config or PlannerConfig()
+    goal = GridPose(*instruction.goal)
+    check_endpoints(grid, start, goal)
+    max_steps = config.max_steps if config.max_steps is not None else 4 * (grid.width + grid.height)
+
+    s = GridPose(*start)
+    waypoints = [s]
+    visited = {s}
+    trace: list[StepRecord] = []
+    if s == goal:
+        return ReferencePlanResult(PlannedPath((s,), grid.resolution), trace)
+
+    for step in range(max_steps):
+        try:
+            scored = reference_score_candidates(scorer, instruction, grid, s)
+        except ScorerFailure as exc:
+            return ReferencePlanResult(
+                PlannedPath(tuple(waypoints), grid.resolution),
+                trace,
+                FailureReason.SCORER_FAILURE,
+                detail=str(exc),
+            )
+        choice = reference_select_action(scored, visited, config)
+        trace.append(StepRecord(step, s, tuple(scored), choice))
+        if choice is None:
+            return ReferencePlanResult(
+                PlannedPath(tuple(waypoints), grid.resolution),
+                trace,
+                FailureReason.STUCK,
+                detail=f"all adjusted scores zero at ({s.x},{s.y})",
+            )
+        s = choice.candidate
+        waypoints.append(s)
+        visited.add(s)
+        if s == goal:
+            return ReferencePlanResult(PlannedPath(tuple(waypoints), grid.resolution), trace)
+    return ReferencePlanResult(
+        PlannedPath(tuple(waypoints), grid.resolution),
+        trace,
+        FailureReason.STEP_LIMIT,
+        detail=f"goal not reached within {max_steps} steps",
+    )
+
+
+# --- the simulator, rescanning every obstacle on every tick ---
+
+
+def reference_execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
+    """simulator.execute's tick order, with materialized - sensed rebuilt on every tick."""
+    scenario.validate()
+    grid = scenario.map
+    budget = 10 * (grid.width + grid.height)
+    start = GridPose(*scenario.start)
+    goal = GridPose(*scenario.goal)
+
+    def chebyshev(a: GridPose, b: GridPose) -> int:
+        return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+    materialized: set[GridPose] = set()
+    sensed: set[GridPose] = set()
+
+    def materialize(tick: int) -> None:
+        for ob in scenario.dynamic_obstacles:
+            if ob.appears_at_step <= tick:
+                materialized.add(GridPose(*ob.cell))
+
+    def plan_from(cell: GridPose) -> deque[GridPose] | None:
+        if not (working.is_free(cell.x, cell.y) and working.is_free(goal.x, goal.y)):
+            return None
+        path = planner.plan(working, cell, goal, scenario.instruction_text)
+        if path is None:
+            return None
+        steps = deque(GridPose(*p) for p in path)
+        if steps and steps[0] == cell:
+            steps.popleft()
+        return steps
+
+    pos = start
+    visited = [pos]
+    replan_count = 0
+    steps_taken = 0
+    collided = False
+    reached = pos == goal
+
+    materialize(0)
+    newly = {c for c in materialized - sensed if chebyshev(c, pos) <= scenario.sensing_radius}
+    sensed |= newly
+    working = grid.with_occupied(sensed) if sensed else grid
+
+    upcoming: deque[GridPose] = deque()
+    if not reached:
+        upcoming = plan_from(pos)
+        if upcoming is None:
+            return ExecutionRecord(visited, False, False, 0, 0)
+
+    tick = 0
+    while upcoming and steps_taken < budget and not collided and not reached:
+        tick += 1
+        materialize(tick)
+        nxt = upcoming.popleft()
+        steps_taken += 1
+        if not grid.is_free(nxt.x, nxt.y) or nxt in materialized:
+            collided = True
+            break
+        pos = nxt
+        visited.append(pos)
+        if pos == goal:
+            reached = True
+            break
+        newly = {c for c in materialized - sensed if chebyshev(c, pos) <= scenario.sensing_radius}
+        if newly:
+            sensed |= newly
+            working = grid.with_occupied(sensed)
+            remaining = set(upcoming)
+            if newly & remaining:
+                replan_count += 1
+                upcoming = plan_from(pos) or deque()
+    return ExecutionRecord(visited, collided, reached, replan_count, steps_taken)

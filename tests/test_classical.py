@@ -300,6 +300,8 @@ class TestRrt:
         {"step_size": 0.0}, {"step_size": -1.0}, {"goal_bias": -0.1},
         {"goal_bias": 1.5}, {"max_iterations": 0}, {"goal_tolerance": -0.5},
         {"step_size": math.inf}, {"step_size": math.nan}, {"goal_tolerance": math.nan},
+        {"max_iterations": 2.5}, {"max_iterations": True}, {"max_iterations": 3.0},
+        {"max_iterations": "5"},
     ])
     def test_invalid_params(self, kwargs):
         g = open_grid(4, 4)

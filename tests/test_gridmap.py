@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridground.errors import (
     InvalidDensity,
@@ -24,7 +24,7 @@ from gridground.gridmap import (
 )
 
 from conftest import grid_from_rows, open_grid
-from reference import reference_neighbors
+from reference import reference_load_rows, reference_neighbors
 
 
 @st.composite
@@ -92,6 +92,20 @@ class TestLoadMap:
     def test_space_is_not_a_cell(self):
         with pytest.raises(UnknownCharacter):
             load_map("3 1 1.0\n. .\n")
+
+    @given(st.integers(1, 4), st.lists(st.text(".#?x \t\r\u00e9", max_size=5), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_row_checks_match_the_char_by_char_reference(self, width, rows):
+        assume(rows[-1] != "")  # a trailing empty row is read as the final newline
+        text = f"{width} {len(rows)} 1.0\n" + "\n".join(rows) + "\n"
+
+        def outcome(load):
+            try:
+                return list(load())
+            except (RaggedRows, UnknownCharacter) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: load_map(text).cells) == outcome(lambda: reference_load_rows(rows, width))
 
 
 class TestSerializeMap:

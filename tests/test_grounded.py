@@ -1,11 +1,14 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gridground.errors import InvalidEndpoint, ScorerFailure
-from gridground.gridmap import GridPose
+from gridground import bench, grounded
+from gridground.bundled import bundled_path
+from gridground.errors import InvalidEndpoint, OutOfBounds, ScorerFailure
+from gridground.gridmap import GridPose, random_map
 from gridground.grounded import (
     ACTIONS,
     ActionId,
@@ -20,8 +23,10 @@ from gridground.grounded import (
     trace_to_jsonl,
 )
 from gridground.scorers import MockScorer, OracleScorer
+from gridground.simulator import load_scenario
 
 from conftest import grid_from_rows, open_grid
+from reference import reference_affordance, reference_plan
 
 
 class CapturingScorer:
@@ -79,6 +84,22 @@ class TestAffordance:
         g = open_grid(5, 5)
         # candidate (2,0) hugs the top edge: one cardinal neighbor leaves the map
         assert affordance(g, GridPose(2, 1), ACTIONS[0]) == 0.8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_cell_by_cell_reference(self, seed):
+        g = random_map(7, 6, 0.35, seed)
+        g = g.with_occupied([GridPose(0, seed % 6), GridPose(seed, 0)])
+        for y in range(g.height):
+            for x in range(g.width):
+                for a in ACTIONS:
+                    assert affordance(g, GridPose(x, y), a) == reference_affordance(g, GridPose(x, y), a)
+
+    @pytest.mark.parametrize("s", [(-1, 0), (0, -1), (3, 0), (0, 3), (-1, -1)])
+    def test_state_off_the_grid_rejected(self, s):
+        with pytest.raises(OutOfBounds):
+            affordance(open_grid(3, 3), GridPose(*s), ACTIONS[0])
+        with pytest.raises(OutOfBounds):
+            score_candidates(CapturingScorer((1.0,) * 4), Instruction("x", GridPose(1, 1)), open_grid(3, 3), s)
 
 
 class TestScoreCandidates:
@@ -209,6 +230,10 @@ class TestPlannerConfig:
     @pytest.mark.parametrize("kwargs", [
         {"max_steps": 0},
         {"max_steps": -5},
+        {"max_steps": 2.5},
+        {"max_steps": 3.0},
+        {"max_steps": True},
+        {"max_steps": "3"},
         {"revisit_penalty": -0.1},
         {"revisit_penalty": 1.1},
     ])
@@ -371,3 +396,138 @@ class TestTraceSerialization:
 
     def test_empty_trace_empty_string(self):
         assert trace_to_jsonl([]) == ""
+
+
+# --- plan against the loop that builds a ScoredAction and StepRecord per step ---
+
+
+class Recording:
+    """Wraps a scorer and keeps every query it was asked, in order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.queries = []
+
+    def __call__(self, query):
+        self.queries.append(query)
+        return self.inner(query)
+
+
+def after_calls(n, reply):
+    """A scorer that answers like the mock for n calls, then replies with reply(query)."""
+    calls = []
+    mock = MockScorer()
+
+    def scorer(query):
+        calls.append(query)
+        return mock(query) if len(calls) <= n else reply(query)
+
+    return scorer
+
+
+def raise_(exc):
+    raise exc
+
+
+def seeded_scores(query):
+    """Ties and zeros on purpose: scores in {0, 0.5, 1}, fixed by the state."""
+    rng = random.Random(f"{query.state.x},{query.state.y}")
+    return tuple(rng.choice((0.0, 0.5, 1.0)) for _ in range(4))
+
+
+SCORERS = {
+    "mock": MockScorer,
+    "oracle": OracleScorer,
+    "seeded": lambda: seeded_scores,
+    "scorer_failure": lambda: after_calls(3, lambda q: raise_(ScorerFailure("endpoint down"))),
+    "other_exception": lambda: after_calls(2, lambda q: raise_(KeyError("oops"))),
+    "three_scores": lambda: after_calls(2, lambda q: (1.0, 1.0, 1.0)),
+    "nan": lambda: after_calls(1, lambda q: (1.0, math.nan, 1.0, 1.0)),
+    "all_zero": lambda: lambda q: (0.0, 0.0, 0.0, 0.0),
+}
+
+
+def differential_cases():
+    """(grid, start, goal) on seeded random maps, some with sensed cells blocked."""
+    cases = []
+    for seed, (w, h, density) in enumerate([(6, 5, 0.2), (9, 7, 0.3), (12, 12, 0.25), (5, 9, 0.4)]):
+        grid = random_map(w, h, density, seed)
+        rng = random.Random(seed)
+        free = [GridPose(x, y) for y in range(h) for x in range(w) if grid.is_free(x, y)]
+        start, goal = rng.sample(free, 2)
+        cases.append((grid, start, goal))
+        sensed = grid.with_occupied(c for c in rng.sample(free, 4) if c not in (start, goal))
+        cases.append((sensed, start, goal))
+    return cases
+
+
+class TestPlanMatchesReference:
+    @pytest.mark.parametrize("scorer_name", sorted(SCORERS))
+    @pytest.mark.parametrize("penalty", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("max_steps", [1, 6, 30])
+    def test_same_walk_trace_and_queries(self, scorer_name, penalty, max_steps):
+        config = PlannerConfig(max_steps=max_steps, revisit_penalty=penalty)
+        for grid, start, goal in differential_cases():
+            instruction = Instruction("reach the goal", goal)
+            got_scorer, want_scorer = Recording(SCORERS[scorer_name]()), Recording(SCORERS[scorer_name]())
+            got = plan(got_scorer, grid, start, instruction, config)
+            want = reference_plan(want_scorer, grid, start, instruction, config)
+            assert got.path == want.path
+            assert (got.failure, got.detail) == (want.failure, want.detail)
+            assert got.trace == want.trace
+            assert trace_to_jsonl(got.trace) == trace_to_jsonl(want.trace)
+            assert len(got.trace) == len(got.steps)
+            assert got_scorer.queries == want_scorer.queries
+            for q in got_scorer.queries:
+                assert q.grid is grid and q.instruction is instruction
+                assert type(q.state) is GridPose and all(type(c) is GridPose for c in q.candidates)
+
+    def test_cases_cover_every_outcome(self):
+        outcomes = set()
+        for scorer_name in SCORERS:
+            for penalty in (0.0, 1.0):
+                config = PlannerConfig(max_steps=30, revisit_penalty=penalty)
+                for grid, start, goal in differential_cases():
+                    outcomes.add(plan(SCORERS[scorer_name](), grid, start, Instruction("x", goal), config).failure)
+        assert outcomes == {None, *FailureReason}
+
+
+class TestLazyTrace:
+    def test_trial_builds_no_step_record(self, monkeypatch):
+        built = {"steps": 0, "scored": 0}
+
+        def counting(cls, key):
+            init = cls.__init__
+
+            def __init__(self, *args, **kwargs):
+                built[key] += 1
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", __init__)
+
+        counting(grounded.StepRecord, "steps")
+        counting(grounded.ScoredAction, "scored")
+        # reference_world reaches the goal; two_corridor replans once, then fails
+        for name in ("reference_world", "two_corridor"):
+            scenario = load_scenario(bundled_path(f"{name}.scenario.yaml"))
+            row = bench.run_trial(scenario, "grounded:mock", seed=0)
+            assert row.scorer_wall_time_ms > 0
+        assert row.replan_count == 1
+        assert built == {"steps": 0, "scored": 0}
+        # the patched classes still count: reading a trace builds its records
+        res = plan(MockScorer(), scenario.map, scenario.start, Instruction("x", scenario.goal))
+        trace = res.trace
+        assert built == {"steps": len(trace), "scored": 4 * len(trace)} and trace
+
+    def test_trace_is_built_once(self):
+        g = open_grid(5, 5)
+        res = plan(MockScorer(), g, GridPose(0, 0), Instruction("x", GridPose(4, 4)))
+        first = res.trace
+        assert res.trace is first
+        assert len(first) == len(res.steps) == 8
+
+    def test_chosen_is_the_scored_entry(self):
+        g = open_grid(5, 5)
+        res = plan(OracleScorer(), g, GridPose(0, 0), Instruction("x", GridPose(4, 4)))
+        for rec in res.trace:
+            assert any(rec.chosen is sa for sa in rec.scored)

@@ -18,6 +18,7 @@ from gridground.simulator import (
 )
 
 from conftest import grid_from_rows, open_grid
+from reference import reference_execute
 
 BIG_INT = "1" * 5000  # past Python's 4,300-digit int-string limit, which yaml.safe_load hits
 
@@ -303,6 +304,43 @@ class TestExecuteProperties:
         for grid, _, _ in planner.calls:  # sensed grids' views, derived from the base grid's
             rebuilt = OccupancyGrid(grid.width, grid.height, grid.resolution, grid.cells)
             assert (grid.rows(), grid.free_mask) == (rebuilt.rows(), rebuilt.free_mask)
+
+
+def sensed_grids(run, sc, planner):
+    """run(sc, planner), and the cells passed to each with_occupied call it made."""
+    derive = OccupancyGrid.with_occupied
+    calls = []
+
+    def recording(grid, poses):
+        poses = sorted(poses)
+        calls.append(poses)
+        return derive(grid, poses)
+
+    OccupancyGrid.with_occupied = recording
+    try:
+        return run(sc, planner), calls
+    finally:
+        OccupancyGrid.with_occupied = derive
+
+
+class TestExecuteMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(dynamic_scenarios(), st.sampled_from(["astar", "grounded:mock", "grounded:oracle"]))
+    def test_same_record_and_plan_calls(self, sc, planner_id):
+        got_planner = RecordingPlanner(bench.make_planner(planner_id, sc, 0).planner)
+        want_planner = RecordingPlanner(bench.make_planner(planner_id, sc, 0).planner)
+        assert sensed_grids(execute, sc, got_planner) == sensed_grids(reference_execute, sc, want_planner)
+        assert [(g.cells, s, t) for g, s, t in got_planner.calls] == [
+            (g.cells, s, t) for g, s, t in want_planner.calls
+        ]
+
+    def test_a_cell_that_appears_twice_is_sensed_once(self):
+        # (3,2) is sensed at tick 1 and listed again for tick 2: one sensed grid, one replan
+        obstacles = (DynamicObstacle(GridPose(3, 2), 2), DynamicObstacle(GridPose(3, 2), 0))
+        sc = Scenario(open_grid(7, 5), GridPose(0, 2), GridPose(6, 2), "go", obstacles, 2)
+        got = sensed_grids(execute, sc, AstarPlanner())
+        assert got == sensed_grids(reference_execute, sc, AstarPlanner())
+        assert got[1] == [[GridPose(3, 2)]] and got[0].replan_count == 1
 
 
 PLANNER_IDS = ["astar", "rrt", "grounded:mock", "grounded:oracle", "fullpath:mock", "fullpath:oracle"]
