@@ -18,15 +18,13 @@ from itertools import groupby
 from pathlib import Path
 from typing import Callable, Sequence
 
-import yaml
-
 from .classical import PlannedPath, RrtParams, astar, path_length, rrt
 from .errors import ConfigError, EmptyPathList, GridGroundError, MalformedReply, UnknownPlanner
 from .gridmap import CellState, Connectivity, GridPose, OccupancyGrid
 from .grounded import Instruction, PlannerConfig, plan as grounded_plan
 from .scorers import MockScorer, OracleScorer, TaskScorerQuery
 from . import translator
-from .simulator import Scenario, SimPlanner, execute, load_scenario, validate_external_path
+from .simulator import Scenario, SimPlanner, execute, load_scenario, load_yaml, validate_external_path
 
 CSV_HEADER = (
     "planner_id,scenario_id,seed,planning_time_ms,scorer_wall_time_ms,"
@@ -423,9 +421,9 @@ class Suite:
 def load_suite(path: str | Path) -> Suite:
     """Read a suite_v1 file; scenario paths resolve beside it."""
     p = Path(path)
-    try:  # a ValueError is a file that is not UTF-8 or an int past Python's digit limit
-        doc = yaml.safe_load(p.read_text(encoding="utf-8"))
-    except (OSError, ValueError, yaml.YAMLError) as exc:
+    try:  # a ValueError is a file that is not UTF-8 or not YAML
+        doc = load_yaml(p.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read suite file {p}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != SUITE_VERSION:
         raise ConfigError(f"suite file must declare version {SUITE_VERSION!r}")

@@ -15,8 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-import yaml
-
 from . import bench
 from .bundled import bundled_path
 from .classical import PlannedPath, RrtParams, check_endpoints, path_length
@@ -24,6 +22,7 @@ from .errors import ConfigError, GridGroundError, MapFormatError
 from .gridmap import Connectivity, GridPose, load_map, random_map, serialize_map
 from .grounded import PlannerConfig
 from .scorers import ChatEndpointConfig, Cassette, MockScorer, OracleScorer, RemoteScorer
+from .simulator import load_yaml
 from . import translator
 
 ENV_PREFIX = "GRIDGROUND_"
@@ -66,9 +65,9 @@ _DEFAULTS = {
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    try:  # a ValueError is a file that is not UTF-8 or an int past Python's digit limit
-        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, yaml.YAMLError) as exc:
+    try:  # a ValueError is a file that is not UTF-8 or not YAML
+        doc = load_yaml(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}")
     if doc is None:
         return {}

@@ -143,10 +143,54 @@ def _retryable(status: int) -> bool:
     return status == 429 or 500 <= status < 600
 
 
+# printable ASCII but '"' and '\\', plus the newline: the bytes json.dumps copies unescaped, bar "\n"
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"").replace(b"\\", b"") + b"\n"
+_SCALARS = (float, int, bool, type(None))
+_BODY_KEYS = frozenset(("model", "temperature", "messages"))
+_MESSAGE_KEYS = frozenset(("role", "content"))
+
+
+def _json_str(text: str) -> bytes:
+    """``json.dumps(text)`` as bytes, without the escaper when only a newline needs one."""
+    if text.isascii():
+        raw = text.encode("ascii")
+        if not raw.translate(None, _PLAIN):
+            return b'"' + raw.replace(b"\n", b"\\n") + b'"'
+    return json.dumps(text).encode("ascii")
+
+
+def _chat_canon(body: dict) -> bytes | None:
+    """Canonical JSON of a ``RemoteScorer._request_body`` body, or None for any other shape."""
+    if type(body) is not dict or body.keys() != _BODY_KEYS:
+        return None
+    model, temperature, messages = body["model"], body["temperature"], body["messages"]
+    if type(model) is not str or type(temperature) not in _SCALARS or type(messages) is not list:
+        return None
+    parts = []
+    for m in messages:
+        if type(m) is not dict or m.keys() != _MESSAGE_KEYS:
+            return None
+        content, role = m["content"], m["role"]
+        if type(content) is not str or type(role) is not str:
+            return None
+        parts.append(b'{"content":' + _json_str(content) + b',"role":' + _json_str(role) + b"}")
+    return b"".join([
+        b'{"messages":[', b",".join(parts), b'],"model":', _json_str(model),
+        b',"temperature":', json.dumps(temperature).encode("ascii"), b"}",
+    ])
+
+
 def request_fingerprint(body: dict) -> str:
-    """Stable hash of a request body (canonical JSON, sha256 hex)."""
-    canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    """Stable hash of a request body: the sha256 hex of its canonical JSON.
+
+    The canonical JSON is ``json.dumps(body, sort_keys=True, separators=(",", ":"))``
+    with ASCII escapes. The chat bodies ``RemoteScorer`` sends are written
+    byte for byte the same without ``json.dumps`` walking the prompt text.
+    """
+    canon = _chat_canon(body)
+    if canon is None:
+        canon = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(canon).hexdigest()
 
 
 class Cassette:
@@ -177,13 +221,17 @@ class Cassette:
                     continue
                 try:
                     rec = json.loads(line)
-                    self._entries[rec["request_hash"]] = rec["response_body"]
                 except ValueError as exc:
                     raise ConfigError(f"cassette {self.path} line {n}: not JSON: {exc}") from None
-                except (KeyError, TypeError):
+                if not (
+                    isinstance(rec, dict)
+                    and isinstance(rec.get("request_hash"), str)
+                    and isinstance(rec.get("response_body"), str)
+                ):
                     raise ConfigError(
-                        f"cassette {self.path} line {n}: needs request_hash and response_body"
-                    ) from None
+                        f"cassette {self.path} line {n}: needs request_hash and response_body strings"
+                    )
+                self._entries[rec["request_hash"]] = rec["response_body"]
 
     def lookup(self, fingerprint: str) -> str | None:
         return self._entries.get(fingerprint)

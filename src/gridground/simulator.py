@@ -16,8 +16,6 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Protocol
 
-import yaml
-
 from .errors import InvalidScenario
 from .gridmap import GridPose, OccupancyGrid, load_map
 
@@ -226,6 +224,26 @@ def _as_pose(value, label: str) -> GridPose:
     return GridPose(value[0], value[1])
 
 
+def load_yaml(text: str):
+    """One YAML document, built by PyYAML's safe constructor.
+
+    Scenario, suite and config files all parse here. The parser is libyaml's
+    (``yaml.CSafeLoader``) when PyYAML was built with it, else PyYAML's own.
+    ``yaml`` is imported on first use, so a run that reads no YAML never loads it.
+
+    Raises:
+        ValueError: the text is not YAML (the ``yaml.YAMLError`` is chained,
+            its message kept), or holds an int past Python's digit limit.
+    """
+    import yaml
+
+    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     """Parse a scenario_v1 document.
 
@@ -236,8 +254,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         InvalidScenario: structural problems, version mismatch, bad fields.
     """
     try:
-        doc = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
+        doc = load_yaml(text)
+    except ValueError as exc:
         raise InvalidScenario(f"unparseable scenario file: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidScenario("scenario file must be a mapping")

@@ -6,7 +6,9 @@ flat free mask that the planners run on.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -85,6 +87,12 @@ def dijkstra_oracle(
                 dist[nb] = nd
                 heapq.heappush(pq, (nd, next(tick), nb))
     return dist[goal] if goal in settled else None
+
+
+def reference_fingerprint(body: dict) -> str:
+    """scorers.request_fingerprint as one json.dumps: sha256 hex of the canonical JSON."""
+    canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def format_action_scores(scores: Sequence[float]) -> str:

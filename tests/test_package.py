@@ -3,7 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+import yaml
+
 import gridground
+from gridground.simulator import load_yaml
 
 SUBMODULES = ["bench", "classical", "errors", "gridmap", "grounded", "scorers", "simulator", "translator"]
 
@@ -24,8 +28,8 @@ def test_bare_import_loads_the_eight_submodules_and_exports_no_names():
     assert public.split() == SUBMODULES
 
 
-# what the remote transport loads only when a live request is made
-LAZY = ["requests", "urllib3", "charset_normalizer", "urllib.request", "http.client", "ssl"]
+# what the remote transport loads only when a live request is made, and yaml only when a file is parsed
+LAZY = ["requests", "urllib3", "charset_normalizer", "urllib.request", "http.client", "ssl", "yaml"]
 
 
 def test_bare_import_loads_no_http_stack():
@@ -48,3 +52,22 @@ def test_only_gridmap_reads_the_cell_layout():
         for m in LAYOUT_READS.finditer(p.read_text())
     )
     assert readers == []
+
+
+@pytest.mark.parametrize("with_libyaml", [True, False])
+def test_yaml_parses_through_libyaml_when_pyyaml_has_it(monkeypatch, with_libyaml):
+    if with_libyaml and not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+    loaders = []
+    real_load = yaml.load
+    monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
+    monkeypatch.setattr(yaml, "load", lambda text, Loader: loaders.append(Loader) or real_load(text, Loader))
+    assert load_yaml("a: [1, 2]\n") == {"a": [1, 2]}
+    assert loaders == [yaml.CSafeLoader if with_libyaml else yaml.SafeLoader]
+
+
+def test_libyaml_documents_equal_pyyaml_on_the_bundled_files():
+    data = Path(gridground.__file__).resolve().parent / "data"
+    texts = [p.read_text(encoding="utf-8") for p in sorted(data.glob("*.yaml"))]
+    assert len(texts) == 4
+    assert [load_yaml(t) for t in texts] == [yaml.safe_load(t) for t in texts]

@@ -9,6 +9,7 @@ import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridground.scorers as scorers_mod
 from gridground.errors import (
@@ -19,6 +20,7 @@ from gridground.errors import (
     ScorerFailure,
     ScorerTimeout,
 )
+from gridground.bundled import bundled_path
 from gridground.gridmap import GridPose
 from gridground.grounded import ACTIONS, Instruction
 from gridground.scorers import (
@@ -31,8 +33,11 @@ from gridground.scorers import (
     mock_score,
     request_fingerprint,
 )
+from gridground.simulator import load_scenario
+from gridground import translator
 
 from conftest import grid_from_rows, open_grid
+from reference import reference_fingerprint
 
 E_MINUS_2 = 0.1353352832366127  # math.exp(-2), frozen
 
@@ -169,6 +174,84 @@ class TestRequestFingerprint:
 
     def test_content_sensitive(self):
         assert request_fingerprint({"x": 1}) != request_fingerprint({"x": 2})
+
+
+# printable ASCII and newlines (the text RemoteScorer sends), or any code point, surrogates
+# included, weighted towards the characters JSON escapes
+TEXT = st.one_of(
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E) | st.just("\n")),
+    st.text(st.characters(exclude_categories=()) | st.sampled_from('\n\r\t\x00\x1f\x7f"\\/ ~\ud800\udfffé€😀')),
+)
+TEMPERATURE = st.one_of(
+    st.floats(), st.integers(), st.integers(min_value=10**30), st.booleans(), st.none(), st.just(math.nan)
+)
+
+
+def chat_shaped(messages, model="gpt-3.5-turbo", temperature=0.0):
+    return {"model": model, "temperature": temperature, "messages": messages}
+
+
+class TestFingerprintMatchesReference:
+    @given(
+        st.lists(st.fixed_dictionaries({"role": TEXT, "content": TEXT}), max_size=3),
+        TEXT,
+        TEMPERATURE,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_chat_shaped_bodies(self, messages, model, temperature):
+        body = chat_shaped(messages, model, temperature)
+        assert request_fingerprint(body) == reference_fingerprint(body)
+
+    class Subdict(dict):
+        pass
+
+    MSG = {"role": "user", "content": 'a "map"\n#.R\\'}
+
+    @pytest.mark.parametrize("body", [
+        {**chat_shaped([MSG]), "extra": 1},
+        {"model": "m", "messages": [MSG]},
+        chat_shaped([{**MSG, "content": 5}]),
+        chat_shaped([{**MSG, "content": None}]),
+        chat_shaped([{**MSG, "name": "x"}]),
+        chat_shaped([{"role": "user"}]),
+        chat_shaped((MSG, MSG)),
+        chat_shaped([Subdict(MSG)]),
+        Subdict(chat_shaped([MSG])),
+        chat_shaped([MSG, MSG, MSG]),
+        chat_shaped([]),
+        chat_shaped([MSG], model=None),
+        chat_shaped([MSG], temperature=[0.5, {"b": 1, "a": 2}]),
+        chat_shaped([MSG], temperature={"b": 1, "a": 2}),
+        {"b": 1, "a": [1, "\u00e9"]},
+    ], ids=lambda b: repr(b)[:40])
+    def test_near_miss_shapes(self, body):
+        assert request_fingerprint(body) == reference_fingerprint(body)
+
+    def test_big_int_past_the_digit_limit_fails_alike(self):
+        body = chat_shaped([self.MSG], temperature=10**5000)
+        with pytest.raises(ValueError) as ours:
+            request_fingerprint(body)
+        with pytest.raises(ValueError) as ref:
+            reference_fingerprint(body)
+        assert str(ours.value) == str(ref.value)
+
+    @pytest.mark.parametrize("name", ["reference_world", "corridor", "two_corridor"])
+    def test_remote_scorer_bodies_take_the_fast_path(self, name, monkeypatch):
+        # a prompt character that needs a JSON escape would send the whole text through json.dumps
+        sc = load_scenario(bundled_path(f"{name}.scenario.yaml"))
+        instruction = Instruction(sc.instruction_text, sc.goal)
+        cands = tuple(GridPose(sc.start[0] + a.delta[0], sc.start[1] + a.delta[1]) for a in ACTIONS)
+        scorer = RemoteScorer(ChatEndpointConfig("http://127.0.0.1:9", "gpt-3.5-turbo"))
+        bodies = [
+            scorer._request_body(translator.serialize_step_prompt(sc.map, sc.start, instruction, cands)),
+            scorer._request_body(translator.serialize_fullpath_prompt(sc.map, sc.start, instruction)),
+        ]
+        expected = [reference_fingerprint(b) for b in bodies]
+        dumped = []
+        real_dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda obj, *a, **kw: dumped.append(obj) or real_dumps(obj, *a, **kw))
+        assert [request_fingerprint(b) for b in bodies] == expected
+        assert dumped == [0.0, 0.0]  # the temperatures alone
 
 
 class TestCassette:
@@ -415,6 +498,9 @@ class TestCassetteFile:
         (json.dumps({"response_body": "{}"}).encode(), "needs request_hash"),
         (json.dumps({"request_hash": "def"}).encode(), "needs request_hash"),
         (json.dumps(["abc", "{}"]).encode(), "needs request_hash"),
+        (json.dumps({"request_hash": 5, "response_body": {"choices": []}}).encode(), "needs request_hash"),
+        (json.dumps({"request_hash": "def", "response_body": None}).encode(), "needs request_hash"),
+        (json.dumps({"request_hash": 5, "response_body": "{}"}).encode(), "needs request_hash"),
         (b'{"request_hash": "\xff"}', "not UTF-8"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, bad, reason):
