@@ -440,7 +440,13 @@ def load_suite(path: str | Path) -> Suite:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry or "file" not in entry:
             raise ConfigError(f"scenarios[{i}] needs 'id' and 'file'")
-        scenarios.append((str(entry["id"]), load_scenario(p.parent / entry["file"])))
+        sid = str(entry["id"])
+        # the id names the file trajectories_<id>.svg in the output directory
+        if sid in (".", "..") or any(c in sid for c in "/\\\0"):
+            raise ConfigError(f"scenarios[{i}].id {sid!r} must not be '.' or '..' or hold '/', '\\' or NUL")
+        if not isinstance(entry["file"], str):
+            raise ConfigError(f"scenarios[{i}].file must be a path string, got {entry['file']!r}")
+        scenarios.append((sid, load_scenario(p.parent / entry["file"])))
     return Suite(scenarios=scenarios, planners=list(planners), trials_per_pair=trials)
 
 

@@ -1,7 +1,7 @@
 """Classical grid planners: A*, a BFS distance field, and RRT.
 
-A*, the distance field and the RRT free-space checks run on the grid's flat
-free mask (OccupancyGrid.free_mask), addressed through the gridmap helpers.
+A* and the RRT free-space checks run on the grid's flat free mask through the
+gridmap helpers; distance_field copies the grid's own (OccupancyGrid.distances_to).
 
 Costs are measured in cells: 1 per cardinal step, sqrt(2) per diagonal step.
 path_length converts to meters via the grid resolution.
@@ -131,31 +131,8 @@ def astar(
 
 
 def distance_field(grid: OccupancyGrid, goal: GridPose) -> list[float]:
-    """Four-connected cost-to-goal for every cell, row-major; unreachable cells hold inf.
-
-    A level-by-level BFS over the free mask: every step costs 1. A blocked
-    or out-of-bounds goal yields an all-inf field.
-    """
-    if not grid.is_free(goal[0], goal[1]):
-        return [math.inf] * (grid.width * grid.height)
-    unseen = bytearray(grid.free_mask)  # free cells not reached yet
-    field = [math.inf] * len(unseen)
-    offsets = grid.flat_offsets[:4]
-    frontier = [grid.flat_index(goal[0], goal[1])]
-    unseen[frontier[0]] = 0
-    d = 0.0
-    while frontier:
-        reached = []
-        for i in frontier:
-            field[i] = d
-            for o in offsets:
-                j = i + o
-                if unseen[j]:
-                    unseen[j] = 0
-                    reached.append(j)
-        frontier = reached
-        d += 1.0
-    return grid.strip_pad(field)
+    """A fresh list copy of ``grid.distances_to(goal)``: four-connected cost-to-goal, row-major."""
+    return list(grid.distances_to(goal))
 
 
 # --- RRT ---

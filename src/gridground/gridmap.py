@@ -78,7 +78,10 @@ class OccupancyGrid:
       has all eight neighbours in range. Kernels address it through
       ``flat_index``, ``flat_offsets``, ``flat_pose`` and ``strip_pad`` only.
 
-    ``with_occupied`` derives a sensed grid's views from its parent's.
+    One cost-to-goal view, the ``distances_to`` field, is kept for the last
+    goal asked only, as one (goal, field) pair that a new goal replaces.
+    ``with_occupied`` derives a sensed grid's rows and mask from its parent's;
+    a sensed grid starts with no field.
     """
 
     width: int
@@ -145,6 +148,34 @@ class OccupancyGrid:
             out += values[i:i + w]
         return out
 
+    def distances_to(self, goal: GridPose) -> tuple[float, ...]:
+        """Four-connected cost-to-goal of every cell, row-major; unreachable cells hold inf.
+
+        A level-by-level BFS over the free mask; a blocked or out-of-bounds
+        goal yields an all-inf field. The field of the last goal is kept.
+        """
+        goal = GridPose(goal[0], goal[1])
+        if (held := vars(self).get("_goal_field")) and held[0] == goal:
+            return held[1]
+        unseen = bytearray(self.free_mask)  # free cells not reached yet
+        field = [math.inf] * len(unseen)
+        if self.is_free(goal.x, goal.y):
+            offsets, frontier, d = self.flat_offsets[:4], [self.flat_index(goal.x, goal.y)], 0.0
+            unseen[frontier[0]] = 0
+            while frontier:
+                reached = []
+                for i in frontier:
+                    field[i] = d
+                    for o in offsets:
+                        j = i + o
+                        if unseen[j]:
+                            unseen[j] = 0
+                            reached.append(j)
+                frontier, d = reached, d + 1.0
+        held = (goal, tuple(self.strip_pad(field)))  # one pair: goal and field never out of step
+        vars(self)["_goal_field"] = held
+        return held[1]
+
     def cell(self, x: int, y: int) -> CellState:
         """Return the state at (x, y), raising OutOfBounds outside the grid."""
         if not self.in_bounds(x, y):
@@ -154,9 +185,9 @@ class OccupancyGrid:
     def with_occupied(self, poses: Iterable[GridPose]) -> "OccupancyGrid":
         """Return a new grid with the given cells marked Occupied.
 
-        The new grid's views are this grid's, copied with only the given
-        cells changed, instead of being rebuilt from its cells. The result is
-        always a new object, also for no poses.
+        The new grid's rows and mask are this grid's, copied with only the
+        given cells changed, instead of being rebuilt from its cells; it keeps
+        no field. The result is always a new object, also for no poses.
         """
         cells, rows, mask = list(self.cells), list(self._rows), bytearray(self.free_mask)
         for p in poses:

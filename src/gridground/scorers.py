@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 from urllib.parse import urlsplit
 
-from .classical import distance_field
 from .errors import (
     AuthMissing,
     ConfigError,
@@ -82,22 +81,14 @@ class OracleScorer:
 
     A candidate is on a shortest path when its four-connected cost-to-goal
     equals the state's cost minus one. All-zero when the state itself is
-    disconnected from the goal. The distance field of the last (grid, goal)
-    is kept, so a walk on one grid builds one field, and a grid the scorer
-    has moved past is released.
+    disconnected from the goal. The scorer holds no state: it reads the
+    field the grid keeps (``OccupancyGrid.distances_to``), so a walk on one
+    grid builds one field, also across scorers and trials.
     """
 
-    def __init__(self):
-        self._grid: OccupancyGrid | None = None
-        self._goal: GridPose | None = None
-        self._field: list[float] = []
-
     def __call__(self, query: TaskScorerQuery) -> ScoreTuple:
-        grid, goal = query.grid, query.instruction.goal
-        if grid is not self._grid or goal != self._goal:
-            self._grid, self._goal = grid, GridPose(*goal)
-            self._field = distance_field(grid, self._goal)
-        fld, w, h = self._field, grid.width, grid.height
+        grid = query.grid
+        fld, w, h = grid.distances_to(query.instruction.goal), grid.width, grid.height
         sx, sy = query.state
         here = fld[sy * w + sx] if 0 <= sx < w and 0 <= sy < h else math.inf
         if not math.isfinite(here):
@@ -127,6 +118,9 @@ class ChatEndpointConfig:
         url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
         if url is None or url.scheme not in ("http", "https") or not url.netloc:
             raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
+        for name in ("model_name", "api_key_env"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if not (0 < self.timeout < math.inf):
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         if not math.isfinite(self.temperature):

@@ -272,10 +272,12 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     else:
         if base_dir is None:
             raise InvalidScenario("'map_file' requires a base directory to resolve against")
+        if not isinstance(doc["map_file"], str):
+            raise InvalidScenario(f"'map_file' must be a path string, got {doc['map_file']!r}")
         map_path = Path(base_dir) / doc["map_file"]
-        try:
+        try:  # a ValueError is a file that is not UTF-8, or a NUL in the path
             map_text = map_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise InvalidScenario(f"cannot read map file {map_path}: {exc}") from exc
     try:
         grid = load_map(map_text)
@@ -285,8 +287,11 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     for key in ("start", "goal", "instruction_text"):
         if key not in doc:
             raise InvalidScenario(f"missing required field {key!r}")
+    entries = doc.get("dynamic_obstacles") or []
+    if not isinstance(entries, list):
+        raise InvalidScenario(f"dynamic_obstacles must be a list, got {entries!r}")
     obstacles = []
-    for i, entry in enumerate(doc.get("dynamic_obstacles") or []):
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "cell" not in entry or "appears_at_step" not in entry:
             raise InvalidScenario(f"dynamic_obstacles[{i}] needs 'cell' and 'appears_at_step'")
         appears = entry["appears_at_step"]
@@ -314,8 +319,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     """Read and parse a scenario file; map_file references resolve beside it."""
     p = Path(path)
-    try:
+    try:  # a ValueError is a file that is not UTF-8, or a NUL in the path
         text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InvalidScenario(f"cannot read scenario file {p}: {exc}") from exc
     return parse_scenario(text, base_dir=p.parent)

@@ -89,6 +89,51 @@ def dijkstra_oracle(
     return dist[goal] if goal in settled else None
 
 
+def reference_distance_field(grid: OccupancyGrid, goal: GridPose) -> list[float]:
+    """The four-connected cost-to-goal field, cell by cell: a FIFO BFS over reference_neighbors."""
+    w = grid.width
+    field = [math.inf] * (w * grid.height)
+    if not grid.is_free(goal[0], goal[1]):
+        return field
+    field[goal[1] * w + goal[0]] = 0.0
+    queue = deque([GridPose(goal[0], goal[1])])
+    while queue:
+        cur = queue.popleft()
+        for nb in reference_neighbors(grid, cur):
+            if field[nb.y * w + nb.x] == math.inf:
+                field[nb.y * w + nb.x] = field[cur.y * w + cur.x] + 1.0
+                queue.append(nb)
+    return field
+
+
+class ReferenceOracleScorer:
+    """The stateful OracleScorer that kept the last (grid, goal) field itself.
+
+    Verbatim but for its field, which comes from reference_distance_field
+    instead of the grid's own distances_to.
+    """
+
+    def __init__(self):
+        self._grid: OccupancyGrid | None = None
+        self._goal: GridPose | None = None
+        self._field: list[float] = []
+
+    def __call__(self, query: TaskScorerQuery) -> tuple[float, float, float, float]:
+        grid, goal = query.grid, query.instruction.goal
+        if grid is not self._grid or goal != self._goal:
+            self._grid, self._goal = grid, GridPose(*goal)
+            self._field = reference_distance_field(grid, self._goal)
+        fld, w, h = self._field, grid.width, grid.height
+        sx, sy = query.state
+        here = fld[sy * w + sx] if 0 <= sx < w and 0 <= sy < h else math.inf
+        if not math.isfinite(here):
+            return (0.0, 0.0, 0.0, 0.0)
+        on_path = here - 1.0
+        return tuple(  # type: ignore[return-value]
+            [1.0 if 0 <= cx < w and 0 <= cy < h and fld[cy * w + cx] == on_path else 0.0 for cx, cy in query.candidates]
+        )
+
+
 def reference_fingerprint(body: dict) -> str:
     """scorers.request_fingerprint as one json.dumps: sha256 hex of the canonical JSON."""
     canon = json.dumps(body, sort_keys=True, separators=(",", ":"))

@@ -302,6 +302,23 @@ class TestRemoteGating:
         assert rc == 1
         assert "bad config-file 'remote' value" in err
 
+    @pytest.mark.parametrize("setting,name", [
+        ("api_key_env: 5", "api_key_env"), ("model_name: 5", "model_name"), ("model_name: [gpt]", "model_name"),
+    ])
+    def test_non_string_endpoint_name(self, tmp_path, capsys, monkeypatch, setting, name):
+        # a usage error, not a TypeError from os.environ or a request sent with that model
+        monkeypatch.setenv("API_KEY", "k")
+        m = write_map(tmp_path, ["..."])
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"remote:\n  base_url: http://127.0.0.1:9/v1\n  max_retries: 0\n  {setting}\n")
+        rc = main(plan_args(m, "0,0", "2,0", "--planner", "grounded", "--scorer", "remote",
+                            "--allow-network", "--config", str(cfg)))
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("usage error: bad config-file 'remote' value:")
+        assert f"{name} must be a string" in err and "Traceback" not in err
+
     def test_schemeless_base_url(self, tmp_path, capsys, monkeypatch):
         # rejected before any request, instead of being retried through the backoff
         monkeypatch.setenv("API_KEY", "k")
@@ -550,6 +567,37 @@ class TestBenchCommand:
         assert rc == 1
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("name,old,new,message", [
+        ("case.yaml", "walk\n", "walk\ndynamic_obstacles: 5\n", "dynamic_obstacles must be a list"),
+        ("case.yaml", "map_file: c.map", "map_file: [1]", "'map_file' must be a path string"),
+        ("case.yaml", "map_file: c.map", 'map_file: "c\\0.map"', "cannot read map file"),
+        ("suite.yaml", "file: case.yaml", "file: 5", "scenarios[0].file must be a path string"),
+        ("suite.yaml", "file: case.yaml", 'file: "case\\0.yaml"', "cannot read scenario file"),
+    ], ids=["dynamic_obstacles_int", "map_file_list", "map_file_nul", "suite_file_int", "suite_file_nul"])
+    def test_mistyped_input_field(self, tmp_path, capsys, name, old, new, message):
+        suite = write_tiny_suite(tmp_path)
+        path = tmp_path / name
+        path.write_text(path.read_text().replace(old, new))
+        rc = main(["bench", "--suite", str(suite), "--out-dir", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("sid", ["../esc", "a/b", "a\\b", ".", "..", '"a\\0b"'])
+    def test_unsafe_suite_id(self, tmp_path, capsys, sid):
+        # the id names trajectories_<id>.svg, so it is checked before anything is written
+        suite = write_tiny_suite(tmp_path)
+        suite.write_text(SUITE_TEXT.replace("id: tiny", f"id: {sid}"))
+        out_dir = tmp_path / "o" / "inner"
+        out_dir.mkdir(parents=True)
+        rc = main(["bench", "--suite", str(suite), "--out-dir", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: scenarios[0].id")
+        assert list((tmp_path / "o").rglob("*")) == [out_dir]  # nothing written, in or beside it
 
     def test_missing_suite_file(self, tmp_path, capsys):
         rc = main(["bench", "--suite", str(tmp_path / "absent.yaml"),

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gridground.classical import distance_field
 from gridground.errors import (
     InvalidDensity,
     MalformedHeader,
@@ -24,7 +25,7 @@ from gridground.gridmap import (
 )
 
 from conftest import grid_from_rows, open_grid
-from reference import reference_load_rows, reference_neighbors
+from reference import reference_distance_field, reference_load_rows, reference_neighbors
 
 
 @st.composite
@@ -228,6 +229,61 @@ class TestDerivedViews:
     def test_with_occupied_returns_a_new_grid_for_no_poses(self):
         g = open_grid(2, 2)
         assert g.with_occupied([]) is not g
+
+
+def held_field(grid):
+    """The (goal, field) pair a grid keeps for its last distances_to goal, or None."""
+    return vars(grid).get("_goal_field")
+
+
+class TestDistanceView:
+    @settings(max_examples=80, deadline=None)
+    @given(grids(), st.data())
+    def test_matches_the_cell_by_cell_bfs(self, g, data):
+        goal = data.draw(st.builds(GridPose, st.integers(-1, g.width), st.integers(-1, g.height)))
+        assert list(g.distances_to(goal)) == reference_distance_field(g, goal)
+
+    def test_a_repeated_goal_returns_the_kept_field(self):
+        g = open_grid(4, 3)
+        fld = g.distances_to(GridPose(3, 2))
+        assert isinstance(fld, tuple)
+        assert g.distances_to((3, 2)) is fld
+        assert held_field(g) == (GridPose(3, 2), fld)
+
+    def test_goal_is_any_xy_pair_copied_on_entry(self):
+        g = open_grid(3, 1)
+        goal = [0, 0]
+        assert g.distances_to(goal) == (0.0, 1.0, 2.0)
+        goal[0] = 2  # the kept goal is a copy, so this is a new goal
+        assert g.distances_to(goal) == (2.0, 1.0, 0.0)
+        assert held_field(g)[0] == GridPose(2, 0)
+
+    def test_a_second_goal_replaces_the_first(self):
+        g = open_grid(4, 3)
+        first = g.distances_to(GridPose(0, 0))
+        second = g.distances_to(GridPose(3, 2))
+        assert held_field(g) == (GridPose(3, 2), second)  # one field per grid
+        again = g.distances_to(GridPose(0, 0))
+        assert again == first and again is not first  # rebuilt, not kept beside the second
+        assert held_field(g)[1] is again
+
+    def test_sensed_grid_starts_without_the_parent_field(self):
+        g = grid_from_rows(["....", "....", "...."])
+        goal = GridPose(3, 0)
+        parent_field = g.distances_to(goal)
+        sensed = g.with_occupied([GridPose(2, 0), GridPose(2, 1)])
+        assert held_field(sensed) is None
+        assert held_field(g) == (goal, parent_field)  # the parent keeps its own
+        fld = sensed.distances_to(goal)
+        assert fld == tuple(reference_distance_field(sensed, goal))
+        assert fld != parent_field
+
+    def test_distance_field_is_a_fresh_list(self):
+        g = open_grid(3, 1)
+        fld = distance_field(g, GridPose(0, 0))
+        fld[2] = -1.0
+        assert g.distances_to(GridPose(0, 0)) == (0.0, 1.0, 2.0)
+        assert distance_field(g, GridPose(0, 0)) == [0.0, 1.0, 2.0]
 
 
 class TestRandomMap:

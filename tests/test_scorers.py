@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import random
 import socket
 import threading
 import urllib.error
@@ -21,7 +22,7 @@ from gridground.errors import (
     ScorerTimeout,
 )
 from gridground.bundled import bundled_path
-from gridground.gridmap import GridPose
+from gridground.gridmap import GridPose, OccupancyGrid, load_map, random_map, serialize_map
 from gridground.grounded import ACTIONS, Instruction
 from gridground.scorers import (
     Cassette,
@@ -34,10 +35,10 @@ from gridground.scorers import (
     request_fingerprint,
 )
 from gridground.simulator import load_scenario
-from gridground import translator
+from gridground import bench, translator
 
 from conftest import grid_from_rows, open_grid
-from reference import reference_fingerprint
+from reference import ReferenceOracleScorer, reference_fingerprint
 
 E_MINUS_2 = 0.1353352832366127  # math.exp(-2), frozen
 
@@ -118,33 +119,46 @@ class TestOracleScore:
         assert got[1] == 1.0 and got[3] == 1.0
 
 
+def count_field_builds(monkeypatch) -> list:
+    """Record the grid of every distances_to call that built a field, not read the kept one."""
+    builds = []
+    real = OccupancyGrid.distances_to
+
+    def counting(grid, goal):
+        before = vars(grid).get("_goal_field")
+        fld = real(grid, goal)
+        if vars(grid)["_goal_field"] is not before:
+            builds.append(grid)
+        return fld
+
+    monkeypatch.setattr(OccupancyGrid, "distances_to", counting)
+    return builds
+
+
 class TestOracleScorerMemo:
+    def test_holds_no_state(self):
+        scorer = OracleScorer()
+        assert vars(scorer) == {}
+        scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
+        assert vars(scorer) == {}
+
     def test_one_field_per_grid_and_goal(self, monkeypatch):
-        calls = []
-        real = scorers_mod.distance_field
-
-        def counting(grid, goal, connectivity=None):
-            calls.append((id(grid), tuple(goal)))
-            if connectivity is None:
-                return real(grid, goal)
-            return real(grid, goal, connectivity)
-
-        monkeypatch.setattr(scorers_mod, "distance_field", counting)
+        builds = count_field_builds(monkeypatch)
         scorer = OracleScorer()
         g = open_grid(6, 6)
         for state in [(1, 1), (2, 1), (2, 2), (3, 2)]:
             scorer(query_at(g, state, (5, 5)))
-        assert len(calls) == 1
+        OracleScorer()(query_at(g, (3, 3), (5, 5)))  # a fresh scorer reads the grid's field too
+        assert builds == [g]
 
         scorer(query_at(g, (1, 1), (0, 0)))  # new goal forces a new field
-        assert len(calls) == 2
+        assert len(builds) == 2
 
         g2 = open_grid(6, 6)  # equal content, distinct object
         scorer(query_at(g2, (1, 1), (5, 5)))
-        assert len(calls) == 3
+        assert len(builds) == 3 and builds[2] is g2
 
     def test_releases_grid_it_moved_past(self):
-        # only the last (grid, goal) field is kept, so sensed grids do not pile up
         scorer = OracleScorer()
         g1 = open_grid(6, 6)
         scorer(query_at(g1, (1, 1), (5, 5)))
@@ -152,15 +166,46 @@ class TestOracleScorerMemo:
         scorer(query_at(open_grid(6, 6), (1, 1), (5, 5)))
         del g1
         gc.collect()
-        assert ref() is None
+        assert ref() is None  # the field lives on the grid, and nothing else holds the grid
 
     def test_matches_functional_form(self):
-        # one shared scorer (memoized field) agrees with a fresh one per query
+        # one shared scorer agrees with a fresh one per query
         g = grid_from_rows(["....", ".##.", "...."])
         scorer = OracleScorer()
         for state in [(0, 0), (0, 1), (0, 2), (3, 0)]:
             q = query_at(g, state, (3, 2))
             assert scorer(q) == OracleScorer()(q)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_stateful_reference(self, seed):
+        # one query sequence over goal switches on one grid, equal-content
+        # grids that are distinct objects, and sensed grids: a field kept for
+        # the wrong grid or goal would show as a differing score
+        rng = random.Random(seed)
+        scorer, reference = OracleScorer(), ReferenceOracleScorer()
+        base = random_map(12, 9, 0.25, seed)
+        grids = [base]
+        for _ in range(120):
+            pick = rng.random()
+            g = rng.choice(grids)
+            if pick < 0.15:
+                g = load_map(serialize_map(g))  # equal content, distinct object
+            elif pick < 0.35:
+                cells = [GridPose(rng.randrange(g.width), rng.randrange(g.height)) for _ in range(rng.randint(0, 4))]
+                g = g.with_occupied(cells)
+            grids.append(g)
+            goal = GridPose(rng.randrange(g.width), rng.randrange(g.height))
+            for _ in range(rng.randint(1, 4)):
+                state = (rng.randrange(-1, g.width + 1), rng.randrange(-1, g.height + 1))
+                q = query_at(g, state, goal)
+                assert scorer(q) == reference(q)
+
+    def test_reused_scenario_builds_its_base_field_once(self, monkeypatch):
+        builds = count_field_builds(monkeypatch)
+        scenario = load_scenario(bundled_path("corridor.scenario.yaml"))
+        rows = [bench.run_trial(scenario, "grounded:oracle", seed, "corridor") for seed in (1, 2)]
+        assert all(r.correct for r in rows)
+        assert [g for g in builds if g is scenario.map] == [scenario.map]
 
 
 class TestRequestFingerprint:
@@ -521,6 +566,7 @@ class TestEndpointConfig:
         {"timeout": math.inf}, {"timeout": math.nan},
         {"temperature": math.inf}, {"temperature": -math.inf}, {"temperature": math.nan},
         {"base_url": "no-scheme"}, {"base_url": "ftp://host/v1"}, {"base_url": "http://"}, {"base_url": 5},
+        {"model_name": 5}, {"model_name": None}, {"api_key_env": 5}, {"api_key_env": ["K"]},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
