@@ -436,14 +436,17 @@ def load_suite(path: str | Path) -> Suite:
         raise ConfigError("suite needs a non-empty 'planners' list of ids")
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ConfigError("'trials_per_pair' must be a positive integer")
-    scenarios = []
+    scenarios, seen = [], {}  # seen: id -> the index that first used it
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry or "file" not in entry:
             raise ConfigError(f"scenarios[{i}] needs 'id' and 'file'")
         sid = str(entry["id"])
         # the id names the file trajectories_<id>.svg in the output directory
-        if sid in (".", "..") or any(c in sid for c in "/\\\0"):
-            raise ConfigError(f"scenarios[{i}].id {sid!r} must not be '.' or '..' or hold '/', '\\' or NUL")
+        if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+            raise ConfigError(f"scenarios[{i}].id {sid!r} must not be empty, '.' or '..' or hold '/', '\\' or NUL")
+        if sid in seen:
+            raise ConfigError(f"scenarios[{i}].id {sid!r} repeats scenarios[{seen[sid]}].id")
+        seen[sid] = i
         if not isinstance(entry["file"], str):
             raise ConfigError(f"scenarios[{i}].file must be a path string, got {entry['file']!r}")
         scenarios.append((sid, load_scenario(p.parent / entry["file"])))

@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -33,7 +32,7 @@ class CellState(Enum):
 
 
 _CHAR_TO_CELL = {c.value: c for c in CellState}
-_CELL_CHAR = attrgetter("_value_")  # a member's map character, without the Enum.value property
+_FREE, _OCCUPIED = ord("."), ord("#")
 # map character -> free-mask byte: 1 for Free, 0 for Occupied and Unknown
 _FREE_BYTE = bytes.maketrans(b".#?", b"\x01\x00\x00")
 
@@ -58,7 +57,7 @@ FOUR_DELTAS: tuple[tuple[int, int], ...] = ((0, -1), (1, 0), (-1, 0), (0, 1))
 DIAGONAL_DELTAS: tuple[tuple[int, int], ...] = ((1, -1), (1, 1), (-1, 1), (-1, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OccupancyGrid:
     """An immutable rectangular grid of cell states.
 
@@ -66,40 +65,35 @@ class OccupancyGrid:
         width: number of columns, >= 1.
         height: number of rows, >= 1.
         resolution: meters per cell edge, > 0.
-        cells: row-major tuple of length width * height. Other modules read
-            it through is_free, cell and rows, so the layout is known here only.
 
-    Views derived from ``cells`` are built on first use and then kept for as
-    long as the grid lives (the grid is frozen, so they never go stale):
-
-    * the map text rows behind ``rows()``;
-    * ``free_mask``, the flat kernel: one byte per cell, 1 where Free, row-major
-      with a one-cell pad of 0 bytes around the grid, so every in-bounds cell
-      has all eight neighbours in range. Kernels address it through
-      ``flat_index``, ``flat_offsets``, ``flat_pose`` and ``strip_pad`` only.
-
-    One cost-to-goal view, the ``distances_to`` field, is kept for the last
-    goal asked only, as one (goal, field) pair that a new goal replaces.
-    ``with_occupied`` derives a sensed grid's rows and mask from its parent's;
-    a sensed grid starts with no field.
+    The cells are stored once, as ``_padded``: the map characters in row-major
+    ``bytes`` with a pad of one ``#`` cell on every side, so every cell has all
+    eight neighbours in range; ``flat_index`` indexes it. All else is a view of
+    it, built on first read and then kept (the grid is frozen, so none goes
+    stale): ``cells``, the ``CellState`` tuple; the text rows behind ``rows()``;
+    and ``free_mask``, the kernels' mask, 1 where Free, addressed through
+    ``flat_index``, ``flat_offsets``, ``flat_pose`` and ``strip_pad`` only. One
+    cost-to-goal field, ``distances_to``, is kept for the last goal asked only.
     """
 
     width: int
     height: int
     resolution: float
-    cells: tuple[CellState, ...]
+    _padded: bytes
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"grid dimensions must be >= 1, got {self.width}x{self.height}")
-        if not (isinstance(self.resolution, (int, float)) and math.isfinite(self.resolution) and self.resolution > 0):
-            raise ValueError(f"resolution must be a positive finite number, got {self.resolution!r}")
-        object.__setattr__(self, "cells", tuple(self.cells))
-        if len(self.cells) != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} cells for a "
-                f"{self.width}x{self.height} grid, got {len(self.cells)}"
-            )
+    def __init__(self, width: int, height: int, resolution: float, cells: Iterable[CellState]):
+        if width < 1 or height < 1:
+            raise ValueError(f"grid dimensions must be >= 1, got {width}x{height}")
+        if not (isinstance(resolution, (int, float)) and math.isfinite(resolution) and resolution > 0):
+            raise ValueError(f"resolution must be a positive finite number, got {resolution!r}")
+        cells = tuple(cells)
+        if len(cells) != width * height:
+            raise ValueError(f"expected {width * height} cells for a {width}x{height} grid, got {len(cells)}")
+        if bad := [c for c in cells if not isinstance(c, CellState)]:
+            raise ValueError(f"cells must be CellState members, got {bad[0]!r}")
+        text = "".join(c.value for c in cells)
+        padded = _pad(width, (text[i:i + width] for i in range(0, len(text), width)))
+        vars(self).update(width=width, height=height, resolution=resolution, _padded=padded)
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -107,12 +101,17 @@ class OccupancyGrid:
     def is_free(self, x: int, y: int) -> bool:
         """Whether (x, y) is a Free cell; False outside the grid."""
         w = self.width
-        return 0 <= x < w and 0 <= y < self.height and self.cells[y * w + x] is CellState.FREE
+        return 0 <= x < w and 0 <= y < self.height and self._padded[(y + 1) * (w + 2) + x + 1] == _FREE
+
+    @cached_property
+    def cells(self) -> tuple[CellState, ...]:
+        """Row-major tuple of width * height cell states."""
+        return tuple(map(_CHAR_TO_CELL.__getitem__, "".join(self._rows)))
 
     @cached_property
     def _rows(self) -> tuple[str, ...]:
-        text = "".join(map(_CELL_CHAR, self.cells))
-        return tuple(text[i:i + self.width] for i in range(0, len(text), self.width))
+        text, w = self._padded.decode("ascii"), self.width
+        return tuple(text[i:i + w] for i in range(w + 3, (w + 2) * (self.height + 1), w + 2))
 
     def rows(self) -> list[str]:
         """The map text rows, top to bottom, one character per cell (a fresh list)."""
@@ -121,9 +120,7 @@ class OccupancyGrid:
     @cached_property
     def free_mask(self) -> bytes:
         """Padded row-major free mask, (width + 2) * (height + 2) bytes; see the class docstring."""
-        edge = "#" * (self.width + 2)
-        text = f"{edge}#{'##'.join(self._rows)}#{edge}"
-        return text.encode("ascii").translate(_FREE_BYTE)
+        return self._padded.translate(_FREE_BYTE)
 
     @cached_property
     def flat_offsets(self) -> tuple[int, ...]:
@@ -180,26 +177,35 @@ class OccupancyGrid:
         """Return the state at (x, y), raising OutOfBounds outside the grid."""
         if not self.in_bounds(x, y):
             raise OutOfBounds(f"({x},{y}) outside {self.width}x{self.height} grid")
-        return self.cells[y * self.width + x]
+        return _CHAR_TO_CELL[chr(self._padded[self.flat_index(x, y)])]
 
     def with_occupied(self, poses: Iterable[GridPose]) -> "OccupancyGrid":
         """Return a new grid with the given cells marked Occupied.
 
-        The new grid's rows and mask are this grid's, copied with only the
-        given cells changed, instead of being rebuilt from its cells; it keeps
-        no field. The result is always a new object, also for no poses.
+        The new grid's store is a copy of this one's with ``#`` written at
+        each pose; it builds its views and field afresh when they are read.
+        The result is always a new object, also for no poses.
         """
-        cells, rows, mask = list(self.cells), list(self._rows), bytearray(self.free_mask)
+        padded = bytearray(self._padded)
         for p in poses:
             x, y = p[0], p[1]
             if not self.in_bounds(x, y):
                 raise OutOfBounds(f"({x},{y}) outside {self.width}x{self.height} grid")
-            cells[y * self.width + x] = CellState.OCCUPIED
-            rows[y] = f"{rows[y][:x]}#{rows[y][x + 1:]}"
-            mask[self.flat_index(x, y)] = 0
-        grid = OccupancyGrid(self.width, self.height, self.resolution, tuple(cells))
-        vars(grid).update(_rows=tuple(rows), free_mask=bytes(mask))
-        return grid
+            padded[self.flat_index(x, y)] = _OCCUPIED
+        return _grid(self.width, self.height, self.resolution, bytes(padded))
+
+
+def _pad(width: int, rows: Iterable[str]) -> bytes:
+    """The padded store of a grid with these map text rows."""
+    edge = "#" * (width + 2)
+    return f"{edge}#{'##'.join(rows)}#{edge}".encode("ascii")
+
+
+def _grid(width: int, height: int, resolution: float, padded: bytes) -> OccupancyGrid:
+    """A grid over a store built from checked rows, without the constructor's checks."""
+    grid = object.__new__(OccupancyGrid)
+    vars(grid).update(width=width, height=height, resolution=resolution, _padded=padded)
+    return grid
 
 
 def load_map(text: str) -> OccupancyGrid:
@@ -256,9 +262,7 @@ def load_map(text: str) -> OccupancyGrid:
             raise UnknownCharacter(
                 f"row {i + 1} (line {i + 2}), column {j + 1}: unexpected character {ch!r}"
             )
-    grid = OccupancyGrid(width, height, resolution, tuple(map(_CHAR_TO_CELL.__getitem__, "".join(rows))))
-    vars(grid)["_rows"] = tuple(rows)  # the validated rows are the cached view already
-    return grid
+    return _grid(width, height, resolution, _pad(width, rows))
 
 
 def serialize_map(grid: OccupancyGrid) -> str:
@@ -281,17 +285,9 @@ def random_map(width: int, height: int, density: float, seed: int) -> OccupancyG
     if width < 1 or height < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {width}x{height}")
     rng = random.Random(seed)
-    cells: list[CellState] = []
-    for y in range(height):
-        for x in range(width):
-            border = x == 0 or y == 0 or x == width - 1 or y == height - 1
-            if border:
-                cells.append(CellState.FREE)
-            elif rng.random() < density:
-                cells.append(CellState.OCCUPIED)
-            else:
-                cells.append(CellState.FREE)
-    return OccupancyGrid(width, height, 1.0, tuple(cells))
+    rows = ["".join("#" if 0 < y < height - 1 and 0 < x < width - 1 and rng.random() < density else "."
+                    for x in range(width)) for y in range(height)]
+    return _grid(width, height, 1.0, _pad(width, rows))
 
 
 def neighbors(

@@ -12,11 +12,13 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
-from typing import Sequence
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from gridground.classical import SQRT2, PlannedPath, check_endpoints
-from gridground.errors import EmptyPath, RaggedRows, ScorerFailure, UnknownCharacter
+from gridground.errors import EmptyPath, OutOfBounds, RaggedRows, ScorerFailure, UnknownCharacter
 from gridground.gridmap import DIAGONAL_DELTAS, FOUR_DELTAS, CellState, Connectivity, GridPose, OccupancyGrid
 from gridground.grounded import (
     ACTIONS,
@@ -170,6 +172,89 @@ def reference_load_rows(rows: list[str], width: int) -> list[CellState]:
                 )
             cells.append(state)
     return cells
+
+
+# --- the grid that kept three stores in step: cells, text rows and free mask ---
+
+_CELL_CHAR = attrgetter("_value_")
+_FREE_BYTE = bytes.maketrans(b".#?", b"\x01\x00\x00")
+
+
+@dataclass(frozen=True)
+class ReferenceOccupancyGrid:
+    """The storage half of OccupancyGrid as it was before the one padded store:
+    the ``cells`` tuple is the field, rows and mask are views of it, and
+    ``with_occupied`` edits copies of all three."""
+
+    width: int
+    height: int
+    resolution: float
+    cells: tuple[CellState, ...]
+
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"grid dimensions must be >= 1, got {self.width}x{self.height}")
+        if not (isinstance(self.resolution, (int, float)) and math.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError(f"resolution must be a positive finite number, got {self.resolution!r}")
+        object.__setattr__(self, "cells", tuple(self.cells))
+        if len(self.cells) != self.width * self.height:
+            raise ValueError(
+                f"expected {self.width * self.height} cells for a "
+                f"{self.width}x{self.height} grid, got {len(self.cells)}"
+            )
+
+    def in_bounds(self, x: int, y: int) -> bool:
+        return 0 <= x < self.width and 0 <= y < self.height
+
+    def is_free(self, x: int, y: int) -> bool:
+        """Whether (x, y) is a Free cell; False outside the grid."""
+        w = self.width
+        return 0 <= x < w and 0 <= y < self.height and self.cells[y * w + x] is CellState.FREE
+
+    @cached_property
+    def _rows(self) -> tuple[str, ...]:
+        text = "".join(map(_CELL_CHAR, self.cells))
+        return tuple(text[i:i + self.width] for i in range(0, len(text), self.width))
+
+    def rows(self) -> list[str]:
+        """The map text rows, top to bottom, one character per cell (a fresh list)."""
+        return list(self._rows)
+
+    @cached_property
+    def free_mask(self) -> bytes:
+        """Padded row-major free mask, (width + 2) * (height + 2) bytes; see the class docstring."""
+        edge = "#" * (self.width + 2)
+        text = f"{edge}#{'##'.join(self._rows)}#{edge}"
+        return text.encode("ascii").translate(_FREE_BYTE)
+
+    def flat_index(self, x: int, y: int) -> int:
+        """Index of cell (x, y) in free_mask; the pad cells around the grid have indices too."""
+        return (y + 1) * (self.width + 2) + x + 1
+
+    def cell(self, x: int, y: int) -> CellState:
+        """Return the state at (x, y), raising OutOfBounds outside the grid."""
+        if not self.in_bounds(x, y):
+            raise OutOfBounds(f"({x},{y}) outside {self.width}x{self.height} grid")
+        return self.cells[y * self.width + x]
+
+    def with_occupied(self, poses: Iterable[GridPose]) -> "ReferenceOccupancyGrid":
+        """Return a new grid with the given cells marked Occupied.
+
+        The new grid's rows and mask are this grid's, copied with only the
+        given cells changed, instead of being rebuilt from its cells; it keeps
+        no field. The result is always a new object, also for no poses.
+        """
+        cells, rows, mask = list(self.cells), list(self._rows), bytearray(self.free_mask)
+        for p in poses:
+            x, y = p[0], p[1]
+            if not self.in_bounds(x, y):
+                raise OutOfBounds(f"({x},{y}) outside {self.width}x{self.height} grid")
+            cells[y * self.width + x] = CellState.OCCUPIED
+            rows[y] = f"{rows[y][:x]}#{rows[y][x + 1:]}"
+            mask[self.flat_index(x, y)] = 0
+        grid = ReferenceOccupancyGrid(self.width, self.height, self.resolution, tuple(cells))
+        vars(grid).update(_rows=tuple(rows), free_mask=bytes(mask))
+        return grid
 
 
 # --- the grounded planner, one ScoredAction and StepRecord per step ---

@@ -585,9 +585,15 @@ class TestBenchCommand:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
-    @pytest.mark.parametrize("sid", ["../esc", "a/b", "a\\b", ".", "..", '"a\\0b"'])
+    @pytest.mark.parametrize("sid", [
+        "../esc", "a/b", "a\\b", ".", "..", '"a\\0b"', '""',
+        # a second scenario under the same id, also when one is an int and one a string
+        pytest.param("x\n    file: case.yaml\n  - id: x", id="repeated"),
+        pytest.param("5\n    file: case.yaml\n  - id: '5'", id="repeated_int_and_str"),
+    ])
     def test_unsafe_suite_id(self, tmp_path, capsys, sid):
         # the id names trajectories_<id>.svg, so it is checked before anything is written
+        index = sid.count("- id:")  # the entry the error names: the last one
         suite = write_tiny_suite(tmp_path)
         suite.write_text(SUITE_TEXT.replace("id: tiny", f"id: {sid}"))
         out_dir = tmp_path / "o" / "inner"
@@ -596,7 +602,9 @@ class TestBenchCommand:
         out, err = capsys.readouterr()
         assert rc == 1
         assert out == ""
-        assert err.startswith("error: scenarios[0].id")
+        assert err.startswith(f"error: scenarios[{index}].id")
+        assert index == 0 or "repeats scenarios[0].id" in err
+        assert "Traceback" not in err
         assert list((tmp_path / "o").rglob("*")) == [out_dir]  # nothing written, in or beside it
 
     def test_missing_suite_file(self, tmp_path, capsys):

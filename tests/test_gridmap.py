@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,7 +26,12 @@ from gridground.gridmap import (
 )
 
 from conftest import grid_from_rows, open_grid
-from reference import reference_distance_field, reference_load_rows, reference_neighbors
+from reference import (
+    ReferenceOccupancyGrid,
+    reference_distance_field,
+    reference_load_rows,
+    reference_neighbors,
+)
 
 
 @st.composite
@@ -143,6 +149,8 @@ class TestOccupancyGrid:
             OccupancyGrid(1, 1, 0.0, (CellState.FREE,))
         with pytest.raises(ValueError):
             OccupancyGrid(1, 1, float("nan"), (CellState.FREE,))
+        with pytest.raises(ValueError, match="got 'x'"):
+            OccupancyGrid(2, 1, 1.0, ("x", CellState.FREE))
 
     def test_with_occupied_copies(self):
         g = open_grid(3, 3)
@@ -229,6 +237,76 @@ class TestDerivedViews:
     def test_with_occupied_returns_a_new_grid_for_no_poses(self):
         g = open_grid(2, 2)
         assert g.with_occupied([]) is not g
+
+
+def cell_outcome(grid, x, y):
+    try:
+        return grid.cell(x, y)
+    except OutOfBounds as exc:
+        return str(exc)
+
+
+def assert_same_grid(g, ref):
+    """g answers every cell query as the three-store reference grid does, on the grid and a ring around it."""
+    assert len(g.cells) == len(ref.cells) and all(a is b for a, b in zip(g.cells, ref.cells))
+    assert (g.rows(), g.free_mask) == (ref.rows(), ref.free_mask)
+    for y in range(-1, g.height + 1):
+        for x in range(-1, g.width + 1):
+            assert g.is_free(x, y) == ref.is_free(x, y)
+            assert cell_outcome(g, x, y) == cell_outcome(ref, x, y)
+
+
+STORE_FIELDS = {"width", "height", "resolution", "_padded"}
+
+
+class TestOneStore:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_grid_matches_the_three_store_reference(self, w, h, data):
+        cells = data.draw(st.lists(st.sampled_from(CellState), min_size=w * h, max_size=w * h))
+        ref = ReferenceOccupancyGrid(w, h, 0.5, cells)
+        g = OccupancyGrid(w, h, 0.5, cells)
+        if data.draw(st.booleans(), label="loaded"):
+            g = load_map(serialize_map(g))
+        if data.draw(st.booleans(), label="views read first"):
+            g.cells, g.rows(), g.free_mask
+        # in-bounds poses repeat and land on Unknown cells as drawn; at most one pose is off the grid
+        poses = data.draw(st.lists(st.builds(GridPose, st.integers(0, w - 1), st.integers(0, h - 1)), max_size=10))
+        if data.draw(st.booleans(), label="off the grid"):
+            off = data.draw(st.sampled_from([GridPose(-1, 0), GridPose(0, -1), GridPose(w, 0), GridPose(0, h)]))
+            poses.insert(data.draw(st.integers(0, len(poses))), off)
+        parent_vars = dict(vars(g))
+        try:
+            ref_sensed = ref.with_occupied(poses)
+        except OutOfBounds as exc:
+            with pytest.raises(OutOfBounds, match=re.escape(str(exc))):
+                g.with_occupied(poses)
+        else:
+            sensed = g.with_occupied(poses)
+            assert_same_grid(sensed, ref_sensed)
+            built = OccupancyGrid(w, h, 0.5, ref_sensed.cells)
+            assert sensed == built and hash(sensed) == hash(built)
+            assert (sensed == g) == (ref_sensed.cells == ref.cells)
+            assert load_map(serialize_map(sensed)) == sensed
+        assert vars(g) == parent_vars  # the parent's store and views are untouched
+        assert_same_grid(g, ref)
+        assert load_map(serialize_map(g)) == g
+
+    def test_a_fresh_grid_holds_only_its_store(self):
+        parent = open_grid(3, 2)
+        fresh = [
+            load_map("3 2 1.0\n.#?\n...\n"),
+            OccupancyGrid(3, 2, 1.0, [CellState.FREE] * 6),
+            random_map(3, 2, 0.5, seed=1),
+            parent.with_occupied([GridPose(1, 1)]),
+        ]
+        parent.free_mask, parent.distances_to(GridPose(0, 0))
+        fresh.append(parent.with_occupied([]))  # a sensed grid starts with none of its parent's views
+        for g in fresh:
+            assert set(vars(g)) == STORE_FIELDS
+        g = fresh[0]
+        assert g.cell(1, 0) is CellState.OCCUPIED and g.is_free(0, 0)
+        assert set(vars(g)) == STORE_FIELDS  # cell and is_free read the store itself
 
 
 def held_field(grid):

@@ -39,10 +39,11 @@ def test_bare_import_loads_no_http_stack():
     assert proc.stdout.split() == []
 
 
-# Reading cells, or building a free_mask index by hand (a stride, width + 2,
-# the private views or the mask's byte table), belongs in gridmap alone; other
-# modules go through is_free/cell/rows and flat_index/flat_offsets/flat_pose/strip_pad.
-LAYOUT_READS = re.compile(r"\.cells\b|\bstride\b|width \+ 2|\._rows\b|_FREE_BYTE")
+# Reading the padded store or its cells view, or building a free_mask index by
+# hand (a stride, width + 2, the private rows view or the mask's byte table),
+# belongs in gridmap alone; other modules go through is_free/cell/rows and
+# flat_index/flat_offsets/flat_pose/strip_pad.
+LAYOUT_READS = re.compile(r"\._padded\b|\.cells\b|\bstride\b|width \+ 2|\._rows\b|_FREE_BYTE")
 
 
 def test_only_gridmap_reads_the_cell_layout():
@@ -52,6 +53,7 @@ def test_only_gridmap_reads_the_cell_layout():
         for m in LAYOUT_READS.finditer(p.read_text())
     )
     assert readers == []
+    assert "._padded" in LAYOUT_READS.findall((src / "gridmap.py").read_text())  # the guard names the store
 
 
 @pytest.mark.parametrize("with_libyaml", [True, False])
