@@ -440,7 +440,10 @@ def load_suite(path: str | Path) -> Suite:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry or "file" not in entry:
             raise ConfigError(f"scenarios[{i}] needs 'id' and 'file'")
-        sid = str(entry["id"])
+        sid = entry["id"]
+        if not isinstance(sid, (str, int)) or isinstance(sid, bool):
+            raise ConfigError(f"scenarios[{i}].id must be a string or an integer, got {sid!r}")
+        sid = str(sid)
         # the id names the file trajectories_<id>.svg in the output directory
         if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
             raise ConfigError(f"scenarios[{i}].id {sid!r} must not be empty, '.' or '..' or hold '/', '\\' or NUL")

@@ -66,6 +66,14 @@ def astar(
     costs above. Open-list ties break on lowest f, then lowest h, then
     insertion order, which makes repeated runs byte-identical.
 
+    Under four-connectivity every cost is an integer, so each open-list
+    entry is one int, ``(f * H + h) * T + tick``, with H above any h and T
+    above the number of pushes: it pops in exactly that order, and the node
+    comes back from a list indexed by tick. h is read from the grid's
+    Manhattan table, which is shared by every grid of the same shape and
+    goal. Eight-connected costs are irrational, so that search keeps float
+    ``(f, h, tick)`` tuples.
+
     Returns:
         The optimal path, or None when the goal is unreachable.
 
@@ -76,19 +84,62 @@ def astar(
     start, goal = GridPose(*start), GridPose(*goal)
     if start == goal:
         return PlannedPath((start,), grid.resolution)
+    search = _search_four if connectivity is Connectivity.FOUR else _search_eight
+    parent = search(grid, start, goal)
+    if parent is None:
+        return None
+    # nodes are free_mask indices; parent maps each reached node to its predecessor
+    src = grid.flat_index(*start)
+    path = [grid.flat_index(*goal)]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    return PlannedPath(tuple(grid.flat_pose(i) for i in reversed(path)), grid.resolution)
 
-    # nodes are free_mask indices; each heap entry carries its node's (x, y)
-    # after the (f, h, tick) key, which alone decides the order
+
+def _search_four(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> dict[int, int] | None:
+    mask, h = grid.free_mask, grid.manhattan_to(goal)
+    offsets = grid.flat_offsets[:4]
+    src, dst = grid.flat_index(*start), grid.flat_index(*goal)
+    n = len(mask)
+    H = grid.width + grid.height + 2  # above any h
+    T = 4 * n + 2  # above the number of pushes: at most one per expanded neighbour
+    g = [n] * n  # n is above any path cost
+    g[src] = 0
+    parent: dict[int, int] = {}
+    closed = bytearray(n)
+    nodes = [src]  # nodes[tick]: the node pushed at that tick
+    open_heap = [(h[src] * H + h[src]) * T]
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    while open_heap:
+        cur = nodes[heappop(open_heap) % T]
+        if closed[cur]:
+            continue
+        closed[cur] = 1
+        if cur == dst:
+            return parent
+        ng = g[cur] + 1
+        for o in offsets:
+            nb = cur + o
+            # the Manhattan heuristic is consistent, so a closed nb already holds
+            # its least cost and fails ng < g[nb] without a closed check
+            if mask[nb] and ng < g[nb]:
+                g[nb] = ng
+                parent[nb] = cur
+                hn = h[nb]
+                heappush(open_heap, ((ng + hn) * H + hn) * T + len(nodes))
+                nodes.append(nb)
+    return None
+
+
+def _search_eight(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> dict[int, int] | None:
+    # each heap entry carries its node's (x, y) after the (f, h, tick) key, which alone decides the order
     gx, gy = goal
-    if connectivity is Connectivity.FOUR:
-        def h(x: int, y: int) -> float:
-            return abs(x - gx) + abs(y - gy)
-        moves = tuple(zip(grid.flat_offsets, FOUR_DELTAS))
-    else:
-        def h(x: int, y: int) -> float:
-            dx, dy = abs(x - gx), abs(y - gy)
-            return max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy)
-        moves = tuple(zip(grid.flat_offsets, FOUR_DELTAS + DIAGONAL_DELTAS))
+
+    def h(x: int, y: int) -> float:
+        dx, dy = abs(x - gx), abs(y - gy)
+        return max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy)
+    moves = tuple(zip(grid.flat_offsets, FOUR_DELTAS + DIAGONAL_DELTAS))
 
     mask = grid.free_mask
     src, dst = grid.flat_index(*start), grid.flat_index(*goal)
@@ -106,10 +157,7 @@ def astar(
             continue
         closed[cur] = 1
         if cur == dst:
-            path = [cur]
-            while path[-1] != src:
-                path.append(parent[path[-1]])
-            return PlannedPath(tuple(grid.flat_pose(i) for i in reversed(path)), grid.resolution)
+            return parent
         g_cur = g[cur]
         for o, (dx, dy) in moves:
             nb = cur + o

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -73,7 +73,9 @@ class OccupancyGrid:
     stale): ``cells``, the ``CellState`` tuple; the text rows behind ``rows()``;
     and ``free_mask``, the kernels' mask, 1 where Free, addressed through
     ``flat_index``, ``flat_offsets``, ``flat_pose`` and ``strip_pad`` only. One
-    cost-to-goal field, ``distances_to``, is kept for the last goal asked only.
+    cost-to-goal field, ``distances_to``, is kept for the last goal asked only;
+    the heuristic tables of ``manhattan_to`` depend on the shape alone and are
+    shared between grids.
     """
 
     width: int
@@ -173,6 +175,15 @@ class OccupancyGrid:
         vars(self)["_goal_field"] = held
         return held[1]
 
+    def manhattan_to(self, goal: GridPose) -> tuple[int, ...]:
+        """``|x - gx| + |y - gy|`` of every free_mask index, pad cells included.
+
+        goal must be a cell of the grid. The table depends on the grid's shape
+        and the goal alone, so grids of one shape share it: the tables of the
+        last 8 (width, height, goal) keys asked are kept.
+        """
+        return _manhattan_table(self.width, self.height, goal[0], goal[1])
+
     def cell(self, x: int, y: int) -> CellState:
         """Return the state at (x, y), raising OutOfBounds outside the grid."""
         if not self.in_bounds(x, y):
@@ -199,6 +210,19 @@ def _pad(width: int, rows: Iterable[str]) -> bytes:
     """The padded store of a grid with these map text rows."""
     edge = "#" * (width + 2)
     return f"{edge}#{'##'.join(rows)}#{edge}".encode("ascii")
+
+
+@lru_cache(maxsize=8)
+def _manhattan_table(width: int, height: int, gx: int, gy: int) -> tuple[int, ...]:
+    # each padded row falls to the goal's column, then rises: two slices of one
+    # list of distances, so every entry is one of its int objects
+    dist = list(range(width + height + 2))
+    table: list[int] = []
+    for y in range(-1, height + 1):
+        dy = abs(y - gy)
+        table += dist[dy + gx + 1:dy:-1]
+        table += dist[dy:dy + width - gx + 1]
+    return tuple(table)  # shared by every grid of the shape, so immutable
 
 
 def _grid(width: int, height: int, resolution: float, padded: bytes) -> OccupancyGrid:

@@ -1,7 +1,8 @@
 """Independent reference implementations the tests check the program against.
 
 They read the grid only through ``OccupancyGrid.is_free``, never through the
-flat free mask that the planners run on.
+flat free mask that the planners run on, except ``reference_astar``: the
+planner's former search, kept as it was.
 """
 
 from __future__ import annotations
@@ -46,6 +47,86 @@ def reference_neighbors(
             if is_free(nx, ny) and (is_free(nx, s[1]) or is_free(s[0], ny)):
                 result.append(GridPose(nx, ny))
     return result
+
+
+def reference_astar(
+    grid: OccupancyGrid,
+    start: GridPose,
+    goal: GridPose,
+    connectivity: Connectivity = Connectivity.FOUR,
+) -> PlannedPath | None:
+    """classical.astar as it was before its four-connected open list took one int key.
+
+    Kept verbatim, with float (f, h, tick) tuples under both connectivities,
+    so the two searches can be compared path for path.
+
+    Uses the Manhattan heuristic under four-connectivity and the octile
+    heuristic under eight-connectivity; both are admissible for the step
+    costs above. Open-list ties break on lowest f, then lowest h, then
+    insertion order, which makes repeated runs byte-identical.
+
+    Returns:
+        The optimal path, or None when the goal is unreachable.
+
+    Raises:
+        InvalidEndpoint: start or goal out of bounds or not Free.
+    """
+    check_endpoints(grid, start, goal)
+    start, goal = GridPose(*start), GridPose(*goal)
+    if start == goal:
+        return PlannedPath((start,), grid.resolution)
+
+    # nodes are free_mask indices; each heap entry carries its node's (x, y)
+    # after the (f, h, tick) key, which alone decides the order
+    gx, gy = goal
+    if connectivity is Connectivity.FOUR:
+        def h(x: int, y: int) -> float:
+            return abs(x - gx) + abs(y - gy)
+        moves = tuple(zip(grid.flat_offsets, FOUR_DELTAS))
+    else:
+        def h(x: int, y: int) -> float:
+            dx, dy = abs(x - gx), abs(y - gy)
+            return max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy)
+        moves = tuple(zip(grid.flat_offsets, FOUR_DELTAS + DIAGONAL_DELTAS))
+
+    mask = grid.free_mask
+    src, dst = grid.flat_index(*start), grid.flat_index(*goal)
+    tick = count()
+    g = [math.inf] * len(mask)
+    g[src] = 0.0
+    parent: dict[int, int] = {}
+    closed = bytearray(len(mask))
+    h0 = h(*start)
+    open_heap = [(h0, h0, next(tick), src, start.x, start.y)]
+
+    while open_heap:
+        _, _, _, cur, x, y = heapq.heappop(open_heap)
+        if closed[cur]:
+            continue
+        closed[cur] = 1
+        if cur == dst:
+            path = [cur]
+            while path[-1] != src:
+                path.append(parent[path[-1]])
+            return PlannedPath(tuple(grid.flat_pose(i) for i in reversed(path)), grid.resolution)
+        g_cur = g[cur]
+        for o, (dx, dy) in moves:
+            nb = cur + o
+            if not mask[nb] or closed[nb]:
+                continue
+            if dx and dy:
+                # both adjacent cardinals blocked -> no squeezing through the corner
+                if not (mask[cur + dx] or mask[nb - dx]):
+                    continue
+                ng = g_cur + SQRT2
+            else:
+                ng = g_cur + 1.0
+            if ng < g[nb]:
+                g[nb] = ng
+                parent[nb] = cur
+                hn = h(x + dx, y + dy)
+                heapq.heappush(open_heap, (ng + hn, hn, next(tick), nb, x + dx, y + dy))
+    return None
 
 
 def path_cost_cells(path: PlannedPath) -> float:

@@ -1,8 +1,10 @@
+import heapq
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridground.classical import (
     PlannedPath,
@@ -23,7 +25,53 @@ from gridground.errors import EmptyPath, InvalidEndpoint, InvalidParams
 from gridground.gridmap import CellState, Connectivity, GridPose, random_map
 
 from conftest import grid_from_rows, open_grid
-from reference import dijkstra_oracle, path_cost_cells
+from reference import dijkstra_oracle, path_cost_cells, reference_astar
+
+
+def serpentine(width, height):
+    """Open rows joined by one gap at alternating ends: the only route zigzags through every row."""
+    rows = []
+    for y in range(height):
+        gap = width - 1 if y % 4 == 1 else 0
+        rows.append("." * width if y % 2 == 0 else "".join("." if x == gap else "#" for x in range(width)))
+    return grid_from_rows(rows)
+
+
+def popped(search, *args):
+    """Every item search pops from its open list, in order."""
+    seen, pop = [], heapq.heappop
+    with mock.patch.object(heapq, "heappop", lambda heap: seen.append(pop(heap)) or seen[-1]):
+        search(*args)
+    return seen
+
+
+@st.composite
+def astar_cases(draw):
+    """(grid, start, goal) over random and sensed maps, strips, non-square maps and serpentine mazes."""
+    kind = draw(st.sampled_from(["random", "sensed", "drawn", "serpentine"]))
+    if kind == "serpentine":
+        g = serpentine(draw(st.integers(2, 16)), 2 * draw(st.integers(1, 12)) + 1)
+        # first row to last row: f climbs far past width + height along the way
+        start = GridPose(draw(st.integers(0, g.width - 1)), 0)
+        return g, start, GridPose(draw(st.integers(0, g.width - 1)), g.height - 1)
+    if kind == "drawn":  # 1xN and Nx1 strips, non-square maps, all three cell states
+        w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        cell = st.sampled_from("....#?")
+        g = grid_from_rows([
+            "".join(draw(st.lists(cell, min_size=w, max_size=w))) for _ in range(h)
+        ])
+    else:
+        g = random_map(draw(st.integers(1, 28)), draw(st.integers(1, 28)),
+                       draw(st.sampled_from([0.0, 0.15, 0.3, 0.45])), draw(st.integers(0, 10_000)))
+        if kind == "sensed":
+            pose = st.builds(GridPose, st.integers(0, g.width - 1), st.integers(0, g.height - 1))
+            g = g.with_occupied(draw(st.lists(pose, max_size=12)))
+    free = [GridPose(x, y) for y in range(g.height) for x in range(g.width) if g.is_free(x, y)]
+    assume(free)
+    border = [p for p in free if p.x in (0, g.width - 1) or p.y in (0, g.height - 1)]
+    start = draw(st.sampled_from(free))
+    goals = border if border and draw(st.booleans()) else free
+    return g, start, draw(st.sampled_from(goals))
 
 
 def assert_four_adjacent(waypoints):
@@ -150,6 +198,31 @@ class TestAstar:
             assert got is None
         else:
             assert path_cost_cells(got) == pytest.approx(want)
+
+    @pytest.mark.parametrize("connectivity", [Connectivity.FOUR, Connectivity.EIGHT])
+    @given(case=astar_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_former_search(self, connectivity, case):
+        g, start, goal = case
+        got = astar(g, start, goal, connectivity)
+        want = reference_astar(g, start, goal, connectivity)
+        assert (got and got.waypoints) == (want and want.waypoints)
+
+    @given(case=astar_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_pops_in_the_former_order(self, case):
+        # each int key decodes to the (f, h, tick) the former search popped, in the same order
+        g, start, goal = case
+        H, T = g.width + g.height + 2, 4 * len(g.free_mask) + 2
+        keys = popped(astar, g, start, goal)
+        want = [item[:3] for item in popped(reference_astar, g, start, goal)]
+        assert [(k // T // H, k // T % H, k % T) for k in keys] == want
+
+    def test_serpentine_path_visits_every_row(self):
+        g = serpentine(9, 25)
+        p = astar(g, GridPose(0, 0), GridPose(8, 24))
+        assert len(p.waypoints) - 1 == 13 * 8 + 24  # across 13 open rows and down 24: far past width + height
+        assert p.waypoints == reference_astar(g, GridPose(0, 0), GridPose(8, 24)).waypoints
 
 
 class TestDistanceField:

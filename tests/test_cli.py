@@ -587,6 +587,8 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("sid", [
         "../esc", "a/b", "a\\b", ".", "..", '"a\\0b"', '""',
+        # only strings and integers are ids: YAML null, lists, booleans, floats and maps are not
+        "null", "[1, 2]", "true", "1.5", "{a: 1}",
         # a second scenario under the same id, also when one is an int and one a string
         pytest.param("x\n    file: case.yaml\n  - id: x", id="repeated"),
         pytest.param("5\n    file: case.yaml\n  - id: '5'", id="repeated_int_and_str"),

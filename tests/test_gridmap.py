@@ -12,6 +12,7 @@ from gridground.errors import (
     RaggedRows,
     UnknownCharacter,
 )
+from gridground import gridmap
 from gridground.gridmap import (
     CellState,
     Connectivity,
@@ -362,6 +363,51 @@ class TestDistanceView:
         fld[2] = -1.0
         assert g.distances_to(GridPose(0, 0)) == (0.0, 1.0, 2.0)
         assert distance_field(g, GridPose(0, 0)) == [0.0, 1.0, 2.0]
+
+
+class TestManhattanTable:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20), st.data())
+    def test_holds_the_manhattan_distance_of_every_cell(self, w, h, data):
+        gx, gy = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1))
+        g = open_grid(w, h)
+        table = g.manhattan_to(GridPose(gx, gy))
+        assert len(table) == len(g.free_mask)  # one entry per free_mask index
+        assert all(table[g.flat_index(x, y)] == abs(x - gx) + abs(y - gy) for y in range(h) for x in range(w))
+
+    def test_one_by_one(self):
+        g = open_grid(1, 1)
+        assert g.manhattan_to(GridPose(0, 0))[g.flat_index(0, 0)] == 0
+
+    def test_grids_of_one_shape_and_goal_share_the_table(self):
+        a = random_map(30, 20, 0.3, seed=1)
+        b = random_map(30, 20, 0.3, seed=2).with_occupied([GridPose(3, 3)])
+        table = a.manhattan_to(GridPose(5, 7))
+        assert b.manhattan_to((5, 7)) is table
+        assert isinstance(table, tuple)  # shared, so immutable
+
+    @pytest.mark.parametrize("first,second", [
+        ((4, 6, (1, 2)), (4, 6, (2, 1))),  # same shape, transposed goal
+        ((4, 6, (1, 2)), (6, 4, (1, 2))),  # transposed shape
+        ((4, 6, (1, 2)), (4, 7, (1, 2))),  # same width
+        ((4, 6, (1, 2)), (5, 6, (1, 2))),  # same height
+        ((1, 1, (0, 0)), (1, 2, (0, 0))),
+    ])
+    def test_shapes_and_goals_do_not_collide(self, first, second):
+        tables = [open_grid(w, h).manhattan_to(GridPose(*goal)) for w, h, goal in (first, second)]
+        for (w, h, (gx, gy)), table in zip((first, second), tables):
+            g = open_grid(w, h)
+            assert len(table) == len(g.free_mask)
+            assert [table[g.flat_index(x, y)] for y in range(h) for x in range(w)] == [
+                abs(x - gx) + abs(y - gy) for y in range(h) for x in range(w)
+            ]
+
+    def test_the_cache_stays_bounded(self):
+        g = open_grid(20, 20)
+        for i in range(50):
+            g.manhattan_to(GridPose(i % 20, i // 20))
+        info = gridmap._manhattan_table.cache_info()
+        assert info.maxsize is not None and info.currsize == info.maxsize
 
 
 class TestRandomMap:
