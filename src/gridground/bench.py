@@ -24,7 +24,8 @@ from .gridmap import CellState, Connectivity, GridPose, OccupancyGrid
 from .grounded import Instruction, PlannerConfig, plan as grounded_plan
 from .scorers import MockScorer, OracleScorer, TaskScorerQuery
 from . import translator
-from .simulator import Scenario, SimPlanner, execute, load_scenario, load_yaml, validate_external_path
+from .simulator import INTEGER, MAPPINGS, PATH, STRING, STRINGS, FieldKind, Scenario, SimPlanner, execute
+from .simulator import load_scenario, load_yaml, read_field, validate_external_path
 
 CSV_HEADER = (
     "planner_id,scenario_id,seed,planning_time_ms,scorer_wall_time_ms,"
@@ -418,6 +419,13 @@ class Suite:
     trials_per_pair: int
 
 
+def _safe_id(v) -> bool:  # the id names the file trajectories_<id>.svg in the output directory
+    return (STRING.accepts(v) or INTEGER.accepts(v)) and str(v) not in ("", ".", "..") and not set(str(v)) & set("/\\\0")
+
+
+_SUITE_ID = FieldKind("a string or an integer, not empty, '.' or '..' and without '/', '\\' or NUL", _safe_id, str)
+
+
 def load_suite(path: str | Path) -> Suite:
     """Read a suite_v1 file; scenario paths resolve beside it."""
     p = Path(path)
@@ -425,35 +433,25 @@ def load_suite(path: str | Path) -> Suite:
         doc = load_yaml(p.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read suite file {p}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != SUITE_VERSION:
+    if read_field(doc, "version", STRING, ConfigError, default=None) != SUITE_VERSION:
         raise ConfigError(f"suite file must declare version {SUITE_VERSION!r}")
-    entries = doc.get("scenarios")
-    planners = doc.get("planners")
-    trials = doc.get("trials_per_pair")
-    if not isinstance(entries, list) or not entries:
+    entries = read_field(doc, "scenarios", MAPPINGS, ConfigError)
+    planners = read_field(doc, "planners", STRINGS, ConfigError)
+    trials = read_field(doc, "trials_per_pair", INTEGER, ConfigError)
+    if not entries:
         raise ConfigError("suite needs a non-empty 'scenarios' list")
-    if not isinstance(planners, list) or not all(isinstance(x, str) for x in planners) or not planners:
+    if not planners:
         raise ConfigError("suite needs a non-empty 'planners' list of ids")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+    if trials < 1:
         raise ConfigError("'trials_per_pair' must be a positive integer")
     scenarios, seen = [], {}  # seen: id -> the index that first used it
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "id" not in entry or "file" not in entry:
-            raise ConfigError(f"scenarios[{i}] needs 'id' and 'file'")
-        sid = entry["id"]
-        if not isinstance(sid, (str, int)) or isinstance(sid, bool):
-            raise ConfigError(f"scenarios[{i}].id must be a string or an integer, got {sid!r}")
-        sid = str(sid)
-        # the id names the file trajectories_<id>.svg in the output directory
-        if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
-            raise ConfigError(f"scenarios[{i}].id {sid!r} must not be empty, '.' or '..' or hold '/', '\\' or NUL")
+        sid = read_field(entry, "id", _SUITE_ID, ConfigError, f"scenarios[{i}]")
         if sid in seen:
             raise ConfigError(f"scenarios[{i}].id {sid!r} repeats scenarios[{seen[sid]}].id")
         seen[sid] = i
-        if not isinstance(entry["file"], str):
-            raise ConfigError(f"scenarios[{i}].file must be a path string, got {entry['file']!r}")
-        scenarios.append((sid, load_scenario(p.parent / entry["file"])))
-    return Suite(scenarios=scenarios, planners=list(planners), trials_per_pair=trials)
+        scenarios.append((sid, load_scenario(p.parent / read_field(entry, "file", PATH, ConfigError, f"scenarios[{i}]"))))
+    return Suite(scenarios=scenarios, planners=planners, trials_per_pair=trials)
 
 
 def run_suite_file(

@@ -22,7 +22,7 @@ from .errors import ConfigError, GridGroundError, MapFormatError
 from .gridmap import Connectivity, GridPose, load_map, random_map, serialize_map
 from .grounded import PlannerConfig
 from .scorers import ChatEndpointConfig, Cassette, MockScorer, OracleScorer, RemoteScorer
-from .simulator import load_yaml
+from .simulator import INTEGER, MAPPING, NUMBER, load_yaml, read_field
 from . import translator
 
 ENV_PREFIX = "GRIDGROUND_"
@@ -38,27 +38,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# option name -> converter; used for env and config-file layers
-_OPTION_TYPES = {
-    "planner": str,
-    "scorer": str,
-    "tau": float,
-    "seed": int,
-    "connectivity": int,
-    "max_steps": int,
-    "out_dir": str,
-    "suite": str,
-}
-
-_DEFAULTS = {
-    "planner": "astar",
-    "scorer": "mock",
-    "tau": 0.5,
-    "seed": 0,
-    "connectivity": 4,
-    "max_steps": None,
-    "out_dir": "out",
-    "suite": None,
+# option name -> (converter for env and config-file values, default)
+_OPTIONS = {
+    "planner": (str, "astar"),
+    "scorer": (str, "mock"),
+    "tau": (float, 0.5),
+    "seed": (int, 0),
+    "connectivity": (int, 4),
+    "max_steps": (int, None),
+    "out_dir": (str, "out"),
+    "suite": (str, None),
 }
 
 
@@ -80,7 +69,7 @@ def _resolve(name: str, flag_value, file_cfg: dict):
     """flags > env > file > defaults for one option."""
     if flag_value is not None:
         return flag_value
-    conv = _OPTION_TYPES[name]
+    conv, default = _OPTIONS[name]
     env_val = os.environ.get(ENV_PREFIX + name.upper())
     if env_val is not None:
         try:
@@ -93,7 +82,7 @@ def _resolve(name: str, flag_value, file_cfg: dict):
             return conv(str(file_cfg[name]))
         except ValueError:
             raise _UsageError(f"bad config-file value {file_cfg[name]!r} for {name}")
-    return _DEFAULTS[name]
+    return default
 
 
 def _parse_xy(text: str, label: str) -> GridPose:
@@ -105,19 +94,17 @@ def _parse_xy(text: str, label: str) -> GridPose:
 
 
 def _endpoint_config(file_cfg: dict) -> ChatEndpointConfig:
-    remote = file_cfg.get("remote") or {}
-    if not isinstance(remote, dict):
-        raise _UsageError("config-file key 'remote' must be a mapping")
-    try:
+    try:  # the reader raises ValueError, as ChatEndpointConfig does
+        remote = read_field(file_cfg, "remote", MAPPING, ValueError, default={})
         return ChatEndpointConfig(
             base_url=remote.get("base_url", "https://api.openai.com/v1"),
             model_name=remote.get("model_name", "gpt-3.5-turbo"),
             api_key_env=remote.get("api_key_env", "API_KEY"),
-            timeout=float(remote.get("timeout", 30.0)),
-            max_retries=int(remote.get("max_retries", 3)),
-            temperature=float(remote.get("temperature", 0.0)),
+            timeout=read_field(remote, "timeout", NUMBER, ValueError, "remote", 30.0),
+            max_retries=read_field(remote, "max_retries", INTEGER, ValueError, "remote", 3),
+            temperature=read_field(remote, "temperature", NUMBER, ValueError, "remote", 0.0),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"bad config-file 'remote' value: {exc}")
 
 

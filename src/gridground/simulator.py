@@ -10,11 +10,12 @@ sensing by appearing on the robot's next cell in the same tick.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Protocol
+from typing import Any, Callable, NamedTuple, Protocol
 
 from .errors import InvalidScenario
 from .gridmap import GridPose, OccupancyGrid, load_map
@@ -211,17 +212,7 @@ def validate_external_path(scenario: Scenario, waypoints: list[GridPose]) -> Pat
     return PathValidation(True)
 
 
-# --- scenario files (scenario_v1) ---
-
-
-def _as_pose(value, label: str) -> GridPose:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        raise InvalidScenario(f"{label} must be a [x, y] integer pair, got {value!r}")
-    return GridPose(value[0], value[1])
+# --- YAML files: the parser, the typed field reader, and scenario files (scenario_v1) ---
 
 
 def load_yaml(text: str):
@@ -244,6 +235,50 @@ def load_yaml(text: str):
         raise ValueError(str(exc)) from exc
 
 
+class FieldKind(NamedTuple):
+    """A YAML field's kind: its name in errors, the test of a parsed value, and what the value becomes."""
+
+    what: str
+    accepts: Callable[[Any], bool]
+    build: Callable[[Any], Any] = lambda v: v
+    listed: bool = False  # a list is named in errors by its bare path, as the fields of its items are
+
+
+STRING = FieldKind("a string", lambda v: isinstance(v, str))
+PATH = STRING._replace(what="a path string")
+INTEGER = FieldKind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+# an int past the float range would overflow float()
+NUMBER = FieldKind("a number", lambda v: isinstance(v, float) or INTEGER.accepts(v) and abs(v) <= sys.float_info.max, float)
+POSE = FieldKind("a [x, y] integer pair", lambda v: isinstance(v, list) and len(v) == 2 and all(map(INTEGER.accepts, v)),
+                 lambda v: GridPose(*v))
+MAPPING = FieldKind("a mapping", lambda v: isinstance(v, dict))
+MAPPINGS = FieldKind("a list of mappings", lambda v: isinstance(v, list) and all(map(MAPPING.accepts, v)), listed=True)
+STRINGS = FieldKind("a list of strings", lambda v: isinstance(v, list) and all(map(STRING.accepts, v)), listed=True)
+_REQUIRED = object()
+
+
+def read_field(doc, key: str, kind: FieldKind, error: type[Exception], where: str = "", default=_REQUIRED):
+    """The value of ``doc[key]``, checked and built as ``kind``; ``default`` when absent or null.
+
+    Without a ``default`` the key is required. ``where`` is the path of ``doc`` in its file,
+    so that an error names the field as ``dynamic_obstacles[2].cell`` and shows its value.
+
+    Raises:
+        error: ``doc`` is not a mapping, or the field is missing or not of ``kind``.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"the document must be a mapping, got {doc!r}")
+    name = f"{where}.{key}" if where else key if kind.listed else repr(key)  # 'map_file', dynamic_obstacles, scenarios[0].file
+    value = doc.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if key not in doc:
+        raise error(f"missing required field {name}")
+    if not kind.accepts(value):
+        raise error(f"{name} must be {kind.what}, got {value!r}")
+    return kind.build(value)
+
+
 def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     """Parse a scenario_v1 document.
 
@@ -257,24 +292,17 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         doc = load_yaml(text)
     except ValueError as exc:
         raise InvalidScenario(f"unparseable scenario file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidScenario("scenario file must be a mapping")
-    if doc.get("version") != SCENARIO_VERSION:
-        raise InvalidScenario(
-            f"unsupported scenario version {doc.get('version')!r}, expected {SCENARIO_VERSION!r}"
-        )
+    version = read_field(doc, "version", STRING, InvalidScenario, default=None)
+    if version != SCENARIO_VERSION:
+        raise InvalidScenario(f"unsupported scenario version {version!r}, expected {SCENARIO_VERSION!r}")
     if ("map" in doc) == ("map_file" in doc):
         raise InvalidScenario("exactly one of 'map' or 'map_file' is required")
     if "map" in doc:
-        map_text = doc["map"]
-        if not isinstance(map_text, str):
-            raise InvalidScenario("'map' must be inline ASCII map text")
+        map_text = read_field(doc, "map", STRING._replace(what="inline ASCII map text"), InvalidScenario)
     else:
         if base_dir is None:
             raise InvalidScenario("'map_file' requires a base directory to resolve against")
-        if not isinstance(doc["map_file"], str):
-            raise InvalidScenario(f"'map_file' must be a path string, got {doc['map_file']!r}")
-        map_path = Path(base_dir) / doc["map_file"]
+        map_path = Path(base_dir) / read_field(doc, "map_file", PATH, InvalidScenario)
         try:  # a ValueError is a file that is not UTF-8, or a NUL in the path
             map_text = map_path.read_text(encoding="utf-8")
         except (OSError, ValueError) as exc:
@@ -284,33 +312,19 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     except Exception as exc:
         raise InvalidScenario(f"bad map: {exc}") from exc
 
-    for key in ("start", "goal", "instruction_text"):
-        if key not in doc:
-            raise InvalidScenario(f"missing required field {key!r}")
-    entries = doc.get("dynamic_obstacles") or []
-    if not isinstance(entries, list):
-        raise InvalidScenario(f"dynamic_obstacles must be a list, got {entries!r}")
-    obstacles = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "cell" not in entry or "appears_at_step" not in entry:
-            raise InvalidScenario(f"dynamic_obstacles[{i}] needs 'cell' and 'appears_at_step'")
-        appears = entry["appears_at_step"]
-        if not isinstance(appears, int) or isinstance(appears, bool):
-            raise InvalidScenario(f"dynamic_obstacles[{i}].appears_at_step must be an integer")
-        obstacles.append(DynamicObstacle(_as_pose(entry["cell"], f"dynamic_obstacles[{i}].cell"), appears))
-    if not isinstance(doc["instruction_text"], str):
-        raise InvalidScenario("instruction_text must be a string")
-    sensing_radius = doc.get("sensing_radius", 1)
-    if not isinstance(sensing_radius, int) or isinstance(sensing_radius, bool):
-        raise InvalidScenario("sensing_radius must be an integer")
-
     scenario = Scenario(
         map=grid,
-        start=_as_pose(doc["start"], "start"),
-        goal=_as_pose(doc["goal"], "goal"),
-        instruction_text=doc["instruction_text"],
-        dynamic_obstacles=tuple(obstacles),
-        sensing_radius=sensing_radius,
+        start=read_field(doc, "start", POSE, InvalidScenario),
+        goal=read_field(doc, "goal", POSE, InvalidScenario),
+        instruction_text=read_field(doc, "instruction_text", STRING, InvalidScenario),
+        dynamic_obstacles=tuple(
+            DynamicObstacle(
+                read_field(entry, "cell", POSE, InvalidScenario, f"dynamic_obstacles[{i}]"),
+                read_field(entry, "appears_at_step", INTEGER, InvalidScenario, f"dynamic_obstacles[{i}]"),
+            )
+            for i, entry in enumerate(read_field(doc, "dynamic_obstacles", MAPPINGS, InvalidScenario, default=()))
+        ),
+        sensing_radius=read_field(doc, "sensing_radius", INTEGER, InvalidScenario, default=1),
     )
     scenario.validate()
     return scenario

@@ -1,10 +1,18 @@
+import copy
+import io
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import gridground
 from gridground.bench import make_planner
@@ -12,7 +20,7 @@ from gridground.cli import main
 from gridground.gridmap import GridPose, load_map
 from gridground.grounded import ACTIONS, Instruction
 from gridground.scorers import request_fingerprint
-from gridground.simulator import Scenario
+from gridground.simulator import Scenario, load_yaml
 from gridground import translator
 
 
@@ -32,6 +40,10 @@ def write_map(tmp_path, rows, name="m.map"):
 
 def plan_args(map_path, start="0,0", goal=None, *extra):
     return ["plan", "--map", map_path, "--start", start, "--goal", goal, *extra]
+
+
+# the remote scorer replaying an empty cassette: no network, no API key, and every request a miss
+REPLAY_REMOTE = ["--planner", "grounded", "--scorer", "remote", "--cassette", os.devnull]
 
 
 class TestPlanAstar:
@@ -120,6 +132,17 @@ class TestUsageErrors:
         (["--planner", "grounded", "--scorer", "remote", "--allow-network"], "remote:\n  timeout: abc\n"),
         (["--planner", "grounded", "--scorer", "remote", "--allow-network"], "remote:\n  timeout: 0\n"),
         (["--planner", "fullpath", "--scorer", "remote", "--allow-network"], "remote:\n  max_retries: -1\n"),
+        # replayed from an empty cassette, so only the config check can end the run with 1
+        (REPLAY_REMOTE, "remote:\n  max_retries: .inf\n"),
+        (REPLAY_REMOTE, "remote:\n  max_retries: true\n"),
+        (REPLAY_REMOTE, "remote:\n  max_retries: 1.5\n"),
+        (REPLAY_REMOTE, "remote:\n  timeout: true\n"),
+        pytest.param(REPLAY_REMOTE, "remote:\n  timeout: 1" + "0" * 400 + "\n", id="timeout_past_float_range"),
+        # only an absent key or null means "no remote settings"
+        (REPLAY_REMOTE, "remote: false\n"),
+        (REPLAY_REMOTE, "remote: 0\n"),
+        (REPLAY_REMOTE, "remote: ''\n"),
+        (REPLAY_REMOTE, "remote: []\n"),
         # usage errors as flags, so not truncated or coerced in a config file either
         (["--planner", "grounded"], "seed: 1.7\n"),
         (["--planner", "grounded"], "seed: true\n"),
@@ -142,6 +165,15 @@ class TestUsageErrors:
         assert rc == 1
         assert out == ""
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("config", ["remote: null\n", "remote:\n  timeout: null\n  max_retries: null\n"])
+    def test_null_remote_values_read_as_absent(self, tmp_path, capsys, config):
+        m = write_map(tmp_path, ["..."])
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        rc = main(plan_args(m, "0,0", "2,0", *REPLAY_REMOTE, "--config", str(cfg)))
+        assert rc == 2  # the defaults hold, and the empty cassette has no reply
+        assert capsys.readouterr().err.startswith("planning failed:")
 
     @pytest.mark.parametrize("config", ["seed: '3'", "tau: 1", "tau: '0.25'"])
     def test_config_values_from_text(self, tmp_path, capsys, config):
@@ -570,11 +602,13 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("name,old,new,message", [
         ("case.yaml", "walk\n", "walk\ndynamic_obstacles: 5\n", "dynamic_obstacles must be a list"),
+        ("case.yaml", "walk\n", "walk\ndynamic_obstacles: false\n", "dynamic_obstacles must be a list"),
         ("case.yaml", "map_file: c.map", "map_file: [1]", "'map_file' must be a path string"),
         ("case.yaml", "map_file: c.map", 'map_file: "c\\0.map"', "cannot read map file"),
         ("suite.yaml", "file: case.yaml", "file: 5", "scenarios[0].file must be a path string"),
         ("suite.yaml", "file: case.yaml", 'file: "case\\0.yaml"', "cannot read scenario file"),
-    ], ids=["dynamic_obstacles_int", "map_file_list", "map_file_nul", "suite_file_int", "suite_file_nul"])
+    ], ids=["dynamic_obstacles_int", "dynamic_obstacles_false", "map_file_list", "map_file_nul", "suite_file_int",
+            "suite_file_nul"])
     def test_mistyped_input_field(self, tmp_path, capsys, name, old, new, message):
         suite = write_tiny_suite(tmp_path)
         path = tmp_path / name
@@ -712,3 +746,82 @@ class TestGenMaps:
         assert rc == 1
         assert out == ""
         assert err.startswith("error:") and str(blocker) in err
+
+
+# --- every input path ends in its exit code: one value of a bundled input replaced ---
+
+BUNDLED = Path(gridground.__file__).resolve().parent / "data"
+FUZZ_CONFIG = {
+    "planner": "grounded", "scorer": "remote", "tau": 0.5, "seed": 0, "connectivity": 4, "max_steps": 20,
+    "remote": {"base_url": "http://127.0.0.1:9/v1", "model_name": "gpt-3.5-turbo", "api_key_env": "API_KEY",
+               "timeout": 30.0, "max_retries": 3, "temperature": 0.0},
+}
+FUZZ_INPUTS = {
+    **{p.name: load_yaml(p.read_text(encoding="utf-8")) for p in sorted(BUNDLED.glob("*.yaml"))},
+    "config.yaml": FUZZ_CONFIG,
+}
+
+
+def value_paths(doc, path=()):
+    """The path of every value in a YAML document, the document itself included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from value_paths(value, (*path, key))
+
+
+FUZZ_SITES = [(name, path) for name, doc in FUZZ_INPUTS.items() for path in value_paths(doc)]
+# an int past Python's digit limit cannot be dumped, so this token stands in for it in the YAML text
+BIG_INT_TOKEN = "big_int_token"
+FUZZ_SCALARS = st.one_of(
+    # small ints only: a large trials_per_pair is a long valid run, not a fault
+    st.none(), st.booleans(), st.integers(-2, 3), st.just(BIG_INT_TOKEN),
+    st.sampled_from([0.5, -1.5, math.nan, math.inf, -math.inf]), st.text(max_size=3),
+)
+FUZZ_VALUES = st.one_of(
+    FUZZ_SCALARS, st.lists(FUZZ_SCALARS, max_size=2), st.dictionaries(st.text(max_size=2), FUZZ_SCALARS, max_size=2)
+)
+
+
+def run_with_replaced_value(name, path, value):
+    """Exit code of the CLI on the bundled inputs with one value of ``name`` replaced.
+
+    A scenario or suite runs through ``bench`` on the default suite, the config
+    through ``plan`` with the remote scorer replaying an empty cassette.
+    """
+    doc = copy.deepcopy(FUZZ_INPUTS[name])
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for p in BUNDLED.iterdir():
+            shutil.copy(p, work / p.name)
+        (work / name).write_text(yaml.safe_dump(doc).replace(BIG_INT_TOKEN, "1" * 5000), encoding="utf-8")
+        if name == "config.yaml":
+            argv = ["plan", "--map", str(work / "corridor.map"), "--start", "2,1", "--goal", "21,8",
+                    "--cassette", os.devnull, "--config", str(work / name)]
+        else:
+            argv = ["bench", "--suite", str(work / "default_suite.yaml"), "--out-dir", str(work / "out")]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return main(argv)
+
+
+@given(site=st.sampled_from(FUZZ_SITES), value=FUZZ_VALUES)
+@example(site=("config.yaml", ("remote", "max_retries")), value=math.inf)  # no OverflowError
+@example(site=("two_corridor.scenario.yaml", ("dynamic_obstacles",)), value=False)  # not "no obstacles"
+@settings(derandomize=True, deadline=None, max_examples=200)
+def test_one_replaced_input_value_ends_in_an_exit_code(site, value):
+    name, path = site
+    rc = run_with_replaced_value(name, path, value)  # an exception fails the test
+    original = FUZZ_INPUTS[name]
+    for key in path:
+        original = original[key]
+    if isinstance(original, (list, dict)) and value is not None and type(value) is not type(original):
+        assert rc == 1  # only null stands in for an absent list or mapping
+    else:
+        assert rc in (0, 1, 2)

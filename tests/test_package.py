@@ -1,3 +1,4 @@
+import inspect
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 import yaml
 
 import gridground
+from gridground import bench, cli, simulator
 from gridground.simulator import load_yaml
 
 SUBMODULES = ["bench", "classical", "errors", "gridmap", "grounded", "scorers", "simulator", "translator"]
@@ -54,6 +56,18 @@ def test_only_gridmap_reads_the_cell_layout():
     )
     assert readers == []
     assert "._padded" in LAYOUT_READS.findall((src / "gridmap.py").read_text())  # the guard names the store
+
+
+# The YAML loaders read their fields through simulator.read_field; a type check
+# or a coercion written into one of them is a second way of doing that job.
+HAND_CHECKS = re.compile(r"\b(?:isinstance|int|float)\(")
+
+
+def test_loaders_leave_field_types_to_the_reader():
+    loaders = [simulator.parse_scenario, bench.load_suite, cli._endpoint_config]
+    checks = [(f.__name__, m.group()) for f in loaders for m in HAND_CHECKS.finditer(inspect.getsource(f))]
+    assert checks == []
+    assert HAND_CHECKS.search(inspect.getsource(simulator.read_field))  # the guard matches the reader's own check
 
 
 @pytest.mark.parametrize("with_libyaml", [True, False])

@@ -510,6 +510,11 @@ class TestParseScenario:
         ({"dynamic_obstacles": [{"appears_at_step": 0}]}, "cell"),
         ({"dynamic_obstacles": [{"cell": [1, 1], "appears_at_step": True}]}, "integer"),
         ({"dynamic_obstacles": [{"cell": [1, 1.5], "appears_at_step": 0}]}, "integer pair"),
+        # only an absent key or null means "no obstacles"
+        ({"dynamic_obstacles": False}, "dynamic_obstacles must be a list"),
+        ({"dynamic_obstacles": 0}, "dynamic_obstacles must be a list"),
+        ({"dynamic_obstacles": ""}, "dynamic_obstacles must be a list"),
+        ({"dynamic_obstacles": {}}, "dynamic_obstacles must be a list"),
         ({"goal": [9, 9]}, "outside"),
     ])
     def test_rejections(self, mutate, msg):
