@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .classical import PlannedPath, RrtParams, astar, path_length, rrt
-from .errors import ConfigError, EmptyPathList, GridGroundError, MalformedReply, UnknownPlanner
+from .errors import ConfigError, GridGroundError, MalformedReply, UnknownPlanner
 from .gridmap import CellState, Connectivity, GridPose, OccupancyGrid
 from .grounded import Instruction, PlannerConfig, plan as grounded_plan
 from .scorers import MockScorer, OracleScorer, TaskScorerQuery
@@ -262,7 +262,7 @@ def _run_trial_full(
         )
         scorer_ms = timed_scorer.elapsed_s * 1000.0 if timed_scorer else 0.0
         planning_ms = max(timed.elapsed_s * 1000.0 - scorer_ms, 0.0)
-        length_m = path_length(PlannedPath(tuple(record.visited), scenario.map.resolution))
+        length_m = path_length(record.visited, scenario.map.resolution)
         row = TrialResult(
             planner_id=planner_id,
             scenario_id=scenario_id,
@@ -317,16 +317,11 @@ class AggregateReport:
 
 def aggregate(rows: Sequence[TrialResult]) -> AggregateReport:
     """Recompute aggregate statistics from raw rows (pure function)."""
-    order: list[str] = []
-    grouped: dict[str, list[TrialResult]] = {}
+    grouped: dict[str, list[TrialResult]] = {}  # in first-seen order
     for row in rows:
-        if row.planner_id not in grouped:
-            order.append(row.planner_id)
-            grouped[row.planner_id] = []
-        grouped[row.planner_id].append(row)
+        grouped.setdefault(row.planner_id, []).append(row)
     per: dict[str, PlannerStats] = {}
-    for pid in order:
-        rs = grouped[pid]
+    for pid, rs in grouped.items():
         correct = [r for r in rs if r.correct]
         per[pid] = PlannerStats(
             planner_id=pid,
@@ -459,7 +454,8 @@ def run_suite_file(
 ) -> tuple[list[TrialResult], AggregateReport]:
     """Run a suite file and write rows.csv, report.txt, and one SVG per scenario.
 
-    Raw rows land on disk before any aggregation happens.
+    Raw rows land on disk first. A target that is a directory or a name too long is a ConfigError
+    before the first trial; a failed write is one too, and keeps the files already written.
     """
     suite = load_suite(suite_path)
     out = Path(out_dir)
@@ -467,19 +463,23 @@ def run_suite_file(
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}")
+    targets = [out / "rows.csv", out / "report.txt", *(out / f"trajectories_{sid}.svg" for sid, _ in suite.scenarios)]
+    for target in targets:
+        try:
+            if target.is_dir():
+                raise ConfigError(f"cannot write {target}: it is a directory")
+        except OSError as exc:  # a name the file system cannot hold, say
+            raise ConfigError(f"cannot write {target}: {exc}")
     rows, report, samples = run_suite(suite.scenarios, suite.planners, suite.trials_per_pair)
-    (out / "rows.csv").write_text(rows_to_csv(rows), encoding="utf-8")
-    (out / "report.txt").write_text(format_report(report), encoding="utf-8")
+    texts = [rows_to_csv(rows), format_report(report)]
     for sid, scenario in suite.scenarios:
-        labeled = []
-        for pid in suite.planners:
-            visited = samples.get((sid, pid))
-            if visited:
-                labeled.append((pid, PlannedPath(tuple(visited), scenario.map.resolution)))
-        if labeled:
-            (out / f"trajectories_{sid}.svg").write_text(
-                plot_trajectories(scenario, labeled), encoding="utf-8"
-            )
+        labeled = [(pid, PlannedPath(tuple(samples[(sid, pid)]), scenario.map.resolution)) for pid in suite.planners]
+        texts.append(plot_trajectories(scenario, labeled))
+    for target, text in zip(targets, texts):
+        try:
+            target.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {target}: {exc}")
     return rows, report
 
 
@@ -496,12 +496,7 @@ def plot_trajectories(
     Occupied cells are dark, unknown cells grey; each path is a polyline
     through cell centers with a legend entry. Equal inputs give identical
     bytes, so plots can be diffed across runs.
-
-    Raises:
-        EmptyPathList: no paths were given.
     """
-    if not paths:
-        raise EmptyPathList("at least one labeled path is required")
     grid = scenario.map
     cell = 8 if max(grid.width, grid.height) <= 64 else 4
     legend_h = 16 * len(paths) + 8

@@ -1,10 +1,10 @@
-"""Classical grid planners: A*, a BFS distance field, and RRT.
+"""Classical grid planners: A* and RRT, plus the path measure they share.
 
 A* and the RRT free-space checks run on the grid's flat free mask through the
-gridmap helpers; distance_field copies the grid's own (OccupancyGrid.distances_to).
+gridmap helpers.
 
 Costs are measured in cells: 1 per cardinal step, sqrt(2) per diagonal step.
-path_length converts to meters via the grid resolution.
+path_length(waypoints, resolution) converts a pose sequence to meters.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import count, repeat, starmap
 
-from .errors import EmptyPath, InvalidEndpoint, InvalidParams
+from .errors import InvalidEndpoint, InvalidParams
 from .gridmap import DIAGONAL_DELTAS, FOUR_DELTAS, Connectivity, GridPose, OccupancyGrid
 
 SQRT2 = math.sqrt(2.0)
@@ -30,18 +30,12 @@ class PlannedPath:
     resolution: float
 
 
-def path_length(path: PlannedPath) -> float:
-    """Sum of Euclidean segment lengths in meters.
-
-    Raises:
-        EmptyPath: the path has no waypoints.
-    """
-    if not path.waypoints:
-        raise EmptyPath("path has no waypoints")
+def path_length(waypoints: Sequence[GridPose], resolution: float) -> float:
+    """Sum of Euclidean segment lengths in meters; 0.0 for fewer than two waypoints."""
     total = 0.0
-    for a, b in zip(path.waypoints, path.waypoints[1:]):
+    for a, b in zip(waypoints, waypoints[1:]):
         total += math.hypot(b[0] - a[0], b[1] - a[1])
-    return total * path.resolution
+    return total * resolution
 
 
 def check_endpoints(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> None:
@@ -176,11 +170,6 @@ def _search_eight(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> dict[
                 hn = h(x + dx, y + dy)
                 heapq.heappush(open_heap, (ng + hn, hn, next(tick), nb, x + dx, y + dy))
     return None
-
-
-def distance_field(grid: OccupancyGrid, goal: GridPose) -> list[float]:
-    """A fresh list copy of ``grid.distances_to(goal)``: four-connected cost-to-goal, row-major."""
-    return list(grid.distances_to(goal))
 
 
 # --- RRT ---
@@ -410,10 +399,7 @@ def grow_rrt_tree(
     rng = random.Random(params.seed)
     goal_c = _center(GridPose(*goal))
     tree = RrtTree(points=[_center(GridPose(*start))], parents=[-1], accepted=None)
-
-    if GridPose(*start) == GridPose(*goal):
-        tree.accepted = 0
-        return tree
+    # a start in the goal region, start == goal among them, is the tree's only node
     if math.dist(tree.points[0], goal_c) <= params.goal_tolerance and _edge_free(
         grid, tree.points[0], goal_c
     ):
@@ -472,9 +458,6 @@ def rrt(
     if tree.accepted is None:
         return None
     start, goal = GridPose(*start), GridPose(*goal)
-    if start == goal:
-        return PlannedPath((start,), grid.resolution)
-
     branch: list[int] = []
     i = tree.accepted
     while i != -1:

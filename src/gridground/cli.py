@@ -17,12 +17,12 @@ from pathlib import Path
 
 from . import bench
 from .bundled import bundled_path
-from .classical import PlannedPath, RrtParams, check_endpoints, path_length
+from .classical import RrtParams, check_endpoints, path_length
 from .errors import ConfigError, GridGroundError, MapFormatError
 from .gridmap import Connectivity, GridPose, load_map, random_map, serialize_map
 from .grounded import PlannerConfig
 from .scorers import ChatEndpointConfig, Cassette, MockScorer, OracleScorer, RemoteScorer
-from .simulator import INTEGER, MAPPING, NUMBER, load_yaml, read_field
+from .simulator import INTEGER, MAPPING, NUMBER, STRING, FieldKind, load_yaml, read_field
 from . import translator
 
 ENV_PREFIX = "GRIDGROUND_"
@@ -49,6 +49,8 @@ _OPTIONS = {
     "out_dir": (str, "out"),
     "suite": (str, None),
 }
+# a top-level config-file value is read as the text a flag would carry; a list, mapping, set or binary has none
+_FLAG_TEXT = FieldKind("a scalar", lambda v: not isinstance(v, (list, dict, set, bytes)), str)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -76,13 +78,11 @@ def _resolve(name: str, flag_value, file_cfg: dict):
             return conv(env_val)
         except ValueError:
             raise _UsageError(f"bad value {env_val!r} for {ENV_PREFIX + name.upper()}")
-    if name in file_cfg and file_cfg[name] is not None:
-        # converted from its text, as a flag is: 1.7 and true are no ints, true is no float
-        try:
-            return conv(str(file_cfg[name]))
-        except ValueError:
-            raise _UsageError(f"bad config-file value {file_cfg[name]!r} for {name}")
-    return default
+    try:  # converted from its text, as a flag is: 1.7 and true are no ints, true is no float
+        text = read_field(file_cfg, name, _FLAG_TEXT, ValueError, default=None)
+        return default if text is None else conv(text)
+    except ValueError:
+        raise _UsageError(f"bad config-file value {file_cfg[name]!r} for {name}")
 
 
 def _parse_xy(text: str, label: str) -> GridPose:
@@ -97,9 +97,9 @@ def _endpoint_config(file_cfg: dict) -> ChatEndpointConfig:
     try:  # the reader raises ValueError, as ChatEndpointConfig does
         remote = read_field(file_cfg, "remote", MAPPING, ValueError, default={})
         return ChatEndpointConfig(
-            base_url=remote.get("base_url", "https://api.openai.com/v1"),
-            model_name=remote.get("model_name", "gpt-3.5-turbo"),
-            api_key_env=remote.get("api_key_env", "API_KEY"),
+            base_url=read_field(remote, "base_url", STRING, ValueError, "remote", "https://api.openai.com/v1"),
+            model_name=read_field(remote, "model_name", STRING, ValueError, "remote", "gpt-3.5-turbo"),
+            api_key_env=read_field(remote, "api_key_env", STRING, ValueError, "remote", "API_KEY"),
             timeout=read_field(remote, "timeout", NUMBER, ValueError, "remote", 30.0),
             max_retries=read_field(remote, "max_retries", INTEGER, ValueError, "remote", 3),
             temperature=read_field(remote, "temperature", NUMBER, ValueError, "remote", 0.0),
@@ -189,7 +189,7 @@ def cmd_plan(args) -> int:
         return 2
     for p in waypoints:
         print(f"({p.x},{p.y})")
-    length = path_length(PlannedPath(tuple(waypoints), grid.resolution))
+    length = path_length(waypoints, grid.resolution)
     print(
         f"planned {len(waypoints) - 1} steps, length {length:.3f} m, {elapsed_ms:.3f} ms",
         file=sys.stderr,

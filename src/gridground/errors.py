@@ -45,10 +45,6 @@ class InvalidParams(GridGroundError):
     pass
 
 
-class EmptyPath(GridGroundError):
-    pass
-
-
 # --- scorer backends (remote failures are all ScorerFailure subclasses) ---
 
 class ScorerFailure(GridGroundError):
@@ -91,10 +87,6 @@ class InvalidScenario(GridGroundError):
 
 
 class UnknownPlanner(GridGroundError):
-    pass
-
-
-class EmptyPathList(GridGroundError):
     pass
 
 

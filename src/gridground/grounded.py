@@ -293,32 +293,22 @@ def plan(
         try:
             candidates, p_gpts, p_utils = _score(scorer, instruction, grid, s)
         except ScorerFailure as exc:
-            return PlanResult(
-                PlannedPath(tuple(waypoints), grid.resolution),
-                steps,
-                FailureReason.SCORER_FAILURE,
-                detail=str(exc),
-            )
+            failure, detail = FailureReason.SCORER_FAILURE, str(exc)
+            break
         k = _argmax(map(mul, p_gpts, p_utils), candidates, visited, penalty)
         steps.append((s, p_gpts, p_utils, k))
         if k is None:
-            return PlanResult(
-                PlannedPath(tuple(waypoints), grid.resolution),
-                steps,
-                FailureReason.STUCK,
-                detail=f"all adjusted scores zero at ({s.x},{s.y})",
-            )
+            failure, detail = FailureReason.STUCK, f"all adjusted scores zero at ({s.x},{s.y})"
+            break
         s = candidates[k]
         waypoints.append(s)
         visited.add(s)
         if s == goal:
-            return PlanResult(PlannedPath(tuple(waypoints), grid.resolution), steps)
-    return PlanResult(
-        PlannedPath(tuple(waypoints), grid.resolution),
-        steps,
-        FailureReason.STEP_LIMIT,
-        detail=f"goal not reached within {max_steps} steps",
-    )
+            failure, detail = None, ""
+            break
+    else:
+        failure, detail = FailureReason.STEP_LIMIT, f"goal not reached within {max_steps} steps"
+    return PlanResult(PlannedPath(tuple(waypoints), grid.resolution), steps, failure, detail)
 
 
 def trace_to_jsonl(trace: Sequence[StepRecord]) -> str:

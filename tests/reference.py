@@ -19,7 +19,7 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from gridground.classical import SQRT2, PlannedPath, check_endpoints
-from gridground.errors import EmptyPath, OutOfBounds, RaggedRows, ScorerFailure, UnknownCharacter
+from gridground.errors import OutOfBounds, RaggedRows, ScorerFailure, UnknownCharacter
 from gridground.gridmap import DIAGONAL_DELTAS, FOUR_DELTAS, CellState, Connectivity, GridPose, OccupancyGrid
 from gridground.grounded import (
     ACTIONS,
@@ -131,8 +131,6 @@ def reference_astar(
 
 def path_cost_cells(path: PlannedPath) -> float:
     """Path cost in cell units (1 per cardinal step, sqrt(2) per diagonal)."""
-    if not path.waypoints:
-        raise EmptyPath("path has no waypoints")
     total = 0.0
     for a, b in zip(path.waypoints, path.waypoints[1:]):
         total += SQRT2 if a[0] != b[0] and a[1] != b[1] else 1.0

@@ -29,7 +29,7 @@ from gridground.bench import (
 )
 from gridground.bundled import bundled_path
 from gridground.classical import PlannedPath, astar, path_length
-from gridground.errors import ConfigError, EmptyPathList, InvalidEndpoint, UnknownPlanner
+from gridground.errors import ConfigError, InvalidEndpoint, UnknownPlanner
 from gridground.gridmap import GridPose
 from gridground.grounded import Instruction, PlannerConfig
 from gridground.scorers import MockScorer
@@ -518,10 +518,6 @@ class TestSuiteFiles:
 
 
 class TestPlotTrajectories:
-    def test_requires_paths(self):
-        with pytest.raises(EmptyPathList):
-            plot_trajectories(corridor_scenario(), [])
-
     def test_small_map_geometry(self):
         sc = corridor_scenario()
         path = PlannedPath(tuple(GridPose(x, 1) for x in range(1, 6)), 1.0)

@@ -13,7 +13,6 @@ from gridground.classical import (
     SQRT2,
     astar,
     chain_cells,
-    distance_field,
     grow_rrt_tree,
     path_length,
     rrt,
@@ -21,7 +20,7 @@ from gridground.classical import (
     _MAX_HALVINGS,
     _NodeBuckets,
 )
-from gridground.errors import EmptyPath, InvalidEndpoint, InvalidParams
+from gridground.errors import InvalidEndpoint, InvalidParams
 from gridground.gridmap import CellState, Connectivity, GridPose, random_map
 
 from conftest import grid_from_rows, open_grid
@@ -86,8 +85,7 @@ def assert_all_free(grid, waypoints):
 
 class TestPathMeasures:
     def test_length_scales_with_resolution(self):
-        p = PlannedPath((GridPose(0, 0), GridPose(1, 0), GridPose(1, 1)), 0.5)
-        assert path_length(p) == pytest.approx(1.0)
+        assert path_length((GridPose(0, 0), GridPose(1, 0), GridPose(1, 1)), 0.5) == pytest.approx(1.0)
 
     def test_cost_counts_diagonals(self):
         p = PlannedPath((GridPose(0, 0), GridPose(1, 1), GridPose(2, 1)), 1.0)
@@ -95,21 +93,20 @@ class TestPathMeasures:
 
     def test_single_waypoint_zero(self):
         p = PlannedPath((GridPose(3, 3),), 1.0)
-        assert path_length(p) == 0.0
+        assert path_length(p.waypoints, p.resolution) == 0.0
         assert path_cost_cells(p) == 0.0
 
-    def test_empty_raises(self):
-        with pytest.raises(EmptyPath):
-            path_length(PlannedPath((), 1.0))
-        with pytest.raises(EmptyPath):
-            path_cost_cells(PlannedPath((), 1.0))
+    def test_empty_is_zero(self):
+        assert path_length((), 1.0) == 0.0
+        assert path_length([], 0.5) == 0.0
+        assert path_cost_cells(PlannedPath((), 1.0)) == 0.0
 
 
 class TestAstar:
     def test_straight_corridor(self, corridor5):
         p = astar(corridor5, GridPose(0, 0), GridPose(4, 0))
         assert [tuple(w) for w in p.waypoints] == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
-        assert path_length(p) == pytest.approx(4.0)
+        assert path_length(p.waypoints, p.resolution) == pytest.approx(4.0)
 
     def test_wall_gap_cost_twelve(self, wall_gap_5x5):
         # frozen against the exhaustive search oracle
@@ -232,7 +229,7 @@ class TestDistanceField:
             ".#.",
             "...",
         ])
-        fld = distance_field(g, GridPose(0, 0))
+        fld = g.distances_to(GridPose(0, 0))
         def at(x, y):
             return fld[y * g.width + x]
         assert at(0, 0) == 0.0
@@ -248,18 +245,18 @@ class TestDistanceField:
             ".#.#.",
             "...##",
         ])
-        fld = distance_field(g, GridPose(0, 0))
+        fld = g.distances_to(GridPose(0, 0))
         assert fld[1 * 5 + 4] == math.inf
 
     def test_blocked_goal_all_inf(self):
         g = grid_from_rows(["...", ".#.", "..."])
-        assert all(v == math.inf for v in distance_field(g, GridPose(1, 1)))
-        assert all(v == math.inf for v in distance_field(g, GridPose(9, 9)))
+        assert all(v == math.inf for v in g.distances_to(GridPose(1, 1)))
+        assert all(v == math.inf for v in g.distances_to(GridPose(9, 9)))
 
     def test_agrees_with_search_per_cell(self):
         g = random_map(10, 10, 0.3, seed=9)
         goal = GridPose(0, 0)
-        fld = distance_field(g, goal)
+        fld = g.distances_to(goal)
         for y in range(10):
             for x in range(10):
                 if g.cell(x, y) is not CellState.FREE:
@@ -293,6 +290,28 @@ class TestSegmentTraversal:
 
     def test_degenerate_point(self):
         assert supercover_cells((1.5, 1.5), (1.5, 1.5)) == [GridPose(1, 1)]
+
+    # A segment that ends on a lattice point leaves the walk one or two cells
+    # short of the endpoint's floor cell, and the walk bridges to it.
+    @pytest.mark.parametrize("p0,p1,cover,chain", [
+        # rising: the endpoint is a corner of the last cell walked, so the bridge goes through a side cell
+        ((0.5, 0.5), (2.0, 2.0),
+         [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)], [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]),
+        # falling: only x is short, so the bridge is one step
+        ((0.5, 2.5), (2.0, 1.0), [(0, 2), (1, 2), (0, 1), (1, 1), (2, 1)], [(0, 2), (1, 2), (1, 1), (2, 1)]),
+    ], ids=["rising", "falling"])
+    def test_bridge_to_a_lattice_endpoint(self, p0, p1, cover, chain):
+        assert supercover_cells(p0, p1) == [GridPose(*c) for c in cover]
+        assert chain_cells(p0, p1) == [GridPose(*c) for c in chain]
+
+    @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 8), st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_chain_to_a_lattice_endpoint(self, x0, y0, x1, y1):
+        p0, p1 = (x0 + 0.5, y0 + 0.5), (float(x1), float(y1))
+        cells = chain_cells(p0, p1)
+        assert cells[0] == GridPose(x0, y0) and cells[-1] == GridPose(x1, y1)
+        assert_four_adjacent(cells)
+        assert set(cells) <= set(supercover_cells(p0, p1))
 
     @given(
         st.floats(0.01, 7.99), st.floats(0.01, 7.99),
@@ -357,6 +376,15 @@ class TestRrt:
         g = open_grid(4, 4)
         p = rrt(g, GridPose(2, 2), GridPose(2, 2), RrtParams(seed=0))
         assert p.waypoints == (GridPose(2, 2),)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1.0])
+    def test_start_equals_goal_tree_is_the_start_alone(self, tolerance):
+        # the goal-region check accepts the start node itself, even at zero tolerance
+        g = open_grid(4, 4)
+        params = RrtParams(seed=0, goal_tolerance=tolerance)
+        tree = grow_rrt_tree(g, GridPose(2, 2), GridPose(2, 2), params)
+        assert (tree.points, tree.parents, tree.accepted) == ([(2.5, 2.5)], [-1], 0)
+        assert rrt(g, GridPose(2, 2), GridPose(2, 2), params).waypoints == (GridPose(2, 2),)
 
     def test_adjacent_goal_immediate(self):
         g = open_grid(4, 4)

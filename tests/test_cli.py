@@ -15,6 +15,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import gridground
+from gridground import bench, cli
 from gridground.bench import make_planner
 from gridground.cli import main
 from gridground.gridmap import GridPose, load_map
@@ -181,6 +182,43 @@ class TestUsageErrors:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(config + "\n")
         assert main(plan_args(m, "0,0", "2,0", "--planner", "grounded", "--config", str(cfg))) == 0
+
+    @pytest.mark.parametrize("config,name", [
+        ("planner: [astar]", "planner"), ("planner: {astar: 1}", "planner"), ("tau: {a: 1}", "tau"),
+        ("planner: !!set {astar}", "planner"), ("planner: !!binary YXN0YXI=", "planner"),
+    ])
+    def test_config_value_with_no_flag_text(self, tmp_path, capsys, config, name):
+        # no flag's text is a list, mapping, set or binary, so none is read as its Python repr
+        m = write_map(tmp_path, ["..."])
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config + "\n")
+        rc = main(plan_args(m, "0,0", "2,0", "--config", str(cfg)))
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("usage error: bad config-file value ") and err.endswith(f" for {name}\n")
+
+    @pytest.mark.parametrize("env,config,message", [
+        ({"GRIDGROUND_PLANNER": "dijkstra"}, None, "unknown planner 'dijkstra'"),
+        ({}, "planner: dijkstra", "unknown planner 'dijkstra'"),
+        ({"GRIDGROUND_PLANNER": "grounded", "GRIDGROUND_SCORER": "gpt"}, None, "unknown scorer 'gpt'"),
+        ({}, "planner: fullpath\nscorer: gpt", "unknown scorer 'gpt'"),
+    ], ids=["planner_env", "planner_config", "scorer_env", "scorer_config"])
+    def test_unknown_planner_or_scorer_outside_the_flags(self, tmp_path, capsys, monkeypatch, env, config, message):
+        # the flags' choices= cannot catch these, so the adapter builder must
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        m = write_map(tmp_path, ["..."])
+        extra = []
+        if config is not None:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(config + "\n")
+            extra = ["--config", str(cfg)]
+        rc = main(plan_args(m, "0,0", "2,0", *extra))
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"usage error: {message}")
 
 
 ENDPOINT_PLANNERS = [
@@ -350,6 +388,16 @@ class TestRemoteGating:
         assert out == ""
         assert err.startswith("usage error: bad config-file 'remote' value:")
         assert f"{name} must be a string" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["base_url", "model_name", "api_key_env"])
+    def test_null_endpoint_string_reads_as_its_default(self, tmp_path, capsys, field):
+        assert cli._endpoint_config({"remote": {field: None}}) == cli._endpoint_config({})
+        m = write_map(tmp_path, ["..."])
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"remote:\n  {field}: null\n")
+        rc = main(plan_args(m, "0,0", "2,0", *REPLAY_REMOTE, "--config", str(cfg)))
+        assert rc == 2  # the default holds, and the empty cassette has no reply
+        assert capsys.readouterr().err.startswith("planning failed:")
 
     def test_schemeless_base_url(self, tmp_path, capsys, monkeypatch):
         # rejected before any request, instead of being retried through the backoff
@@ -673,6 +721,68 @@ class TestBenchCommand:
         assert out == ""
         assert err.startswith(f"error: cannot create output directory {suite}")
 
+    @pytest.mark.parametrize("config", ["out_dir: [1, 2]", "suite: {a: 1}"])
+    def test_config_value_with_no_flag_text(self, tmp_path, capsys, monkeypatch, config):
+        # refused before the output directory is made, so no directory named after the value appears
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config + "\n")
+        rc = main(["bench", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("usage error: bad config-file value ")
+        assert list(tmp_path.iterdir()) == [cfg]  # nothing written
+
+    @pytest.mark.parametrize("target", ["rows.csv", "report.txt", "trajectories_tiny.svg"])
+    def test_target_is_a_directory(self, tmp_path, capsys, monkeypatch, target):
+        # found before the first trial, not as a traceback after the last one
+        suite = write_tiny_suite(tmp_path)
+        out_dir = tmp_path / "o"
+        (out_dir / target).mkdir(parents=True)
+        monkeypatch.setattr(bench, "run_suite", lambda *args: pytest.fail("a trial ran"))
+        rc = main(["bench", "--suite", str(suite), "--out-dir", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: cannot write {out_dir / target}: it is a directory\n"
+        assert list(out_dir.iterdir()) == [out_dir / target]
+
+    def test_target_name_too_long(self, tmp_path, capsys, monkeypatch):
+        # a 300-character id is a safe id, but no common file system holds its SVG's name
+        suite = write_tiny_suite(tmp_path)
+        suite.write_text(SUITE_TEXT.replace("id: tiny", "id: " + "x" * 300))
+        out_dir = tmp_path / "o"
+        monkeypatch.setattr(bench, "run_suite", lambda *args: pytest.fail("a trial ran"))
+        rc = main(["bench", "--suite", str(suite), "--out-dir", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_dir / ('trajectories_' + 'x' * 300 + '.svg')}: ")
+        assert list(out_dir.iterdir()) == []
+
+    def test_failed_write_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # a target that turns into a directory while the trials run fails its write;
+        # the files written before it stay
+        suite = write_tiny_suite(tmp_path)
+        out_dir = tmp_path / "o"
+        run_suite = bench.run_suite
+
+        def run_then_block(*args):
+            result = run_suite(*args)
+            (out_dir / "report.txt").mkdir()
+            return result
+
+        monkeypatch.setattr(bench, "run_suite", run_then_block)
+        rc = main(["bench", "--suite", str(suite), "--out-dir", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_dir / 'report.txt'}: ")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["report.txt", "rows.csv"]
+        assert (out_dir / "rows.csv").read_text().startswith("planner_id,")
+
     def test_out_dir_from_env(self, tmp_path, capsys, monkeypatch):
         suite = write_tiny_suite(tmp_path)
         monkeypatch.setenv("GRIDGROUND_OUT_DIR", str(tmp_path / "envout"))
@@ -823,5 +933,7 @@ def test_one_replaced_input_value_ends_in_an_exit_code(site, value):
         original = original[key]
     if isinstance(original, (list, dict)) and value is not None and type(value) is not type(original):
         assert rc == 1  # only null stands in for an absent list or mapping
+    elif name == "config.yaml" and len(path) == 1 and isinstance(value, (list, dict)):
+        assert rc == 1  # a top-level key is read from its text, and a list or mapping has none
     else:
         assert rc in (0, 1, 2)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from gridground.bench import AstarPlanner, GroundedPlanner, plot_trajectories, run_suite_file
 from gridground.bundled import bundled_path
-from gridground.classical import RrtParams, astar, distance_field, grow_rrt_tree
+from gridground.classical import RrtParams, astar, grow_rrt_tree
 from gridground.gridmap import Connectivity, GridPose, neighbors, random_map, serialize_map
 from gridground.grounded import ACTIONS, Instruction, affordance, plan, trace_to_jsonl
 from gridground.scorers import (
@@ -84,7 +84,7 @@ def _grid_digests(prefix: str, grid, goal: GridPose) -> dict[str, str]:
     out = {
         f"{prefix}/rows": _sha(grid.rows()),
         f"{prefix}/serialize_map": _sha(serialize_map(grid)),
-        f"{prefix}/distance_field": _sha(distance_field(grid, goal)),
+        f"{prefix}/distance_field": _sha(list(grid.distances_to(goal))),
     }
     for conn in Connectivity:
         out[f"{prefix}/neighbors{conn.value}"] = _sha([neighbors(grid, p, conn) for p in cells])

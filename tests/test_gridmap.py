@@ -4,7 +4,6 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gridground.classical import distance_field
 from gridground.errors import (
     InvalidDensity,
     MalformedHeader,
@@ -356,13 +355,6 @@ class TestDistanceView:
         fld = sensed.distances_to(goal)
         assert fld == tuple(reference_distance_field(sensed, goal))
         assert fld != parent_field
-
-    def test_distance_field_is_a_fresh_list(self):
-        g = open_grid(3, 1)
-        fld = distance_field(g, GridPose(0, 0))
-        fld[2] = -1.0
-        assert g.distances_to(GridPose(0, 0)) == (0.0, 1.0, 2.0)
-        assert distance_field(g, GridPose(0, 0)) == [0.0, 1.0, 2.0]
 
 
 class TestManhattanTable:
