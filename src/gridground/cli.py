@@ -10,6 +10,7 @@ is given; --allow-network is a flag of `plan` only.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -26,6 +27,7 @@ from .simulator import INTEGER, MAPPING, NUMBER, STRING, FieldKind, load_yaml, r
 from . import translator
 
 ENV_PREFIX = "GRIDGROUND_"
+MAX_MAP_SIDE = 4096  # gen-maps draws one random number per cell
 
 
 class _UsageError(Exception):
@@ -83,6 +85,13 @@ def _resolve(name: str, flag_value, file_cfg: dict):
         return default if text is None else conv(text)
     except ValueError:
         raise _UsageError(f"bad config-file value {file_cfg[name]!r} for {name}")
+
+
+def _resolve_path(name: str, flag_value, file_cfg: dict) -> str | None:
+    """_resolve for out_dir and suite, whose empty value would stand for the working directory."""
+    if (value := _resolve(name, flag_value, file_cfg)) == "":
+        raise _UsageError(f"{name} must not be empty")
+    return value
 
 
 def _parse_xy(text: str, label: str) -> GridPose:
@@ -199,8 +208,8 @@ def cmd_plan(args) -> int:
 
 def cmd_bench(args) -> int:
     file_cfg = _load_config_file(args.config)
-    suite = _resolve("suite", args.suite, file_cfg)
-    out_dir = _resolve("out_dir", args.out_dir, file_cfg)
+    suite = _resolve_path("suite", args.suite, file_cfg)
+    out_dir = _resolve_path("out_dir", args.out_dir, file_cfg)
     suite_path = Path(suite) if suite else bundled_path("default_suite.yaml")
     try:
         rows, report = bench.run_suite_file(suite_path, out_dir)
@@ -214,14 +223,14 @@ def cmd_bench(args) -> int:
 
 def cmd_gen_maps(args) -> int:
     file_cfg = _load_config_file(args.config)
-    out_dir = Path(_resolve("out_dir", args.out_dir, file_cfg))
+    out_dir = Path(_resolve_path("out_dir", args.out_dir, file_cfg))
     seed = _resolve("seed", args.seed, file_cfg)
     try:
         width, height = map(int, args.size.lower().split("x"))
     except ValueError:
         raise _UsageError(f"--size must be WIDTHxHEIGHT, got {args.size!r}")
-    if width < 1 or height < 1:
-        raise _UsageError(f"--size dimensions must be >= 1, got {args.size!r}")
+    if not (1 <= width <= MAX_MAP_SIDE and 1 <= height <= MAX_MAP_SIDE):
+        raise _UsageError(f"--size dimensions must be 1 to {MAX_MAP_SIDE}, got {args.size!r}")
     if args.count < 1:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
     try:
@@ -237,6 +246,7 @@ def cmd_gen_maps(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one per process serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gridground", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,7 +275,7 @@ def _build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen-maps", help="generate random maps")
     p_gen.add_argument("--count", type=int, required=True)
-    p_gen.add_argument("--size", required=True, help="WIDTHxHEIGHT, e.g. 20x20")
+    p_gen.add_argument("--size", required=True, help=f"WIDTHxHEIGHT, e.g. 20x20; each at most {MAX_MAP_SIDE}")
     p_gen.add_argument("--density", type=float, required=True)
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out-dir", dest="out_dir")
@@ -276,9 +286,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

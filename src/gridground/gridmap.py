@@ -70,8 +70,9 @@ class OccupancyGrid:
     ``bytes`` with a pad of one ``#`` cell on every side, so every cell has all
     eight neighbours in range; ``flat_index`` indexes it. All else is a view of
     it, built on first read and then kept (the grid is frozen, so none goes
-    stale): ``cells``, the ``CellState`` tuple; the text rows behind ``rows()``;
-    and ``free_mask``, the kernels' mask, 1 where Free, addressed through
+    stale): ``cells``, the ``CellState`` tuple; ``text``, the map text rows
+    joined by newlines, addressed through ``text_index`` and split by
+    ``rows()``; and ``free_mask``, the kernels' mask, 1 where Free, addressed through
     ``flat_index``, ``flat_offsets``, ``flat_pose`` and ``strip_pad`` only. One
     cost-to-goal field, ``distances_to``, is kept for the last goal asked only;
     the heuristic tables of ``manhattan_to`` depend on the shape alone and are
@@ -108,16 +109,21 @@ class OccupancyGrid:
     @cached_property
     def cells(self) -> tuple[CellState, ...]:
         """Row-major tuple of width * height cell states."""
-        return tuple(map(_CHAR_TO_CELL.__getitem__, "".join(self._rows)))
+        return tuple(map(_CHAR_TO_CELL.__getitem__, self.text.replace("\n", "")))
 
     @cached_property
-    def _rows(self) -> tuple[str, ...]:
-        text, w = self._padded.decode("ascii"), self.width
-        return tuple(text[i:i + w] for i in range(w + 3, (w + 2) * (self.height + 1), w + 2))
+    def text(self) -> str:
+        """The map text rows, top to bottom, joined by newlines: what serialize_map writes after its header."""
+        padded, w = self._padded.decode("ascii"), self.width
+        return "\n".join([padded[i:i + w] for i in range(w + 3, (w + 2) * (self.height + 1), w + 2)])
+
+    def text_index(self, x: int, y: int) -> int:
+        """Index of cell (x, y)'s character in ``text``."""
+        return y * (self.width + 1) + x
 
     def rows(self) -> list[str]:
         """The map text rows, top to bottom, one character per cell (a fresh list)."""
-        return list(self._rows)
+        return self.text.split("\n")
 
     @cached_property
     def free_mask(self) -> bytes:
@@ -291,7 +297,7 @@ def load_map(text: str) -> OccupancyGrid:
 
 def serialize_map(grid: OccupancyGrid) -> str:
     """Render a grid back to ASCII map text (inverse of load_map)."""
-    return "\n".join([f"{grid.width} {grid.height} {grid.resolution!r}", *grid.rows()]) + "\n"
+    return f"{grid.width} {grid.height} {grid.resolution!r}\n{grid.text}\n"
 
 
 def random_map(width: int, height: int, density: float, seed: int) -> OccupancyGrid:

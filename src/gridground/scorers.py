@@ -14,6 +14,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 from urllib.parse import urlsplit
@@ -153,38 +154,45 @@ def _json_str(text: str) -> bytes:
     return json.dumps(text).encode("ascii")
 
 
-def _chat_canon(body: dict) -> bytes | None:
-    """Canonical JSON of a ``RemoteScorer._request_body`` body, or None for any other shape."""
+@lru_cache(maxsize=16)
+def _chat_envelope(first: str, role: str, last_role: str, model: str, temperature, temperature_repr: str):
+    """Canonical JSON of a two-message chat body before and after its last content. The repr is in
+    the key as 0.0 and -0.0 are equal keys that JSON writes apart; it also tells 1, 1.0 and True apart."""
+    return (b'{"messages":[{"content":' + _json_str(first) + b',"role":' + _json_str(role) + b'},{"content":',
+            b',"role":' + _json_str(last_role) + b'}],"model":' + _json_str(model)
+            + b',"temperature":' + json.dumps(temperature).encode("ascii") + b"}")
+
+
+def _chat_chunks(body: dict) -> tuple[bytes, bytes, bytes] | None:
+    """The canonical JSON of a two-message body, as ``RemoteScorer`` sends, in three chunks; else None."""
     if type(body) is not dict or body.keys() != _BODY_KEYS:
         return None
     model, temperature, messages = body["model"], body["temperature"], body["messages"]
-    if type(model) is not str or type(temperature) not in _SCALARS or type(messages) is not list:
+    if type(temperature) not in _SCALARS or type(messages) is not list or len(messages) != 2:
         return None
-    parts = []
-    for m in messages:
-        if type(m) is not dict or m.keys() != _MESSAGE_KEYS:
-            return None
-        content, role = m["content"], m["role"]
-        if type(content) is not str or type(role) is not str:
-            return None
-        parts.append(b'{"content":' + _json_str(content) + b',"role":' + _json_str(role) + b"}")
-    return b"".join([
-        b'{"messages":[', b",".join(parts), b'],"model":', _json_str(model),
-        b',"temperature":', json.dumps(temperature).encode("ascii"), b"}",
-    ])
+    first, last = messages
+    if not (type(first) is type(last) is dict and first.keys() == last.keys() == _MESSAGE_KEYS):
+        return None
+    texts = first["content"], first["role"], last["role"], model, last["content"]
+    if set(map(type, texts)) != {str}:
+        return None
+    head, tail = _chat_envelope(*texts[:4], temperature, repr(temperature))
+    return head, _json_str(texts[4]), tail
 
 
 def request_fingerprint(body: dict) -> str:
     """Stable hash of a request body: the sha256 hex of its canonical JSON.
 
     The canonical JSON is ``json.dumps(body, sort_keys=True, separators=(",", ":"))``
-    with ASCII escapes. The chat bodies ``RemoteScorer`` sends are written
-    byte for byte the same without ``json.dumps`` walking the prompt text.
+    with ASCII escapes. For the bodies ``RemoteScorer`` sends (system, then
+    user), the bytes around the user text are kept per system text, model and
+    temperature, so each call escapes and hashes the user text alone.
     """
-    canon = _chat_canon(body)
-    if canon is None:
-        canon = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(canon).hexdigest()
+    chunks = _chat_chunks(body) or [json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")]
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 class Cassette:

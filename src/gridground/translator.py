@@ -41,7 +41,7 @@ class CoordinateReply:
 
 
 def _render_map(grid: OccupancyGrid, state: GridPose, goal: GridPose) -> str:
-    if GridPose(*state) == GridPose(*goal):
+    if state[0] == goal[0] and state[1] == goal[1]:
         raise OverlappingMarkers(
             f"robot and goal both at ({state[0]},{state[1]}); a trivially solved "
             "query must be handled before prompt construction"
@@ -49,10 +49,10 @@ def _render_map(grid: OccupancyGrid, state: GridPose, goal: GridPose) -> str:
     for name, p in (("robot", state), ("goal", goal)):
         if not grid.in_bounds(p[0], p[1]):
             raise OutOfBounds(f"{name} marker ({p[0]},{p[1]}) outside {grid.width}x{grid.height} grid")
-    rows = grid.rows()
-    for mark, (x, y) in (("R", state), ("G", goal)):
-        rows[y] = rows[y][:x] + mark + rows[y][x + 1:]
-    return "\n".join(rows)
+    text, i, j = grid.text, grid.text_index(state[0], state[1]), grid.text_index(goal[0], goal[1])
+    if i < j:
+        return f"{text[:i]}R{text[i + 1:j]}G{text[j + 1:]}"
+    return f"{text[:j]}G{text[j + 1:i]}R{text[i + 1:]}"
 
 
 def serialize_step_prompt(

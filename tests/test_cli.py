@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -225,6 +226,40 @@ ENDPOINT_PLANNERS = [
     ("astar", "mock"), ("rrt", "mock"), ("grounded", "mock"), ("grounded", "remote"),
     ("fullpath", "mock"), ("fullpath", "oracle"), ("fullpath", "remote"),
 ]
+
+
+def run_main(argv):
+    """(exit code or SystemExit code, stdout, stderr) of one main call, with the planning time blanked."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # --help
+            rc = ("SystemExit", exc.code)
+    return rc, out.getvalue(), re.sub(r", [0-9.]+ ms$", ", <t> ms", err.getvalue(), flags=re.M)
+
+
+class TestSharedParser:
+    def test_calls_on_one_parser_equal_calls_on_fresh_ones(self, tmp_path):
+        m = write_map(tmp_path, ["......", ".##.#.", "....#.", ".#...."])
+        seeded = plan_args(m, "0,0", "5,3", "--planner", "rrt", "--seed", "7")
+        sequence = [
+            seeded,
+            seeded[:-2],  # no --seed: the default seed, not the 7 before it
+            plan_args(m, "0,0", "5,3", "--planner", "dijkstra"),
+            ["plan", "--help"],
+            plan_args(m, "0,0", "5,3"),
+        ]
+        cli._build_parser.cache_clear()
+        shared = [run_main(argv) for argv in sequence]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            fresh.append(run_main(argv))
+        assert shared == fresh
+        assert [rc for rc, _, _ in shared] == [0, 0, 1, ("SystemExit", 0), 0]
+        assert shared[0][1] != shared[1][1]  # the two seeds draw different routes
 
 
 class TestEndpointValidation:
@@ -783,6 +818,26 @@ class TestBenchCommand:
         assert sorted(p.name for p in out_dir.iterdir()) == ["report.txt", "rows.csv"]
         assert (out_dir / "rows.csv").read_text().startswith("planner_id,")
 
+    @pytest.mark.parametrize("name", ["out_dir", "suite"])
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_empty_path_is_a_usage_error(self, tmp_path, capsys, monkeypatch, source, name):
+        # an empty out_dir would write into the working directory, an empty suite run the bundled one
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(bench, "run_suite", lambda *args: pytest.fail("a trial ran"))
+        argv = ["bench"]
+        if source == "flag":
+            argv += ["--" + name.replace("_", "-"), ""]
+        elif source == "env":
+            monkeypatch.setenv("GRIDGROUND_" + name.upper(), "")
+        else:
+            (tmp_path / "cfg.yaml").write_text(f"{name}: ''\n")
+            argv += ["--config", str(tmp_path / "cfg.yaml")]
+        rc = main(argv)
+        assert (rc, *capsys.readouterr()) == (1, "", f"usage error: {name} must not be empty\n")
+        assert list(work.iterdir()) == []
+
     def test_out_dir_from_env(self, tmp_path, capsys, monkeypatch):
         suite = write_tiny_suite(tmp_path)
         monkeypatch.setenv("GRIDGROUND_OUT_DIR", str(tmp_path / "envout"))
@@ -834,6 +889,36 @@ class TestGenMaps:
         assert rc == 1
         assert err.startswith("usage error: --size")
         assert not (tmp_path / "maps").exists()
+
+    @pytest.mark.parametrize("size", ["4097x1", "1x4097"])
+    def test_size_past_the_cap(self, tmp_path, capsys, size):
+        rc = main(["gen-maps", "--count", "1", "--size", size, "--density", "0.2",
+                   "--out-dir", str(tmp_path / "maps")])
+        assert (rc, *capsys.readouterr()) == (1, "", f"usage error: --size dimensions must be 1 to 4096, got {size!r}\n")
+        assert not (tmp_path / "maps").exists()
+
+    def test_size_at_the_cap(self, tmp_path, capsys):
+        rc = main(["gen-maps", "--count", "1", "--size", "4096x1", "--density", "0.2",
+                   "--out-dir", str(tmp_path / "maps")])
+        assert rc == 0
+        assert load_map((tmp_path / "maps" / "map_4096x1_d0.2_s0.map").read_text()).width == 4096
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_empty_out_dir_is_a_usage_error(self, tmp_path, capsys, monkeypatch, source):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = ["gen-maps", "--count", "1", "--size", "4x4", "--density", "0.2"]
+        if source == "flag":
+            argv += ["--out-dir", ""]
+        elif source == "env":
+            monkeypatch.setenv("GRIDGROUND_OUT_DIR", "")
+        else:
+            (tmp_path / "cfg.yaml").write_text("out_dir: ''\n")
+            argv += ["--config", str(tmp_path / "cfg.yaml")]
+        rc = main(argv)
+        assert (rc, *capsys.readouterr()) == (1, "", "usage error: out_dir must not be empty\n")
+        assert list(work.iterdir()) == []
 
     def test_bad_count(self, tmp_path, capsys):
         rc = main(["gen-maps", "--count", "0", "--size", "4x4", "--density", "0.2",

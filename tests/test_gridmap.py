@@ -200,6 +200,16 @@ class TestDerivedViews:
                 assert mask[g.flat_index(x, y)] == g.is_free(x, y)
                 assert g.flat_pose(g.flat_index(x, y)) == GridPose(x, y)
 
+    @settings(max_examples=60, deadline=None)
+    @given(grids())
+    def test_text_is_the_serialized_body(self, g):
+        assert g.text is g.text
+        assert serialize_map(g) == f"{g.width} {g.height} {g.resolution!r}\n{g.text}\n"
+        assert g.text.split("\n") == g.rows()
+        for y in range(g.height):
+            for x in range(g.width):
+                assert g.text[g.text_index(x, y)] == g.cell(x, y).value
+
     def test_flat_offsets_follow_the_deltas(self):
         g = open_grid(4, 3)
         deltas = FOUR_DELTAS + DIAGONAL_DELTAS

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -272,6 +273,27 @@ class TestFingerprintMatchesReference:
     def test_near_miss_shapes(self, body):
         assert request_fingerprint(body) == reference_fingerprint(body)
 
+    SYSTEM = {"role": "system", "content": translator.SYSTEM_TEXT}
+
+    @given(TEXT | st.just(translator.SYSTEM_TEXT), TEXT, TEXT | st.just("gpt-3.5-turbo"),
+           TEMPERATURE | st.sampled_from([0.0, -0.0, 1, 1.0, True]))
+    @settings(max_examples=300, deadline=None)
+    def test_remote_scorer_shaped_bodies(self, system, user, model, temperature):
+        # all examples run in one process, so the envelopes kept for earlier ones are read back
+        body = chat_shaped([{"role": "system", "content": system}, {"role": "user", "content": user}], model, temperature)
+        assert request_fingerprint(body) == reference_fingerprint(body)
+
+    @pytest.mark.parametrize(
+        "temperatures", [*itertools.permutations([0.0, -0.0]), *itertools.permutations([1, 1.0, True])], ids=repr
+    )
+    def test_equal_temperatures_keep_their_own_envelope(self, temperatures):
+        # equal keys that json.dumps writes apart: keyed on the value alone, each would get the first one's bytes
+        scorers_mod._chat_envelope.cache_clear()
+        bodies = [chat_shaped([self.SYSTEM, self.MSG], temperature=t) for t in temperatures]
+        ours = [request_fingerprint(b) for b in bodies]
+        assert ours == [reference_fingerprint(b) for b in bodies]
+        assert len(set(ours)) == len(bodies)
+
     def test_big_int_past_the_digit_limit_fails_alike(self):
         body = chat_shaped([self.MSG], temperature=10**5000)
         with pytest.raises(ValueError) as ours:
@@ -280,9 +302,18 @@ class TestFingerprintMatchesReference:
             reference_fingerprint(body)
         assert str(ours.value) == str(ref.value)
 
+    def test_big_int_past_the_digit_limit_fails_alike_in_a_remote_scorer_body(self):
+        body = chat_shaped([self.SYSTEM, self.MSG], temperature=10**5000)
+        with pytest.raises(ValueError) as ours:
+            request_fingerprint(body)
+        with pytest.raises(ValueError) as ref:
+            reference_fingerprint(body)
+        assert str(ours.value) == str(ref.value)
+
     @pytest.mark.parametrize("name", ["reference_world", "corridor", "two_corridor"])
     def test_remote_scorer_bodies_take_the_fast_path(self, name, monkeypatch):
-        # a prompt character that needs a JSON escape would send the whole text through json.dumps
+        # a prompt character that needs a JSON escape would send the whole text through json.dumps;
+        # the step and fullpath bodies share one system text, model and temperature, so one envelope
         sc = load_scenario(bundled_path(f"{name}.scenario.yaml"))
         instruction = Instruction(sc.instruction_text, sc.goal)
         cands = tuple(GridPose(sc.start[0] + a.delta[0], sc.start[1] + a.delta[1]) for a in ACTIONS)
@@ -292,11 +323,12 @@ class TestFingerprintMatchesReference:
             scorer._request_body(translator.serialize_fullpath_prompt(sc.map, sc.start, instruction)),
         ]
         expected = [reference_fingerprint(b) for b in bodies]
+        scorers_mod._chat_envelope.cache_clear()
         dumped = []
         real_dumps = json.dumps
         monkeypatch.setattr(json, "dumps", lambda obj, *a, **kw: dumped.append(obj) or real_dumps(obj, *a, **kw))
         assert [request_fingerprint(b) for b in bodies] == expected
-        assert dumped == [0.0, 0.0]  # the temperatures alone
+        assert dumped == [0.0]  # the temperature alone, once, as the envelope is built
 
 
 class TestCassette:

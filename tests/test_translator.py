@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridground.errors import MalformedReply, OutOfBounds, OverlappingMarkers
 from gridground.gridmap import GridPose
@@ -99,6 +99,21 @@ class TestStepPrompt:
         args = (g, GridPose(0, 0), Instruction("go", GridPose(3, 2)),
                 candidates_for(GridPose(0, 0)))
         assert serialize_step_prompt(*args) == serialize_step_prompt(*args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_map_block_marks_the_rows_in_either_order(self, data):
+        w, h = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        assume(w * h > 1)
+        rows = data.draw(st.lists(st.text(".#?", min_size=w, max_size=w), min_size=h, max_size=h))
+        cells = st.builds(GridPose, st.integers(0, w - 1), st.integers(0, h - 1))
+        state = data.draw(cells)
+        goal = data.draw(cells.filter(lambda p: p != state))
+        marked = [list(row) for row in rows]
+        marked[state.y][state.x], marked[goal.y][goal.x] = "R", "G"
+        block = f"map {w}x{h}\n" + "\n".join("".join(row) for row in marked) + "\n\n"
+        prompt = serialize_step_prompt(grid_from_rows(rows), state, Instruction("x", goal), candidates_for(state))
+        assert prompt.user_text.startswith(block)
 
 
 class TestFullpathPrompt:
