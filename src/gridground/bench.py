@@ -536,8 +536,9 @@ def plot_trajectories(
         color = _PALETTE[i % len(_PALETTE)]
         ly = grid.height * cell + 14 + 16 * i
         out.append(f'<rect x="4" y="{ly - 8}" width="18" height="4" fill="{color}"/>')
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # not html.escape: import time
         out.append(
-            f'<text x="28" y="{ly}" font-family="monospace" font-size="12" fill="#000000">{label}</text>'
+            f'<text x="28" y="{ly}" font-family="monospace" font-size="12" fill="#000000">{text}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

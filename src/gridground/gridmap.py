@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -73,9 +74,10 @@ class OccupancyGrid:
     stale): ``cells``, the ``CellState`` tuple; ``text``, the map text rows
     joined by newlines, addressed through ``text_index`` and split by
     ``rows()``; and ``free_mask``, the kernels' mask, 1 where Free, addressed through
-    ``flat_index``, ``flat_offsets``, ``flat_pose`` and ``strip_pad`` only. One
-    cost-to-goal field, ``distances_to``, is kept for the last goal asked only;
-    the heuristic tables of ``manhattan_to`` depend on the shape alone and are
+    ``flat_index``, ``flat_offsets``, ``flat_pose`` and ``strip_pad`` only. The
+    cost-to-goal field of the last goal asked, ``distances_to``, is kept on the
+    grid, and recent fields are shared between grids of equal content; the
+    heuristic tables of ``manhattan_to`` depend on the shape alone and are
     shared between grids.
     """
 
@@ -157,29 +159,20 @@ class OccupancyGrid:
         """Four-connected cost-to-goal of every cell, row-major; unreachable cells hold inf.
 
         A level-by-level BFS over the free mask; a blocked or out-of-bounds
-        goal yields an all-inf field. The field of the last goal is kept.
+        goal yields an all-inf field. The field of the last goal is kept on
+        the grid. Before a BFS runs, the memo of recent fields is asked for
+        one of a grid with equal width and store, so a grid rebuilt with the
+        same content (a replayed trial's sensed grid, say) reuses its field.
         """
         goal = GridPose(goal[0], goal[1])
         if (held := vars(self).get("_goal_field")) and held[0] == goal:
             return held[1]
-        unseen = bytearray(self.free_mask)  # free cells not reached yet
-        field = [math.inf] * len(unseen)
-        if self.is_free(goal.x, goal.y):
-            offsets, frontier, d = self.flat_offsets[:4], [self.flat_index(goal.x, goal.y)], 0.0
-            unseen[frontier[0]] = 0
-            while frontier:
-                reached = []
-                for i in frontier:
-                    field[i] = d
-                    for o in offsets:
-                        j = i + o
-                        if unseen[j]:
-                            unseen[j] = 0
-                            reached.append(j)
-                frontier, d = reached, d + 1.0
-        held = (goal, tuple(self.strip_pad(field)))  # one pair: goal and field never out of step
-        vars(self)["_goal_field"] = held
-        return held[1]
+        key = (self.width, self._padded, goal)  # store bytes, not the grid: the memo keeps no grid alive
+        if (field := _field_memo.get(key)) is None:
+            field = _cost_field(self, goal)
+            _field_memo.put(key, field)
+        vars(self)["_goal_field"] = (goal, field)  # one pair: goal and field never out of step
+        return field
 
     def manhattan_to(self, goal: GridPose) -> tuple[int, ...]:
         """``|x - gx| + |y - gy|`` of every free_mask index, pad cells included.
@@ -229,6 +222,66 @@ def _manhattan_table(width: int, height: int, gx: int, gy: int) -> tuple[int, ..
         table += dist[dy + gx + 1:dy:-1]
         table += dist[dy:dy + width - gx + 1]
     return tuple(table)  # shared by every grid of the shape, so immutable
+
+
+def _cost_field(grid: OccupancyGrid, goal: GridPose) -> tuple[float, ...]:
+    """The BFS behind ``distances_to``: goal's cost-to-goal field over grid's cells."""
+    unseen = bytearray(grid.free_mask)  # free cells not reached yet
+    field = [math.inf] * len(unseen)
+    if grid.is_free(goal.x, goal.y):
+        offsets, frontier, d = grid.flat_offsets[:4], [grid.flat_index(goal.x, goal.y)], 0.0
+        unseen[frontier[0]] = 0
+        while frontier:
+            reached = []
+            for i in frontier:
+                field[i] = d
+                for o in offsets:
+                    j = i + o
+                    if unseen[j]:
+                        unseen[j] = 0
+                        reached.append(j)
+            frontier, d = reached, d + 1.0
+    return tuple(grid.strip_pad(field))
+
+
+class _FieldMemo:
+    """Recent cost-to-goal fields by (width, padded store, goal), least recently asked first.
+
+    The width is part of the key because grids of different shapes can share
+    a store: rows ``##``/``..``/``..``/``##`` and ``##..``/``..##``. A field
+    costs its cells plus ``KEY_COST`` for its key and slot, so tiny grids
+    cannot pile up entries; past ``budget`` in all, the least recently asked
+    fields go, and a field that alone costs more is not kept. Every grid in
+    the process shares one memo, so a lock keeps fields and cost in step.
+    """
+
+    KEY_COST = 64
+
+    def __init__(self, budget: int):
+        self.budget, self.cost, self.fields, self.lock = budget, 0, {}, threading.Lock()
+
+    def get(self, key):
+        """The field kept under key, now the most recently asked, or None."""
+        with self.lock:
+            if (field := self.fields.pop(key, None)) is not None:
+                self.fields[key] = field
+            return field
+
+    def put(self, key, field: tuple[float, ...]) -> None:
+        """Keep field under key as the most recently asked, unless it alone is over the budget."""
+        if (cost := len(field) + self.KEY_COST) > self.budget:
+            return
+        with self.lock:
+            if key in self.fields:  # another thread built it meanwhile
+                return
+            self.fields[key] = field
+            self.cost += cost
+            while self.cost > self.budget:
+                self.cost -= len(self.fields.pop(next(iter(self.fields)))) + self.KEY_COST
+
+
+# 2**20 cells: about 8 MB of field slots, over a hundred 100x100 fields
+_field_memo = _FieldMemo(1 << 20)
 
 
 def _grid(width: int, height: int, resolution: float, padded: bytes) -> OccupancyGrid:

@@ -83,8 +83,9 @@ class OracleScorer:
     A candidate is on a shortest path when its four-connected cost-to-goal
     equals the state's cost minus one. All-zero when the state itself is
     disconnected from the goal. The scorer holds no state: it reads the
-    field the grid keeps (``OccupancyGrid.distances_to``), so a walk on one
-    grid builds one field, also across scorers and trials.
+    field the grid keeps (``OccupancyGrid.distances_to``), which grids of
+    equal content share, so a walk on one grid content builds one field,
+    also across scorers, grids and trials.
     """
 
     def __call__(self, query: TaskScorerQuery) -> ScoreTuple:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gridground import gridmap
 from gridground.gridmap import OccupancyGrid, load_map
 
 # Populated by the acceptance tests; echoed after the run so the per-criterion
@@ -14,6 +15,34 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def empty_field_memo(monkeypatch):
+    """Give distances_to an empty memo of its default budget; return it."""
+    memo = gridmap._FieldMemo(gridmap._field_memo.budget)
+    monkeypatch.setattr(gridmap, "_field_memo", memo)
+    return memo
+
+
+@pytest.fixture(autouse=True)
+def fresh_field_memo(monkeypatch):
+    # distances_to shares fields between grids of equal content through a
+    # module-level memo; start each test with an empty one, so no test's BFS
+    # count depends on test order
+    empty_field_memo(monkeypatch)
+
+
+def count_bfs_runs(monkeypatch) -> list:
+    """Record the grid of every distances_to call that ran its BFS, not a kept or shared field."""
+    runs = []
+    real = gridmap._cost_field
+
+    def counting(grid, goal):
+        runs.append(grid)
+        return real(grid, goal)
+
+    monkeypatch.setattr(gridmap, "_cost_field", counting)
+    return runs
 
 
 def grid_from_rows(rows, resolution=1.0):

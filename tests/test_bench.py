@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -35,7 +36,7 @@ from gridground.grounded import Instruction, PlannerConfig
 from gridground.scorers import MockScorer
 from gridground.simulator import Scenario, load_scenario
 
-from conftest import grid_from_rows, open_grid
+from conftest import count_bfs_runs, grid_from_rows, open_grid
 
 
 def corridor_scenario(**over):
@@ -459,6 +460,26 @@ class TestRunSuite:
         with pytest.raises(UnknownPlanner):
             run_suite([("c", corridor_scenario())], ["astar", "nope"], 1)
 
+    def test_replayed_oracle_trials_share_their_fields(self, monkeypatch):
+        # two_corridor's obstacle forces a replan on a sensed grid; every trial
+        # derives byte-equal grids, so only the first one runs a BFS
+        builds = count_bfs_runs(monkeypatch)
+        own = bench._REGISTRY["grounded:oracle"]
+
+        def marking(scenario, seed):
+            builds.append("trial")
+            return own(scenario, seed)
+
+        monkeypatch.setitem(bench._REGISTRY, "grounded:oracle", marking)
+        two = load_scenario(bundled_path("two_corridor.scenario.yaml"))
+        rows, _, _ = run_suite([("two", two)], ["grounded:oracle"], 3)
+        assert len({(r.correct, round(r.path_length_m, 9), r.replan_count) for r in rows}) == 1
+        assert rows[0].correct and rows[0].replan_count > 0
+        starts = [i for i, b in enumerate(builds) if b == "trial"]
+        assert len(starts) == 3 and starts[0] == 0
+        assert starts[1] >= 3  # trial 1 builds the base map's field and a sensed grid's
+        assert builds[starts[1]:] == ["trial", "trial"]  # trials 2 and 3 build none
+
 
 class TestSuiteFiles:
     def test_load_suite(self, tmp_path):
@@ -515,6 +536,13 @@ class TestSuiteFiles:
         svg = (out / "trajectories_corridor.svg").read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
         assert "astar" in svg and "grounded:mock" in svg
+
+    def test_planner_labels_are_escaped(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(bench._REGISTRY, "a<b&c>", bench._REGISTRY["astar"])
+        out = tmp_path / "out"
+        run_suite_file(write_suite(tmp_path, planners=("astar", "a<b&c>")), out)
+        root = ET.parse(out / "trajectories_corridor.svg").getroot()
+        assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")] == ["astar", "a<b&c>"]
 
 
 class TestPlotTrajectories:

@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,7 +27,7 @@ from gridground.gridmap import (
     serialize_map,
 )
 
-from conftest import grid_from_rows, open_grid
+from conftest import count_bfs_runs, empty_field_memo, grid_from_rows, open_grid
 from reference import (
     ReferenceOccupancyGrid,
     reference_distance_field,
@@ -346,14 +348,15 @@ class TestDistanceView:
         assert g.distances_to(goal) == (2.0, 1.0, 0.0)
         assert held_field(g)[0] == GridPose(2, 0)
 
-    def test_a_second_goal_replaces_the_first(self):
+    def test_a_second_goal_replaces_the_first(self, monkeypatch):
+        builds = count_bfs_runs(monkeypatch)
         g = open_grid(4, 3)
         first = g.distances_to(GridPose(0, 0))
         second = g.distances_to(GridPose(3, 2))
-        assert held_field(g) == (GridPose(3, 2), second)  # one field per grid
+        assert held_field(g) == (GridPose(3, 2), second)  # one pair per grid
         again = g.distances_to(GridPose(0, 0))
-        assert again == first and again is not first  # rebuilt, not kept beside the second
-        assert held_field(g)[1] is again
+        assert again is first and len(builds) == 2  # taken back from the memo, not rebuilt
+        assert held_field(g) == (GridPose(0, 0), first)
 
     def test_sensed_grid_starts_without_the_parent_field(self):
         g = grid_from_rows(["....", "....", "...."])
@@ -365,6 +368,114 @@ class TestDistanceView:
         fld = sensed.distances_to(goal)
         assert fld == tuple(reference_distance_field(sensed, goal))
         assert fld != parent_field
+
+
+@st.composite
+def equal_content_grids(draw):
+    """One grid content reached by every route that builds a grid, as a list of distinct grids."""
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = draw(st.lists(st.sampled_from(CellState), min_size=w * h, max_size=w * h))
+    base = OccupancyGrid(w, h, 1.0, cells)
+    poses = draw(st.lists(st.builds(GridPose, st.integers(0, w - 1), st.integers(0, h - 1)), max_size=6))
+    sensed = base.with_occupied(poses)
+    reordered = draw(st.permutations(poses + draw(st.lists(st.sampled_from(poses), max_size=3)) if poses else []))
+    return [
+        sensed,
+        OccupancyGrid(w, h, 1.0, sensed.cells),  # the constructor
+        load_map(serialize_map(sensed)),  # a round trip through map text
+        base.with_occupied(reordered),  # the same poses reordered and repeated
+        sensed.with_occupied(draw(st.lists(st.sampled_from(poses), max_size=3)) if poses else []),  # already occupied
+    ]
+
+
+class TestFieldMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(equal_content_grids(), st.data())
+    def test_one_bfs_per_content_and_goal(self, grids, data):
+        g = grids[0]
+        assert all(other == g for other in grids) and len({id(other) for other in grids}) == len(grids)
+        goals = data.draw(st.lists(st.builds(GridPose, st.integers(-1, g.width), st.integers(-1, g.height)),
+                                   min_size=1, max_size=3))
+        with pytest.MonkeyPatch.context() as mp:
+            empty_field_memo(mp)
+            builds = count_bfs_runs(mp)
+            for goal in goals:
+                want = reference_distance_field(g, goal)
+                for other in grids:
+                    assert list(other.distances_to(goal)) == want
+            assert len(builds) == len(set(goals))
+
+    def test_equal_store_different_width(self):
+        tall = grid_from_rows(["##", "..", "..", "##"])
+        wide = grid_from_rows(["##..", "..##"])
+        assert tall._padded == wide._padded  # one store, two shapes
+        goal = GridPose(0, 1)
+        assert list(tall.distances_to(goal)) == reference_distance_field(tall, goal)
+        assert list(wide.distances_to(goal)) == reference_distance_field(wide, goal)
+        assert tall.distances_to(goal) != wide.distances_to(goal)
+
+    def test_holds_store_bytes_not_grids(self):
+        g = open_grid(3, 3)
+        g.distances_to(GridPose(0, 0))
+        assert [key for key in gridmap._field_memo.fields] == [(3, g._padded, GridPose(0, 0))]
+        assert not any(isinstance(part, OccupancyGrid) for key in gridmap._field_memo.fields for part in key)
+
+    def test_least_recently_asked_goes_first(self, monkeypatch):
+        # room for exactly three 2x2 fields
+        memo = gridmap._FieldMemo(3 * (4 + gridmap._FieldMemo.KEY_COST))
+        monkeypatch.setattr(gridmap, "_field_memo", memo)
+        builds = count_bfs_runs(monkeypatch)
+        goals = [GridPose(0, 0), GridPose(1, 0), GridPose(0, 1), GridPose(1, 1)]
+        for goal in goals[:3]:
+            open_grid(2, 2).distances_to(goal)
+        open_grid(2, 2).distances_to(goals[0])  # a hit makes the first goal the most recent
+        assert len(builds) == 3
+        open_grid(2, 2).distances_to(goals[3])  # evicts goals[1], the least recently asked
+        assert [key[2] for key in memo.fields] == [goals[2], goals[0], goals[3]]
+        assert memo.cost == memo.budget
+        open_grid(2, 2).distances_to(goals[1])
+        assert len(builds) == 5 and [key[2] for key in memo.fields] == [goals[0], goals[3], goals[1]]
+
+    def test_a_field_over_the_budget_is_not_kept(self, monkeypatch):
+        memo = gridmap._FieldMemo(6 + gridmap._FieldMemo.KEY_COST)
+        monkeypatch.setattr(gridmap, "_field_memo", memo)
+        builds = count_bfs_runs(monkeypatch)
+        open_grid(2, 2).distances_to(GridPose(0, 0))
+        big = open_grid(7, 1)
+        fld = big.distances_to(GridPose(0, 0))
+        assert fld == tuple(float(x) for x in range(7))
+        assert [key[0] for key in memo.fields] == [2] and memo.cost == 4 + memo.KEY_COST  # the small one stays
+        assert big.distances_to(GridPose(0, 0)) is fld  # the grid still keeps its own pair
+        open_grid(7, 1).distances_to(GridPose(0, 0))
+        assert len(builds) == 3  # not shared, so an equal grid builds it again
+
+
+    def test_threads_keep_fields_and_cost_in_step(self, monkeypatch):
+        memo = gridmap._FieldMemo(5 * (9 + gridmap._FieldMemo.KEY_COST))  # room for five 3x3 fields
+        monkeypatch.setattr(gridmap, "_field_memo", memo)
+        contents = [open_grid(3, 3).with_occupied([GridPose(i % 3, i // 3)]) for i in range(9)]
+        errors = []
+
+        def ask(k):
+            try:
+                for i in range(300):
+                    g = load_map(serialize_map(contents[(i * (k + 1)) % 9]))
+                    assert list(g.distances_to(GridPose(2, 2))) == reference_distance_field(g, GridPose(2, 2))
+            except BaseException as exc:  # reported below, in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert memo.cost == sum(len(f) + memo.KEY_COST for f in memo.fields.values()) <= memo.budget
 
 
 class TestManhattanTable:

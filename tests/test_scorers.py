@@ -38,7 +38,7 @@ from gridground.scorers import (
 from gridground.simulator import load_scenario
 from gridground import bench, translator
 
-from conftest import grid_from_rows, open_grid
+from conftest import count_bfs_runs, grid_from_rows, open_grid
 from reference import ReferenceOracleScorer, reference_fingerprint
 
 E_MINUS_2 = 0.1353352832366127  # math.exp(-2), frozen
@@ -120,22 +120,6 @@ class TestOracleScore:
         assert got[1] == 1.0 and got[3] == 1.0
 
 
-def count_field_builds(monkeypatch) -> list:
-    """Record the grid of every distances_to call that built a field, not read the kept one."""
-    builds = []
-    real = OccupancyGrid.distances_to
-
-    def counting(grid, goal):
-        before = vars(grid).get("_goal_field")
-        fld = real(grid, goal)
-        if vars(grid)["_goal_field"] is not before:
-            builds.append(grid)
-        return fld
-
-    monkeypatch.setattr(OccupancyGrid, "distances_to", counting)
-    return builds
-
-
 class TestOracleScorerMemo:
     def test_holds_no_state(self):
         scorer = OracleScorer()
@@ -143,8 +127,8 @@ class TestOracleScorerMemo:
         scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
         assert vars(scorer) == {}
 
-    def test_one_field_per_grid_and_goal(self, monkeypatch):
-        builds = count_field_builds(monkeypatch)
+    def test_one_field_per_content_and_goal(self, monkeypatch):
+        builds = count_bfs_runs(monkeypatch)
         scorer = OracleScorer()
         g = open_grid(6, 6)
         for state in [(1, 1), (2, 1), (2, 2), (3, 2)]:
@@ -155,9 +139,14 @@ class TestOracleScorerMemo:
         scorer(query_at(g, (1, 1), (0, 0)))  # new goal forces a new field
         assert len(builds) == 2
 
-        g2 = open_grid(6, 6)  # equal content, distinct object
+        g2 = open_grid(6, 6)  # equal content, distinct object: shares g's fields
         scorer(query_at(g2, (1, 1), (5, 5)))
-        assert len(builds) == 3 and builds[2] is g2
+        scorer(query_at(g2, (1, 1), (0, 0)))
+        assert len(builds) == 2
+
+        g3 = g.with_occupied([GridPose(3, 3)])  # new content builds its own
+        scorer(query_at(g3, (1, 1), (5, 5)))
+        assert len(builds) == 3 and builds[2] is g3
 
     def test_releases_grid_it_moved_past(self):
         scorer = OracleScorer()
@@ -202,7 +191,7 @@ class TestOracleScorerMemo:
                 assert scorer(q) == reference(q)
 
     def test_reused_scenario_builds_its_base_field_once(self, monkeypatch):
-        builds = count_field_builds(monkeypatch)
+        builds = count_bfs_runs(monkeypatch)
         scenario = load_scenario(bundled_path("corridor.scenario.yaml"))
         rows = [bench.run_trial(scenario, "grounded:oracle", seed, "corridor") for seed in (1, 2)]
         assert all(r.correct for r in rows)
