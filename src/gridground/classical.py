@@ -51,7 +51,7 @@ def astar(
     grid: OccupancyGrid,
     start: GridPose,
     goal: GridPose,
-    connectivity: Connectivity = Connectivity.FOUR,
+    connectivity: Connectivity | int = Connectivity.FOUR,
 ) -> PlannedPath | None:
     """Deterministic A* over the grid.
 
@@ -60,20 +60,37 @@ def astar(
     costs above. Open-list ties break on lowest f, then lowest h, then
     insertion order, which makes repeated runs byte-identical.
 
+    connectivity may be a Connectivity member or its value, 4 or 8.
+
     Under four-connectivity every cost is an integer, so each open-list
     entry is one int, ``(f * H + h) * T + tick``, with H above any h and T
-    above the number of pushes: it pops in exactly that order, and the node
+    above the number of ticks: it pops in exactly that order, and the node
     comes back from a list indexed by tick. h is read from the grid's
     Manhattan table, which is shared by every grid of the same shape and
-    goal. Eight-connected costs are irrational, so that search keeps float
-    ``(f, h, tick)`` tuples.
+    goal. Each expansion of a node keyed (f, h) then dives: the first child
+    at h - 1, which keeps f, is expanded next without a heap push or pop.
+    That child takes its tick like any other, and it is the least key the
+    open list would hold: every open entry is at least (f, h) when a node
+    is expanded, a dived node included, and the node's other children come
+    later in tick order or at f + 2. Nor is it closed: its cost was just
+    lowered, and a closed node's cost is already least. So nodes are
+    expanded in the same (f, h, tick) order as with every child pushed.
+    Each cell keeps, in one byte, which of the four steps last lowered its
+    cost, so the search allocates no per-cell parent list or dict.
+    Eight-connected costs are irrational, so that search keeps float
+    ``(f, h, tick)`` tuples and pushes every child.
 
     Returns:
         The optimal path, or None when the goal is unreachable.
 
     Raises:
+        InvalidParams: connectivity is neither a Connectivity member nor 4 or 8.
         InvalidEndpoint: start or goal out of bounds or not Free.
     """
+    try:
+        connectivity = Connectivity(connectivity)
+    except ValueError:
+        raise InvalidParams(f"connectivity must be 4 or 8, got {connectivity!r}") from None
     check_endpoints(grid, start, goal)
     start, goal = GridPose(*start), GridPose(*goal)
     if start == goal:
@@ -82,7 +99,7 @@ def astar(
     parent = search(grid, start, goal)
     if parent is None:
         return None
-    # nodes are free_mask indices; parent maps each reached node to its predecessor
+    # nodes are free_mask indices; parent maps every node of the path but the start to its predecessor
     src = grid.flat_index(*start)
     path = [grid.flat_index(*goal)]
     while path[-1] != src:
@@ -93,36 +110,89 @@ def astar(
 def _search_four(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> dict[int, int] | None:
     mask, h = grid.free_mask, grid.manhattan_to(goal)
     offsets = grid.flat_offsets[:4]
+    up, right, left, down = offsets
     src, dst = grid.flat_index(*start), grid.flat_index(*goal)
     n = len(mask)
     H = grid.width + grid.height + 2  # above any h
-    T = 4 * n + 2  # above the number of pushes: at most one per expanded neighbour
+    T = 4 * n + 2  # above the number of ticks: at most one per expanded neighbour
     g = [n] * n  # n is above any path cost
     g[src] = 0
-    parent: dict[int, int] = {}
+    via = bytearray(n)  # via[i]: index in offsets of the step that last lowered g[i]
     closed = bytearray(n)
-    nodes = [src]  # nodes[tick]: the node pushed at that tick
+    nodes = [src]  # nodes[tick]: the node that took that tick
     open_heap = [(h[src] * H + h[src]) * T]
     heappush, heappop = heapq.heappush, heapq.heappop
+    # A step changes h by exactly 1, so a child of a node keyed (f, h) is keyed
+    # (f, h - 1) or (f + 2, h + 1): `near` + tick or `near` + `rise` + tick.
+    rise = (2 * H + 2) * T
 
     while open_heap:
-        cur = nodes[heappop(open_heap) % T]
+        key = heappop(open_heap)
+        tick = key % T
+        cur = nodes[tick]
         if closed[cur]:
             continue
-        closed[cur] = 1
-        if cur == dst:
-            return parent
-        ng = g[cur] + 1
-        for o in offsets:
-            nb = cur + o
-            # the Manhattan heuristic is consistent, so a closed nb already holds
-            # its least cost and fails ng < g[nb] without a closed check
+        near = key - tick - T  # (f * H + h - 1) * T: a node's first pop is its last push
+        while cur >= 0:  # expand cur, then the child it dives into, if any
+            closed[cur] = 1
+            if cur == dst:
+                parent = {}
+                while cur != src:
+                    parent[cur] = prev = cur - offsets[via[cur]]
+                    cur = prev
+                return parent
+            hc = h[cur]
+            ng = g[cur] + 1
+            dive = -1
+            # the four neighbours in offsets order, unrolled. The Manhattan heuristic
+            # is consistent, so a closed nb already holds its least cost and fails
+            # ng < g[nb] without a closed check
+            nb = cur + up
             if mask[nb] and ng < g[nb]:
                 g[nb] = ng
-                parent[nb] = cur
-                hn = h[nb]
-                heappush(open_heap, ((ng + hn) * H + hn) * T + len(nodes))
+                via[nb] = 0
+                if h[nb] > hc:
+                    heappush(open_heap, near + rise + len(nodes))
+                elif dive < 0:
+                    dive = nb
+                else:
+                    heappush(open_heap, near + len(nodes))
                 nodes.append(nb)
+            nb = cur + right
+            if mask[nb] and ng < g[nb]:
+                g[nb] = ng
+                via[nb] = 1
+                if h[nb] > hc:
+                    heappush(open_heap, near + rise + len(nodes))
+                elif dive < 0:
+                    dive = nb
+                else:
+                    heappush(open_heap, near + len(nodes))
+                nodes.append(nb)
+            nb = cur + left
+            if mask[nb] and ng < g[nb]:
+                g[nb] = ng
+                via[nb] = 2
+                if h[nb] > hc:
+                    heappush(open_heap, near + rise + len(nodes))
+                elif dive < 0:
+                    dive = nb
+                else:
+                    heappush(open_heap, near + len(nodes))
+                nodes.append(nb)
+            nb = cur + down
+            if mask[nb] and ng < g[nb]:
+                g[nb] = ng
+                via[nb] = 3
+                if h[nb] > hc:
+                    heappush(open_heap, near + rise + len(nodes))
+                elif dive < 0:
+                    dive = nb
+                else:
+                    heappush(open_heap, near + len(nodes))
+                nodes.append(nb)
+            cur = dive
+            near -= T  # the dived child is keyed (f, h - 1)
     return None
 
 

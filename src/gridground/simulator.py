@@ -194,22 +194,40 @@ def validate_external_path(scenario: Scenario, waypoints: list[GridPose]) -> Pat
 
     Verifies start anchoring, four-connected step adjacency, freeness of
     every cell on the base map, and goal termination, returning the first
-    violated rule with the waypoint index. Total: never raises.
+    violated rule with the waypoint index. A waypoint that does not unpack
+    to two ints (None, a string, a triple, a float pair) fails rule
+    "integer_pair" at its index. Total: never raises.
     """
     grid = scenario.map
-    if not waypoints or GridPose(*waypoints[0]) != GridPose(*scenario.start):
+    if not waypoints:
         return PathValidation(False, "start", 0)
-    prev: GridPose | None = None
-    for i, raw in enumerate(waypoints):
-        p = GridPose(*raw)
-        if prev is not None and abs(p.x - prev.x) + abs(p.y - prev.y) != 1:
-            return PathValidation(False, "adjacency", i)
-        if not grid.is_free(p.x, p.y):
-            return PathValidation(False, "freeness", i)
-        prev = p
+    i = 0
+    try:
+        if GridPose(*waypoints[0]) != GridPose(*scenario.start):
+            return _violation("start", waypoints, 0)
+        prev: GridPose | None = None
+        for i, raw in enumerate(waypoints):
+            p = GridPose(*raw)
+            if prev is not None and abs(p.x - prev.x) + abs(p.y - prev.y) != 1:
+                return _violation("adjacency", waypoints, i)
+            if not grid.is_free(p.x, p.y):
+                return _violation("freeness", waypoints, i)
+            prev = p
+    except TypeError:  # a waypoint that does not unpack to two numbers, or a float indexing the map
+        return PathValidation(False, "integer_pair", i)
     if GridPose(*waypoints[-1]) != GridPose(*scenario.goal):
         return PathValidation(False, "goal", len(waypoints) - 1)
     return PathValidation(True)
+
+
+def _violation(rule: str, waypoints: list, i: int) -> PathValidation:
+    # a malformed waypoint can fail a rule before it raises (a string that is not
+    # the start, an out-of-bounds float pair): report it as malformed
+    try:
+        x, y = waypoints[i]
+    except (TypeError, ValueError):
+        return PathValidation(False, "integer_pair", i)
+    return PathValidation(False, rule if isinstance(x, int) and isinstance(y, int) else "integer_pair", i)
 
 
 # --- YAML files: the parser, the typed field reader, and scenario files (scenario_v1) ---

@@ -20,8 +20,9 @@ from gridground.classical import (
     _MAX_HALVINGS,
     _NodeBuckets,
 )
+from gridground.bundled import bundled_path
 from gridground.errors import InvalidEndpoint, InvalidParams
-from gridground.gridmap import CellState, Connectivity, GridPose, random_map
+from gridground.gridmap import CellState, Connectivity, GridPose, load_map, random_map
 
 from conftest import grid_from_rows, open_grid
 from reference import dijkstra_oracle, path_cost_cells, reference_astar
@@ -42,6 +43,35 @@ def popped(search, *args):
     with mock.patch.object(heapq, "heappop", lambda heap: seen.append(pop(heap)) or seen[-1]):
         search(*args)
     return seen
+
+
+def assert_pops_in_the_former_order(g, start, goal):
+    """Pin astar's four-connected open list to every (f, h, tick) that reference_astar pops.
+
+    Stale pops are included. A node that astar dives into takes a tick but is
+    never pushed, so it never reaches heappop: its tick is one the reference
+    pops and astar never pushed (tick 0, the start, starts on the heap). The
+    reference must pop each such tick straight after expanding its parent, a
+    neighbour at the same f and h + 1; astar's heap pops must be the
+    reference's pops without those ticks. Returns the dived ticks.
+    """
+    H, T = g.width + g.height + 2, 4 * len(g.free_mask) + 2
+    pushed, push = [], heapq.heappush
+    with mock.patch.object(heapq, "heappush", lambda heap, key: pushed.append(key) or push(heap, key)):
+        keys = popped(astar, g, start, goal)
+    want = popped(reference_astar, g, start, goal)
+    dived = {item[2] for item in want} - {key % T for key in pushed} - {0}
+    assert [(k // T // H, k // T % H, k % T) for k in keys] == [item[:3] for item in want if item[2] not in dived]
+    expanded = set()
+    for before, item in zip([None] + want, want):
+        if item[2] in dived:
+            f, h, _, node = item[:4]
+            assert before[3] not in expanded, "a dive follows an expansion, not a stale pop"
+            assert (before[0], before[1]) == (f, h + 1)
+            assert node - before[3] in g.flat_offsets[:4]
+        if before is not None:
+            expanded.add(before[3])
+    return dived
 
 
 @st.composite
@@ -162,6 +192,20 @@ class TestAstar:
                 assert (g.cell(b.x, a.y) is CellState.FREE
                         or g.cell(a.x, b.y) is CellState.FREE)
 
+    @pytest.mark.parametrize("connectivity, steps", [
+        (Connectivity.FOUR, 64), (4, 64), (Connectivity.EIGHT, 58), (8, 58),
+    ])
+    def test_connectivity_by_member_or_value(self, connectivity, steps):
+        g = load_map(bundled_path("corridor.map").read_text())
+        p = astar(g, GridPose(2, 1), GridPose(21, 8), connectivity)
+        assert len(p.waypoints) - 1 == steps
+
+    @pytest.mark.parametrize("connectivity", [5, "4", None])
+    def test_other_connectivity_is_invalid(self, connectivity):
+        g = load_map(bundled_path("corridor.map").read_text())
+        with pytest.raises(InvalidParams, match="connectivity must be 4 or 8"):
+            astar(g, GridPose(2, 1), GridPose(21, 8), connectivity)
+
     def test_deterministic_output(self):
         g = random_map(20, 20, 0.3, seed=11)
         a = astar(g, GridPose(0, 0), GridPose(19, 19))
@@ -209,11 +253,30 @@ class TestAstar:
     @settings(max_examples=60, deadline=None)
     def test_pops_in_the_former_order(self, case):
         # each int key decodes to the (f, h, tick) the former search popped, in the same order
-        g, start, goal = case
-        H, T = g.width + g.height + 2, 4 * len(g.free_mask) + 2
-        keys = popped(astar, g, start, goal)
-        want = [item[:3] for item in popped(reference_astar, g, start, goal)]
-        assert [(k // T // H, k // T % H, k % T) for k in keys] == want
+        assert_pops_in_the_former_order(*case)
+
+    def test_walled_map_at_benchmark_scale(self):
+        # 100x100 at density 0.2, crossed by three walls with two doors each,
+        # one door closed by a sensed cell: long dive chains, as in dynamic_grid
+        rng = random.Random(19)
+        rows = random_map(100, 100, 0.2, seed=19).text.split("\n")
+        doors = []
+        for y in (25, 50, 75):
+            xs = sorted(rng.sample(range(1, 99), 2))
+            rows[y] = "".join("." if x in xs else "#" for x in range(100))
+            for x in xs:  # open both sides of the door
+                for r in (y - 1, y + 1):
+                    rows[r] = rows[r][:x - 1] + "..." + rows[r][x + 2:]
+            doors += [GridPose(x, y) for x in xs]
+        base = grid_from_rows(rows)
+        sensed = base.with_occupied([doors[2]])
+        queries = [(GridPose(0, 0), GridPose(99, 99)), (GridPose(99, 0), GridPose(0, 99)), (GridPose(0, 0), GridPose(99, 60))]
+        for g in (base, sensed):
+            for start, goal in queries:
+                got, want = astar(g, start, goal), reference_astar(g, start, goal)
+                assert got.waypoints == want.waypoints
+                dived = assert_pops_in_the_former_order(g, start, goal)
+                assert len(dived) > 100
 
     def test_serpentine_path_visits_every_row(self):
         g = serpentine(9, 25)

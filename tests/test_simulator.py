@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridground import bench
+from gridground.bundled import bundled_path
 from gridground.classical import astar
 from gridground.errors import InvalidScenario
 from gridground.gridmap import CellState, GridPose, OccupancyGrid, random_map
@@ -442,6 +443,36 @@ class TestValidateExternalPath:
         )
         path = [GridPose(x, 1) for x in range(1, 6)]
         assert validate_external_path(sc, path).valid
+
+    @pytest.mark.parametrize("bad", [(2.0, 1.0), None, "21", (2, 1, 0), (-1.0, 1.0), ("a", 1)],
+                             ids=["float_pair", "none", "string", "triple", "off_map_float_pair", "string_in_pair"])
+    @pytest.mark.parametrize("at", ["first", "second", "last"])
+    def test_malformed_waypoint_fails_at_its_index(self, bad, at):
+        # (2.0, 1.0) equals corridor's start and passes the adjacency check, then
+        # indexed the map with a float; the others raised TypeError sooner
+        sc = load_scenario(bundled_path("corridor.scenario.yaml"))
+        path = list(astar(sc.map, sc.start, sc.goal).waypoints)
+        i = {"first": 0, "second": 1, "last": len(path) - 1}[at]
+        path[i] = bad
+        assert validate_external_path(sc, path) == PathValidation(False, "integer_pair", i)
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.integers(0, 7), st.integers(0, 3)),
+        st.tuples(st.integers(-2, 9), st.integers(-2, 5)),
+        st.tuples(st.floats(-2, 9), st.floats(-2, 5)),
+        st.lists(st.integers(0, 6), max_size=3),
+        st.none(), st.booleans(), st.text(max_size=3), st.integers(),
+    ), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_never_raises(self, waypoints):
+        # each list follows corridor_scenario's start (1, 1), so the draws reach the later rules
+        got = validate_external_path(self.sc, [GridPose(1, 1)] + waypoints)
+        malformed = [i for i, w in enumerate(waypoints, 1)
+                     if not (isinstance(w, (tuple, list)) and len(w) == 2 and all(isinstance(v, int) for v in w))]
+        if malformed:
+            assert not got.valid and got.index <= malformed[0]
+        if got.rule == "integer_pair":
+            assert got.index == malformed[0]
 
 
 def scenario_doc(**over):
