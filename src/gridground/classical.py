@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import count, repeat, starmap
 
 from .errors import InvalidEndpoint, InvalidParams
-from .gridmap import DIAGONAL_DELTAS, FOUR_DELTAS, Connectivity, GridPose, OccupancyGrid
+from .gridmap import DIAGONAL_DELTAS, FOUR_DELTAS, Connectivity, GridPose, OccupancyGrid, as_connectivity
 
 SQRT2 = math.sqrt(2.0)
 
@@ -87,10 +87,7 @@ def astar(
         InvalidParams: connectivity is neither a Connectivity member nor 4 or 8.
         InvalidEndpoint: start or goal out of bounds or not Free.
     """
-    try:
-        connectivity = Connectivity(connectivity)
-    except ValueError:
-        raise InvalidParams(f"connectivity must be 4 or 8, got {connectivity!r}") from None
+    connectivity = as_connectivity(connectivity)
     check_endpoints(grid, start, goal)
     start, goal = GridPose(*start), GridPose(*goal)
     if start == goal:
@@ -351,9 +348,12 @@ def chain_cells(p0: Point, p1: Point) -> list[GridPose]:
 def _edge_free(grid: OccupancyGrid, p0: Point, p1: Point) -> bool:
     # p0 and p1 lie in [0, width] x [0, height], so each cell is on the map or
     # its pad; the walk stops at the first blocked cell
-    mask, flat_index = grid.free_mask, grid.flat_index
+    mask, base, row = grid.free_mask, grid.flat_index(0, 0), grid.flat_offsets[3]
+    x, y = math.floor(p0[0]), math.floor(p0[1])
+    if x == math.floor(p1[0]) and y == math.floor(p1[1]):
+        return mask[base + y * row + x] == 1  # the supercover is this one cell
     for x, y in _traverse(p0, p1, supercover=True):
-        if not mask[flat_index(x, y)]:
+        if not mask[base + y * row + x]:
             return False
     return True
 
@@ -392,25 +392,56 @@ class _NodeBuckets:
         Rings of buckets are scanned outward from target's bucket until no
         unscanned node can be as near as the best one found. A ring skips
         every bucket whose box lies farther than the best distance from
-        target along x or along y. When the next ring would take the buckets
-        looked up past n / _SCAN_RATIO for n nodes, one pass over all nodes
-        ends the search instead, so a query costs O(n) whatever the side.
+        target along x or along y. When target's own bucket already holds a
+        node nearer than any past the first ring, only the side and corner
+        buckets within reach are scanned. When the next ring would take the
+        buckets looked up past n / _SCAN_RATIO for n nodes, one pass over all
+        nodes ends the search instead, so a query costs O(n) whatever the side.
         """
         s, points, buckets = self.size, self.points, self.buckets
-        floor, dist = math.floor, math.dist
+        floor, dist, get = math.floor, math.dist, buckets.get
         tx, ty = target
         cx, cy = floor(tx / s), floor(ty / s)
-        # distance from target to the nearest edge of its own bucket; ring r
-        # pushes every edge of the scanned box r buckets further out
-        edge = min(tx - cx * s, (cx + 1) * s - tx, ty - cy * s, (cy + 1) * s - ty)
+        # distances from target to the four sides of its own bucket; ring r
+        # pushes every side of the scanned box r buckets further out
+        west, east, north, south = tx - cx * s, (cx + 1) * s - tx, ty - cy * s, (cy + 1) * s - ty
+        edge = min(west, east, north, south)
         best_i, best_d = -1, math.inf
-        for i in buckets.get((cx, cy), ()):  # in index order: the first of equals wins
+        for i in get((cx, cy), ()):  # in index order: the first of equals wins
             d = dist(points[i], target)
             if d < best_d:
                 best_i, best_d = i, d
+        # here and in the ring loop: strict, with slack for rounding in
+        # floor(x / s), as an unscanned node at exactly best_d might carry a lower index
+        if best_d < edge + s - 1e-9:
+            # no node past the first ring is as near; of that ring, a side
+            # bucket can hold one only when its side lies within reach, and a
+            # corner bucket only when both of its sides do
+            reach = best_d + 1e-9
+            keys = []
+            if north <= reach:
+                keys.append((cx, cy - 1))
+            if south <= reach:
+                keys.append((cx, cy + 1))
+            if west <= reach:
+                keys.append((cx - 1, cy))
+                if north <= reach:
+                    keys.append((cx - 1, cy - 1))
+                if south <= reach:
+                    keys.append((cx - 1, cy + 1))
+            if east <= reach:
+                keys.append((cx + 1, cy))
+                if north <= reach:
+                    keys.append((cx + 1, cy - 1))
+                if south <= reach:
+                    keys.append((cx + 1, cy + 1))
+            for key in keys:
+                for i in get(key, ()):
+                    d = dist(points[i], target)
+                    if d < best_d or (d == best_d and i < best_i):
+                        best_i, best_d = i, d
+            return best_i, best_d
         r = 1
-        # strict, with slack for rounding in floor(x / s): an unscanned node
-        # at exactly best_d might carry a lower index
         while best_d >= edge + (r - 1) * s - 1e-9:
             if _SCAN_RATIO * (2 * r + 1) ** 2 > len(points):
                 ds = list(map(dist, points, repeat(target)))
@@ -434,7 +465,7 @@ class _NodeBuckets:
             if x1 == cx + r:
                 keys += [(x1, y) for y in inner]
             for key in keys:
-                for i in buckets.get(key, ()):
+                for i in get(key, ()):
                     d = dist(points[i], target)
                     if d < best_d or (d == best_d and i < best_i):
                         best_i, best_d = i, d
@@ -453,7 +484,8 @@ def grow_rrt_tree(
     Each target extends its nearest node: least Euclidean distance, ties to
     the lowest node index, with the same result as a scan of every node. It
     is found through buckets whose side starts at step_size and halves as
-    the tree grows denser, down to a floor of step_size / 16.
+    the tree grows denser, down to a floor of step_size / 16, except for the
+    goal, whose nearest node the tree keeps as it grows.
     """
     if not (0 < params.step_size < math.inf):
         raise InvalidParams(f"step_size must be finite and > 0, got {params.step_size}")
@@ -477,35 +509,45 @@ def grow_rrt_tree(
         return tree
 
     index = _NodeBuckets(params.step_size, tree.points)
-    mask, flat_index = grid.free_mask, grid.flat_index
-    width, height, rand = grid.width, grid.height, rng.random
+    nearest, add, points, parents = index.nearest, index.add, tree.points, tree.parents
+    step, bias, tolerance = params.step_size, params.goal_bias, params.goal_tolerance
+    mask, base, row = grid.free_mask, grid.flat_index(0, 0), grid.flat_offsets[3]
+    width, height, rand, floor, dist = grid.width, grid.height, rng.random, math.floor, math.dist
+    # the node nearest goal_c and its distance, which a goal-biased target
+    # extends; replaced only by a strictly nearer node, so ties keep the lowest index
+    goal_i, goal_d = 0, dist(points[0], goal_c)
     for _ in range(params.max_iterations):
         while True:
             # rng.uniform(0.0, w) is 0.0 + w * random(): the same float from the same draw
             sx = width * rand()
             sy = height * rand()
             # 0 <= sx <= width and 0 <= sy <= height: the cell is on the map or its pad
-            if mask[flat_index(math.floor(sx), math.floor(sy))]:
+            if mask[base + floor(sy) * row + floor(sx)]:
                 break
-        target: Point = goal_c if rand() < params.goal_bias else (sx, sy)
-
-        best_i, best_d = index.nearest(target)
-        near = tree.points[best_i]
+        if rand() < bias:
+            target, best_i, best_d = goal_c, goal_i, goal_d
+        else:
+            target = (sx, sy)
+            best_i, best_d = nearest(target)
         if best_d < 1e-9:
             continue
-        if best_d <= params.step_size:
+        near = points[best_i]
+        if best_d <= step:
             new_p = target
         else:
-            f = params.step_size / best_d
+            f = step / best_d
             new_p = (near[0] + (target[0] - near[0]) * f, near[1] + (target[1] - near[1]) * f)
         if not _edge_free(grid, near, new_p):
             continue
-        tree.points.append(new_p)
-        tree.parents.append(best_i)
-        index.add(len(tree.points) - 1)
-        if math.dist(new_p, goal_c) <= params.goal_tolerance and _edge_free(grid, new_p, goal_c):
-            tree.accepted = len(tree.points) - 1
+        points.append(new_p)
+        parents.append(best_i)
+        add(len(points) - 1)
+        d = dist(new_p, goal_c)
+        if d <= tolerance and _edge_free(grid, new_p, goal_c):
+            tree.accepted = len(points) - 1
             return tree
+        if d < goal_d:
+            goal_i, goal_d = len(points) - 1, d
     return tree
 
 

@@ -17,6 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     InvalidDensity,
+    InvalidParams,
     MalformedHeader,
     OutOfBounds,
     RaggedRows,
@@ -41,6 +42,20 @@ _FREE_BYTE = bytes.maketrans(b".#?", b"\x01\x00\x00")
 class Connectivity(Enum):
     FOUR = 4
     EIGHT = 8
+
+
+def as_connectivity(value: Connectivity | int) -> Connectivity:
+    """The Connectivity member ``value`` names: a member, or its value 4 or 8.
+
+    Raises:
+        InvalidParams: value is anything else.
+    """
+    if isinstance(value, Connectivity):
+        return value
+    try:
+        return Connectivity(value)
+    except ValueError:
+        raise InvalidParams(f"connectivity must be 4 or 8, got {value!r}") from None
 
 
 class GridPose(NamedTuple):
@@ -374,18 +389,21 @@ def random_map(width: int, height: int, density: float, seed: int) -> OccupancyG
 
 
 def neighbors(
-    grid: OccupancyGrid, s: GridPose, connectivity: Connectivity = Connectivity.FOUR
+    grid: OccupancyGrid, s: GridPose, connectivity: Connectivity | int = Connectivity.FOUR
 ) -> list[GridPose]:
     """Traversable neighbor cells of ``s`` in deterministic order.
 
     Four-connectivity yields up, right, left, down; eight-connectivity
     appends NE, SE, SW, NW. Only Free in-bounds cells are returned. A
     diagonal is rejected when both of its adjacent cardinal cells are
-    non-Free, so the path never cuts a blocked corner.
+    non-Free, so the path never cuts a blocked corner. connectivity may be
+    a Connectivity member or its value, 4 or 8.
 
     Raises:
+        InvalidParams: connectivity is neither a Connectivity member nor 4 or 8.
         OutOfBounds: ``s`` itself is outside the grid.
     """
+    connectivity = as_connectivity(connectivity)
     x, y = s[0], s[1]
     if not grid.in_bounds(x, y):
         raise OutOfBounds(f"({x},{y}) outside {grid.width}x{grid.height} grid")

@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -19,7 +20,10 @@ from gridground.classical import (
     supercover_cells,
     _MAX_HALVINGS,
     _NodeBuckets,
+    _edge_free,
 )
+from gridground import classical
+from gridground.bench import trial_seed
 from gridground.bundled import bundled_path
 from gridground.errors import InvalidEndpoint, InvalidParams
 from gridground.gridmap import CellState, Connectivity, GridPose, load_map, random_map
@@ -400,6 +404,25 @@ class TestSegmentTraversal:
         assert len(cells) <= 2 * (abs(int(x1) - int(x0)) + abs(int(y1) - int(y0))) + 3
 
 
+class TestEdgeFree:
+    def test_one_cell_segment_reads_that_cells_bit(self):
+        # both endpoints floor to one cell, some on its integer sides or
+        # corner: the supercover is that cell, blocked or free
+        g = random_map(8, 6, 0.4, seed=3)
+        assert any(not g.is_free(x, y) for y in range(6) for x in range(8))
+        rng = random.Random(5)
+        fractions = [0.0, 0.0, 0.5, 0.999]
+        for _ in range(400):
+            x, y = rng.randrange(8), rng.randrange(6)
+            p0, p1 = [
+                (x + rng.choice([*fractions, rng.random()]), y + rng.choice([*fractions, rng.random()]))
+                for _ in range(2)
+            ]
+            cells = supercover_cells(p0, p1)
+            assert cells == [GridPose(x, y)]
+            assert _edge_free(g, p0, p1) == all(g.is_free(c.x, c.y) for c in cells)
+
+
 class TestRrt:
     def test_open_map_reaches_goal(self):
         g = open_grid(12, 12)
@@ -629,6 +652,59 @@ class TestRrtNearestNode:
         filler = [(30.0 + k, 30.0) for k in range(8)]
         index = _NodeBuckets(2.0, [(4.0, 1.0), (3.0, 0.0), *filler])
         assert index.nearest((3.0, 1.0)) == (0, 1.0)
+
+    @pytest.mark.parametrize("batch", [0, 1])
+    def test_matches_linear_scan_on_bundled_corridor_trees(self, batch):
+        # the trees a suite run grows on corridor.map: 1.6k-1.8k nodes in
+        # buckets halved three times, where most queries stop after ring 1
+        grid = load_map(bundled_path("corridor.map").read_text())
+        params = RrtParams(seed=trial_seed(f"corridor-s1-b{batch}", "rrt", 0))
+        got = grow_rrt_tree(grid, GridPose(2, 1), GridPose(21, 8), params)
+        want = linear_scan_tree(grid, GridPose(2, 1), GridPose(21, 8), params)
+        assert (got.points, got.parents, got.accepted) == (want.points, want.parents, want.accepted)
+        assert len(got.points) > 1500
+        assert _NodeBuckets(params.step_size, got.points).size == params.step_size / 8
+
+    @pytest.mark.parametrize("target, other", [
+        ((3.5, 1.5), (2.0, 1.5)), ((3.5, 0.5), (2.75, -0.5)),
+    ], ids=["side", "corner"])
+    def test_first_ring_tie_goes_to_lowest_index(self, target, other):
+        # target sits in bucket (1, 0); node 1 in that bucket and node 0 in its
+        # west side bucket or north-west corner bucket are equally near, well
+        # inside one side length: the search stops after ring 1 and must
+        # still prefer node 0
+        d = math.dist(other, target)
+        filler = [(30.0 + k, 30.0) for k in range(8)]
+        index = _NodeBuckets(3.0, [other, (target[0] + d, target[1]), *filler])
+        assert index.size == 3.0 and d < index.size
+        assert index.nearest(target) == (0, d)
+
+    def test_far_own_bucket_node_leaves_the_first_ring(self):
+        # target (0.05, 0.05) lies 0.05 inside bucket (0, 0), whose only node
+        # is 1.27 away: a node two buckets west, at 1.15, is nearer
+        filler = [(30.0 + k, 30.0) for k in range(8)]
+        index = _NodeBuckets(1.0, [(0.95, 0.95), (-1.1, 0.05), *filler])
+        assert index.size == 1.0
+        assert index.nearest((0.05, 0.05)) == (1, math.dist((-1.1, 0.05), (0.05, 0.05)))
+
+    def test_goal_biased_tie_goes_to_lowest_index(self):
+        # scripted draws grow nodes 1 and 2 at equal distance from the
+        # walled-off goal's centre (7.5, 7.5); the goal-biased draw that
+        # follows must extend node 1, as a scan of every node would
+        grid = grid_from_rows(["........"] * 6 + ["......##", "......#."])
+        draws = [2.5 / 8, 0.5 / 8, 0.99, 0.5 / 8, 2.5 / 8, 0.99, 0.5 / 8, 0.5 / 8, 0.0]
+
+        class ScriptedRandom(random.Random):
+            def random(self):
+                return draws.pop(0)
+
+        params = RrtParams(step_size=3.0, goal_bias=0.5, max_iterations=3)
+        with mock.patch.object(classical, "random", SimpleNamespace(Random=ScriptedRandom)):
+            tree = grow_rrt_tree(grid, GridPose(0, 0), GridPose(7, 7), params)
+        assert draws == []
+        assert tree.points[1:3] == [(2.5, 0.5), (0.5, 2.5)]
+        assert math.dist(tree.points[1], (7.5, 7.5)) == math.dist(tree.points[2], (7.5, 7.5))
+        assert (tree.parents, tree.accepted) == ([-1, 0, 0, 1], None)
 
     def test_dense_tree_halves_the_side(self):
         # a 6x6 room with the goal walled off: every iteration grows the tree,

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gridground.errors import (
     InvalidDensity,
+    InvalidParams,
     MalformedHeader,
     OutOfBounds,
     RaggedRows,
@@ -626,4 +627,18 @@ class TestNeighbors:
     def test_source_out_of_bounds(self):
         with pytest.raises(OutOfBounds):
             neighbors(open_grid(2, 2), GridPose(9, 9))
+
+    @pytest.mark.parametrize("connectivity, count", [
+        (Connectivity.FOUR, 4), (Connectivity.EIGHT, 8), (4, 4), (8, 8),
+    ])
+    def test_connectivity_by_member_or_value(self, connectivity, count):
+        g = random_map(5, 5, 0.0, seed=0)
+        got = neighbors(g, GridPose(2, 2), connectivity)
+        assert len(got) == count
+        assert got == neighbors(g, GridPose(2, 2), Connectivity(count))
+
+    @pytest.mark.parametrize("connectivity", [5, "8", None, 0])
+    def test_other_connectivity_is_invalid(self, connectivity):
+        with pytest.raises(InvalidParams, match="connectivity must be 4 or 8"):
+            neighbors(random_map(5, 5, 0.0, seed=0), GridPose(2, 2), connectivity)
 
