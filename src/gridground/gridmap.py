@@ -179,9 +179,10 @@ class OccupancyGrid:
         one of a grid with equal width and store, so a grid rebuilt with the
         same content (a replayed trial's sensed grid, say) reuses its field.
         """
-        goal = GridPose(goal[0], goal[1])
-        if (held := vars(self).get("_goal_field")) and held[0] == goal:
+        # a GridPose equals its plain tuple; `is True` passes over a goal whose == is elementwise, as an array's is
+        if (held := vars(self).get("_goal_field")) and (held[0] == goal) is True:
             return held[1]
+        goal = GridPose(goal[0], goal[1])
         key = (self.width, self._padded, goal)  # store bytes, not the grid: the memo keeps no grid alive
         if (field := _field_memo.get(key)) is None:
             field = _cost_field(self, goal)

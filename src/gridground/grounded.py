@@ -89,6 +89,9 @@ class PlannerConfig:
 
 TaskScorer = Callable[[TaskScorerQuery], Sequence[float]]
 
+# builds a GridPose or TaskScorerQuery from a tuple of its fields, skipping the NamedTuple's Python-level __new__
+_new = tuple.__new__
+
 
 def _affordances(grid: OccupancyGrid, x: int, y: int) -> list[float]:
     """p_util of the four ACTIONS candidates of the on-grid cell (x, y), read from the free mask.
@@ -107,7 +110,8 @@ def _affordances(grid: OccupancyGrid, x: int, y: int) -> list[float]:
 
 def _candidates(x: int, y: int) -> tuple[GridPose, ...]:
     """The cells the four ACTIONS lead to from (x, y), in ACTIONS order."""
-    return (GridPose(x, y - 1), GridPose(x + 1, y), GridPose(x - 1, y), GridPose(x, y + 1))
+    return (_new(GridPose, (x, y - 1)), _new(GridPose, (x + 1, y)),
+            _new(GridPose, (x - 1, y)), _new(GridPose, (x, y + 1)))
 
 
 def _on_grid(grid: OccupancyGrid, s: GridPose) -> GridPose:
@@ -132,7 +136,7 @@ def _score(
     x, y = s
     candidates = _candidates(x, y)
     try:
-        raw = [float(v) for v in scorer(TaskScorerQuery(instruction, grid, s, candidates))]
+        raw = [float(v) for v in scorer(_new(TaskScorerQuery, (instruction, grid, s, candidates)))]
     except ScorerFailure:
         raise
     except Exception as exc:  # a buggy backend must surface as a scorer failure
@@ -142,8 +146,8 @@ def _score(
     a, b, c, d = raw
     if not (0.0 <= a < math.inf and 0.0 <= b < math.inf and 0.0 <= c < math.inf and 0.0 <= d < math.inf):
         raise ScorerFailure(f"scores must be finite and non-negative, got {raw}")
-    total = sum(raw)
-    p_gpts = [v / total for v in raw] if total > 0 else [0.25, 0.25, 0.25, 0.25]
+    total = a + b + c + d  # sum(raw) to the bit, bar the sign of an all-zero total
+    p_gpts = [a / total, b / total, c / total, d / total] if total > 0 else [0.25, 0.25, 0.25, 0.25]
     return candidates, p_gpts, _affordances(grid, x, y)
 
 
@@ -151,12 +155,13 @@ def _argmax(
     combined: Iterable[float], candidates: Sequence[GridPose], visited: set[GridPose], penalty: float
 ) -> int | None:
     """Index of the largest revisit-adjusted combined score, the first on ties; None when all are 0."""
-    best, best_v = None, 0.0
-    for k, (v, cand) in enumerate(zip(combined, candidates)):
-        if cand in visited:
+    best, best_v, k = None, 0.0, 0
+    for v in combined:
+        if candidates[k] in visited:
             v *= penalty
         if v > best_v:
             best, best_v = k, v
+        k += 1
     return best
 
 

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 from urllib.parse import urlsplit
 
 from .errors import (
@@ -34,13 +34,13 @@ if TYPE_CHECKING:
     from .grounded import Instruction
 
 
-@dataclass(frozen=True)
-class TaskScorerQuery:
+class TaskScorerQuery(NamedTuple):
     """One scoring request: rate the four candidate cells for this state.
 
     Candidates arrive in tie-break order (up, right, left, down) and may be
     blocked or out of bounds; backends score them anyway and the planner's
-    affordance term handles validity.
+    affordance term handles validity. A NamedTuple, so immutable, and cheap
+    to build once per planning step.
     """
 
     instruction: "Instruction"

@@ -136,7 +136,7 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
         path = planner.plan(working, cell, goal, scenario.instruction_text)
         if path is None:
             return None
-        steps = deque(GridPose(*p) for p in path)
+        steps = deque(p if type(p) is GridPose else GridPose(*p) for p in path)  # rewrap only foreign pairs
         if steps and steps[0] == cell:
             steps.popleft()
         return steps
@@ -207,7 +207,7 @@ def validate_external_path(scenario: Scenario, waypoints: list[GridPose]) -> Pat
             return _violation("start", waypoints, 0)
         prev: GridPose | None = None
         for i, raw in enumerate(waypoints):
-            p = GridPose(*raw)
+            p = raw if type(raw) is GridPose else GridPose(*raw)
             if prev is not None and abs(p.x - prev.x) + abs(p.y - prev.y) != 1:
                 return _violation("adjacency", waypoints, i)
             if not grid.is_free(p.x, p.y):

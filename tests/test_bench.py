@@ -1,7 +1,11 @@
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -479,6 +483,28 @@ class TestRunSuite:
         assert len(starts) == 3 and starts[0] == 0
         assert starts[1] >= 3  # trial 1 builds the base map's field and a sensed grid's
         assert builds[starts[1]:] == ["trial", "trial"]  # trials 2 and 3 build none
+
+
+class TestHashSeed:
+    RUN = "import sys; sys.path.insert(0, sys.argv[1]); from gridground.cli import main; sys.exit(main(sys.argv[2:]))"
+
+    def bench_under(self, hash_seed, out):
+        src = Path(bench.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", self.RUN, str(src), "bench", "--out-dir", str(out)],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed}, cwd=out.parent, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(io.StringIO((out / "rows.csv").read_text())))
+        for row in rows:
+            del row["planning_time_ms"], row["scorer_wall_time_ms"]
+        return rows, {p.name: p.read_bytes() for p in sorted(out.glob("*.svg"))}
+
+    def test_default_suite_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        rows_0, svgs_0 = self.bench_under("0", tmp_path / "h0")
+        rows_1, svgs_1 = self.bench_under("1", tmp_path / "h1")
+        assert len(rows_0) == 18 and rows_0 == rows_1  # 3 scenarios x 3 planners x 2 trials
+        assert len(svgs_0) == 3 and svgs_0 == svgs_1
 
 
 class TestSuiteFiles:

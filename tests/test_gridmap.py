@@ -349,6 +349,36 @@ class TestDistanceView:
         assert g.distances_to(goal) == (2.0, 1.0, 0.0)
         assert held_field(g)[0] == GridPose(2, 0)
 
+    def test_a_pose_a_tuple_and_a_list_read_the_kept_field(self, monkeypatch):
+        builds = count_bfs_runs(monkeypatch)
+        g = open_grid(4, 3)
+        fld = g.distances_to(GridPose(3, 2))
+        assert g.distances_to((3, 2)) is fld and g.distances_to([3, 2]) is fld
+        assert len(builds) == 1
+        assert type(held_field(g)[0]) is GridPose  # a list goal is not kept as given
+
+    def test_a_goal_whose_equality_has_no_truth_value_reads_its_field(self):
+        class NoTruth:
+            def __bool__(self):
+                raise ValueError("the truth value is ambiguous")
+
+        class ArrayPair:
+            """An (x, y) pair whose == answers elementwise, as a numpy array's does."""
+
+            def __init__(self, x, y):
+                self.xy = (x, y)
+
+            def __getitem__(self, i):
+                return self.xy[i]
+
+            def __eq__(self, other):
+                return NoTruth()
+
+        g = open_grid(4, 3)
+        fld = g.distances_to(ArrayPair(3, 2))
+        assert g.distances_to(ArrayPair(3, 2)) is fld
+        assert list(fld) == reference_distance_field(g, GridPose(3, 2))
+
     def test_a_second_goal_replaces_the_first(self, monkeypatch):
         builds = count_bfs_runs(monkeypatch)
         g = open_grid(4, 3)

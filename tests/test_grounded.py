@@ -22,7 +22,7 @@ from gridground.grounded import (
     select_action,
     trace_to_jsonl,
 )
-from gridground.scorers import MockScorer, OracleScorer
+from gridground.scorers import MockScorer, OracleScorer, TaskScorerQuery
 from gridground.simulator import load_scenario
 
 from conftest import grid_from_rows, open_grid
@@ -132,6 +132,22 @@ class TestScoreCandidates:
         assert q.state == GridPose(2, 2)
         assert q.candidates == (GridPose(2, 1), GridPose(3, 2), GridPose(1, 2), GridPose(2, 3))
         assert q.instruction.text == "go"
+        assert type(q) is TaskScorerQuery
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(-0.0), st.floats(0.0, 1e300)), min_size=4, max_size=4))
+    def test_normalizes_as_sum_does(self, raw):
+        total = sum(raw)
+        want = [v / total for v in raw] if total > 0 else [0.25, 0.25, 0.25, 0.25]
+        scorer, instruction = CapturingScorer(raw), Instruction("x", GridPose(4, 4))
+        scored = score_candidates(scorer, instruction, open_grid(5, 5), GridPose(2, 2))
+        assert [sa.p_gpt for sa in scored] == want
+
+    @given(st.integers(-3, 40), st.integers(-3, 40))
+    def test_candidates_are_poses_in_actions_order(self, x, y):
+        cands = grounded._candidates(x, y)
+        assert cands == tuple(GridPose(x + a.delta[0], y + a.delta[1]) for a in ACTIONS)
+        assert all(type(c) is GridPose for c in cands)
 
     def test_combined_is_product(self):
         g = grid_from_rows([

@@ -51,6 +51,22 @@ def query_at(grid, state, goal, text="go"):
     return TaskScorerQuery(Instruction(text, GridPose(*goal)), grid, GridPose(*state), cands)
 
 
+class TestTaskScorerQuery:
+    def test_four_named_fields_built_by_keyword(self):
+        grid, instruction = open_grid(3, 3), Instruction("go", GridPose(2, 2))
+        cands = (GridPose(1, 0), GridPose(2, 1), GridPose(0, 1), GridPose(1, 2))
+        q = TaskScorerQuery(instruction=instruction, grid=grid, state=GridPose(1, 1), candidates=cands)
+        assert TaskScorerQuery._fields == ("instruction", "grid", "state", "candidates")
+        assert (q.instruction, q.grid, q.state, q.candidates) == (instruction, grid, GridPose(1, 1), cands)
+        assert q == (instruction, grid, GridPose(1, 1), cands)  # a tuple, equal to its plain 4-tuple
+
+    @pytest.mark.parametrize("field", ["instruction", "grid", "state", "candidates"])
+    def test_fields_cannot_be_assigned(self, field):
+        q = query_at(open_grid(3, 3), (1, 1), (2, 2))
+        with pytest.raises(AttributeError):
+            setattr(q, field, None)
+
+
 class TestMockScore:
     def test_softmax_of_manhattan_gap(self):
         # candidates up/left sit 2 steps farther than right/down

@@ -121,6 +121,13 @@ class TestExecuteStatic:
         assert rec.steps_taken == 2  # the colliding move is counted
         assert [tuple(p) for p in rec.visited] == [(0, 0), (1, 0)]  # wall cell excluded
 
+    @pytest.mark.parametrize("wrap", [GridPose._make, tuple, list], ids=["pose", "tuple", "list"])
+    def test_waypoints_of_any_pair_type_walk_as_poses(self, wrap):
+        sc = corridor_scenario()
+        rec = execute(sc, ScriptedPlanner([[wrap((x, 1)) for x in range(1, 6)]]))
+        assert rec.reached_goal and rec.visited == [GridPose(x, 1) for x in range(1, 6)]
+        assert all(type(p) is GridPose for p in rec.visited)
+
     def test_budget_caps_runaway_paths(self):
         g = open_grid(3, 3)
         sc = Scenario(map=g, start=GridPose(0, 0), goal=GridPose(2, 2),
@@ -444,8 +451,9 @@ class TestValidateExternalPath:
         path = [GridPose(x, 1) for x in range(1, 6)]
         assert validate_external_path(sc, path).valid
 
-    @pytest.mark.parametrize("bad", [(2.0, 1.0), None, "21", (2, 1, 0), (-1.0, 1.0), ("a", 1)],
-                             ids=["float_pair", "none", "string", "triple", "off_map_float_pair", "string_in_pair"])
+    @pytest.mark.parametrize("bad", [(2.0, 1.0), GridPose(2.0, 1.0), None, "21", (2, 1, 0), (-1.0, 1.0), ("a", 1)],
+                             ids=["float_pair", "float_pose", "none", "string", "triple", "off_map_float_pair",
+                                  "string_in_pair"])
     @pytest.mark.parametrize("at", ["first", "second", "last"])
     def test_malformed_waypoint_fails_at_its_index(self, bad, at):
         # (2.0, 1.0) equals corridor's start and passes the adjacency check, then
@@ -455,6 +463,14 @@ class TestValidateExternalPath:
         i = {"first": 0, "second": 1, "last": len(path) - 1}[at]
         path[i] = bad
         assert validate_external_path(sc, path) == PathValidation(False, "integer_pair", i)
+
+    @given(st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 3)), max_size=8), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_poses_tuples_and_lists_get_one_verdict(self, cells, to_goal):
+        path = [(1, 1), *cells, *([(5, 1)] if to_goal else [])]
+        as_poses = validate_external_path(self.sc, [GridPose(*c) for c in path])
+        as_lists = validate_external_path(self.sc, [list(c) for c in path])
+        assert as_poses == validate_external_path(self.sc, path) == as_lists
 
     @given(st.lists(st.one_of(
         st.tuples(st.integers(0, 7), st.integers(0, 3)),
