@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .classical import PlannedPath, RrtParams, astar, path_length, rrt
-from .errors import ConfigError, GridGroundError, MalformedReply, UnknownPlanner
+from .errors import ConfigError, InvalidScenario, MalformedReply, ScorerFailure, UnknownPlanner
 from .gridmap import CellState, Connectivity, GridPose, OccupancyGrid
 from .grounded import Instruction, PlannerConfig, plan as grounded_plan
 from .scorers import MockScorer, OracleScorer, TaskScorerQuery
@@ -273,9 +273,9 @@ def _run_trial_full(
             path_length_m=length_m,
             replan_count=record.replan_count,
         )
-    except GridGroundError:
-        # a failed trial is data, not a crash: record it as incorrect; any
-        # other exception is a bug and propagates
+    except (InvalidScenario, ScorerFailure):
+        # bad input or a failed scorer backend is data, not a crash: record it
+        # as incorrect; any other error, ours or not, is a bug and propagates
         row = TrialResult(planner_id, scenario_id, seed, 0.0, 0.0, False, 0.0, 0)
     return row, visited
 
@@ -285,9 +285,9 @@ def run_trial(
 ) -> TrialResult:
     """Execute one trial; only the planner's plan calls are timed.
 
-    A GridGroundError inside the trial (an invalid scenario or endpoint, a
-    scorer failure) is recorded as an all-zero correct=False row; any other
-    exception is a bug, not a failed trial, and propagates.
+    An InvalidScenario or a ScorerFailure inside the trial is recorded as an
+    all-zero correct=False row; any other exception, a GridGroundError too,
+    is a bug, not a failed trial, and propagates.
 
     Raises:
         UnknownPlanner: planner_id is not registered.

@@ -8,8 +8,10 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridground.bench as bench
+from gridground import cli
 from gridground.bench import (
     CORRECTNESS_NOTE,
     CSV_HEADER,
@@ -34,11 +36,22 @@ from gridground.bench import (
 )
 from gridground.bundled import bundled_path
 from gridground.classical import PlannedPath, astar, path_length
-from gridground.errors import ConfigError, InvalidEndpoint, UnknownPlanner
-from gridground.gridmap import GridPose
+from gridground.errors import (
+    AuthMissing,
+    ConfigError,
+    InvalidEndpoint,
+    InvalidParams,
+    MalformedReply,
+    OutOfBounds,
+    RetriesExhausted,
+    ScorerFailure,
+    ScorerTimeout,
+    UnknownPlanner,
+)
+from gridground.gridmap import GridPose, random_map
 from gridground.grounded import Instruction, PlannerConfig
 from gridground.scorers import MockScorer
-from gridground.simulator import Scenario, load_scenario
+from gridground.simulator import DynamicObstacle, Scenario, execute, load_scenario, validate_external_path
 
 from conftest import count_bfs_runs, grid_from_rows, open_grid
 
@@ -269,15 +282,26 @@ class TestRunTrial:
         finally:
             del bench._REGISTRY["test:boom"]
 
-    def test_registered_planner_package_error_zeroed(self):
+    @pytest.mark.parametrize("error,is_row", [
+        (InvalidEndpoint, False), (OutOfBounds, False), (InvalidParams, False),
+        (ScorerFailure, True), (RetriesExhausted, True), (ScorerTimeout, True),
+        (AuthMissing, True), (MalformedReply, True),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else ("row" if v else "raises"))
+    def test_registered_planner_package_error(self, error, is_row):
+        # a scorer backend's failure is a failed trial; any other package error
+        # out of a valid scenario's plan is a bug in the planner and propagates
         class Refuses:
             def plan(self, grid, start, goal, instruction_text):
-                raise InvalidEndpoint("refused")
+                raise error("refused")
 
         register_planner("test:refuses", lambda sc, seed: TrialPlanner(Refuses()))
         try:
-            row = run_trial(corridor_scenario(), "test:refuses", 3)
-            assert row == TrialResult("test:refuses", "scenario", 3, 0.0, 0.0, False, 0.0, 0)
+            if is_row:
+                row = run_trial(corridor_scenario(), "test:refuses", 3)
+                assert row == TrialResult("test:refuses", "scenario", 3, 0.0, 0.0, False, 0.0, 0)
+            else:
+                with pytest.raises(error, match="refused"):
+                    run_trial(corridor_scenario(), "test:refuses", 3)
         finally:
             del bench._REGISTRY["test:refuses"]
 
@@ -485,6 +509,39 @@ class TestRunSuite:
         assert builds[starts[1]:] == ["trial", "trial"]  # trials 2 and 3 build none
 
 
+@st.composite
+def valid_scenarios(draw):
+    """Random valid scenarios: sides 2-30, density 0-0.3, 0-3 dynamic obstacles, sensing radius 1-3."""
+    w, h = draw(st.integers(2, 30)), draw(st.integers(2, 30))
+    base = random_map(w, h, draw(st.floats(0.0, 0.3)), draw(st.integers(0, 10_000)))
+    g = grid_from_rows(base.rows(), draw(st.sampled_from([0.05, 0.5, 1.0])))
+    free = [GridPose(x, y) for y in range(h) for x in range(w) if g.is_free(x, y)]  # the border is free
+    # on free cells, so that some land on the walk and force a replan
+    obstacles = st.builds(DynamicObstacle, st.sampled_from(free), st.integers(0, w + h))
+    return Scenario(map=g, start=draw(st.sampled_from(free)), goal=draw(st.sampled_from(free)),
+                    instruction_text="reach the goal",
+                    dynamic_obstacles=tuple(draw(st.lists(obstacles, max_size=3))),
+                    sensing_radius=draw(st.integers(1, 3)))
+
+
+class TestTrialFuzz:
+    @pytest.mark.parametrize("pid", sorted(bench._REGISTRY))
+    @given(sc=valid_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_valid_scenarios_give_rows(self, pid, sc):
+        rows, _, samples = run_suite([("s", sc)], [pid], 1)
+        again, _, _ = run_suite([("s", sc)], [pid], 1)
+        assert [nontiming(r) for r in again] == [nontiming(r) for r in rows]
+        (row,), walk = rows, samples[("s", pid)]
+        # no valid scenario reaches the trial's except clause: the same walk run
+        # outside the trial raises nothing, and the row is its outcome
+        record = execute(sc, make_planner(pid, sc, row.seed).planner)
+        assert (walk, row.replan_count) == (record.visited, record.replan_count)
+        if row.correct:
+            assert validate_external_path(sc, walk).valid
+            assert row.path_length_m == (len(walk) - 1) * sc.map.resolution
+
+
 class TestHashSeed:
     RUN = "import sys; sys.path.insert(0, sys.argv[1]); from gridground.cli import main; sys.exit(main(sys.argv[2:]))"
 
@@ -569,6 +626,21 @@ class TestSuiteFiles:
         run_suite_file(write_suite(tmp_path, planners=("astar", "a<b&c>")), out)
         root = ET.parse(out / "trajectories_corridor.svg").getroot()
         assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")] == ["astar", "a<b&c>"]
+
+    def test_planner_bug_fails_the_bench_command(self, tmp_path, capsys, monkeypatch):
+        # a package error that is neither bad input nor a scorer failure is a
+        # bug: the command stops with it instead of writing a wrong row
+        class OffTheMap:
+            def plan(self, grid, start, goal, instruction_text):
+                raise OutOfBounds("(9,9) outside 7x3 grid")
+
+        monkeypatch.setitem(bench._REGISTRY, "test:off", lambda sc, seed: TrialPlanner(OffTheMap()))
+        out = tmp_path / "out"
+        rc = cli.main(["bench", "--suite", str(write_suite(tmp_path, planners=("astar", "test:off"))),
+                       "--out-dir", str(out)])
+        stdout, stderr = capsys.readouterr()
+        assert (rc, stdout, stderr) == (1, "", "error: (9,9) outside 7x3 grid\n")
+        assert not (out / "rows.csv").exists()
 
 
 class TestPlotTrajectories:
