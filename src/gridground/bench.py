@@ -3,20 +3,17 @@
 Trial identity is deterministic: the seed for (scenario, planner, index) is a
 stable hash, so two runs of the same suite agree on every non-timing column.
 Planning time and scorer wall time are separate columns; transport latency
-never pollutes algorithmic time.
+never pollutes algorithmic time. hashlib, statistics and csv are imported in
+the functions that use them, so a process that runs no suite never loads them.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
-import statistics
 import time
-from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .classical import PlannedPath, RrtParams, astar, path_length, rrt
 from .errors import ConfigError, InvalidScenario, MalformedReply, ScorerFailure, UnknownPlanner
@@ -50,8 +47,7 @@ CORRECTNESS_NOTE = (
 )
 
 
-@dataclass
-class TrialResult:
+class TrialResult(NamedTuple):
     """One row of the raw results table."""
 
     planner_id: str
@@ -156,8 +152,7 @@ class FullpathPlanner:
 # --- registry ---------------------------------------------------------------
 
 
-@dataclass
-class TrialPlanner:
+class TrialPlanner(NamedTuple):
     """A planner instance plus the scorer whose wall time must be tracked."""
 
     planner: SimPlanner
@@ -237,6 +232,8 @@ class _TimedPlanner:
 
 def trial_seed(scenario_id: str, planner_id: str, trial_index: int) -> int:
     """Stable per-trial seed; process-salted hash() must not be used here."""
+    import hashlib
+
     digest = hashlib.sha256(f"{scenario_id}|{planner_id}|{trial_index}".encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
 
@@ -299,8 +296,7 @@ def run_trial(
 # --- suites -----------------------------------------------------------------
 
 
-@dataclass
-class PlannerStats:
+class PlannerStats(NamedTuple):
     planner_id: str
     trials: int
     correct_rate: float
@@ -309,14 +305,15 @@ class PlannerStats:
     mean_path_length_m: float | None  # over correct trials only
 
 
-@dataclass
-class AggregateReport:
+class AggregateReport(NamedTuple):
     header: str
     per_planner: dict[str, PlannerStats]
 
 
 def aggregate(rows: Sequence[TrialResult]) -> AggregateReport:
     """Recompute aggregate statistics from raw rows (pure function)."""
+    import statistics
+
     grouped: dict[str, list[TrialResult]] = {}  # in first-seen order
     for row in rows:
         grouped.setdefault(row.planner_id, []).append(row)
@@ -339,6 +336,8 @@ def aggregate(rows: Sequence[TrialResult]) -> AggregateReport:
 
 def rows_to_csv(rows: Sequence[TrialResult]) -> str:
     """Render raw rows with the fixed header and LF line endings."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
@@ -407,8 +406,7 @@ def run_suite(
 # --- suite files (suite_v1) -------------------------------------------------
 
 
-@dataclass
-class Suite:
+class Suite(NamedTuple):
     scenarios: list[tuple[str, Scenario]]
     planners: list[str]
     trials_per_pair: int

@@ -13,8 +13,8 @@ import heapq
 import math
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import count, repeat, starmap
+from typing import NamedTuple
 
 from .errors import InvalidEndpoint, InvalidParams
 from .gridmap import DIAGONAL_DELTAS, FOUR_DELTAS, Connectivity, GridPose, OccupancyGrid, as_connectivity
@@ -22,8 +22,7 @@ from .gridmap import DIAGONAL_DELTAS, FOUR_DELTAS, Connectivity, GridPose, Occup
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class PlannedPath:
+class PlannedPath(NamedTuple):
     """A sequence of grid waypoints plus the resolution they were planned at."""
 
     waypoints: tuple[GridPose, ...]
@@ -242,8 +241,7 @@ def _search_eight(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> dict[
 # --- RRT ---
 
 
-@dataclass
-class RrtParams:
+class RrtParams(NamedTuple):
     """Tuning knobs for rrt; defaults follow the documented contract."""
 
     step_size: float = 3.0
@@ -253,13 +251,15 @@ class RrtParams:
     seed: int = 0
 
 
-@dataclass
 class RrtTree:
-    """Grown tree exposed for edge-level inspection in tests."""
+    """Grown tree exposed for edge-level inspection in tests.
 
-    points: list[tuple[float, float]]
-    parents: list[int]
-    accepted: int | None  # index of the node that reached the goal region
+    accepted is the index of the node that reached the goal region, None
+    until one does.
+    """
+
+    def __init__(self, points: list[tuple[float, float]], parents: list[int], accepted: int | None):
+        self.points, self.parents, self.accepted = points, parents, accepted
 
 
 Point = tuple[float, float]

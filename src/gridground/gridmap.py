@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -73,7 +72,6 @@ FOUR_DELTAS: tuple[tuple[int, int], ...] = ((0, -1), (1, 0), (-1, 0), (0, 1))
 DIAGONAL_DELTAS: tuple[tuple[int, int], ...] = ((1, -1), (1, 1), (-1, 1), (-1, -1))
 
 
-@dataclass(frozen=True, init=False)
 class OccupancyGrid:
     """An immutable rectangular grid of cell states.
 
@@ -94,12 +92,10 @@ class OccupancyGrid:
     grid, and recent fields are shared between grids of equal content; the
     heuristic tables of ``manhattan_to`` depend on the shape alone and are
     shared between grids.
-    """
 
-    width: int
-    height: int
-    resolution: float
-    _padded: bytes
+    Grids are equal, and hash alike, when their width, height, resolution and
+    store are; assigning an attribute raises AttributeError.
+    """
 
     def __init__(self, width: int, height: int, resolution: float, cells: Iterable[CellState]):
         if width < 1 or height < 1:
@@ -114,6 +110,18 @@ class OccupancyGrid:
         text = "".join(c.value for c in cells)
         padded = _pad(width, (text[i:i + width] for i in range(0, len(text), width)))
         vars(self).update(width=width, height=height, resolution=resolution, _padded=padded)
+
+    def _key(self) -> tuple:
+        return self.width, self.height, self.resolution, self._padded
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height

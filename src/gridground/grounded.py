@@ -8,13 +8,11 @@ per-step scores are kept; the audit trace is built from them on first read.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .classical import PlannedPath, check_endpoints
 from .errors import OutOfBounds, ScorerFailure
@@ -29,8 +27,7 @@ class ActionId(Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """One primitive move: an id, a cell delta, and a human-readable label."""
 
     id: ActionId
@@ -47,16 +44,14 @@ ACTIONS: tuple[Action, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     """Natural-language task text plus the goal cell it names."""
 
     text: str
     goal: GridPose
 
 
-@dataclass(frozen=True)
-class ScoredAction:
+class ScoredAction(NamedTuple):
     """One candidate's scores: task term, affordance term, and their product."""
 
     action: Action
@@ -66,9 +61,8 @@ class ScoredAction:
     p_combined: float
 
 
-@dataclass
 class PlannerConfig:
-    """Knobs for plan.
+    """Knobs for plan, checked on construction.
 
     max_steps None derives 4 * (width + height) from the grid at plan time.
     revisit_penalty multiplies p_combined of candidates already visited.
@@ -76,15 +70,12 @@ class PlannerConfig:
     (up, right, left, down).
     """
 
-    max_steps: int | None = None
-    revisit_penalty: float = 0.5
-
-    def __post_init__(self):
-        steps = self.max_steps
-        if steps is not None and (not isinstance(steps, int) or isinstance(steps, bool) or steps < 1):
-            raise ValueError(f"max_steps must be an integer >= 1, got {steps!r}")
-        if not (0.0 <= self.revisit_penalty <= 1.0):
-            raise ValueError(f"revisit_penalty must be in [0, 1], got {self.revisit_penalty}")
+    def __init__(self, max_steps: int | None = None, revisit_penalty: float = 0.5):
+        if max_steps is not None and (not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {max_steps!r}")
+        if not (0.0 <= revisit_penalty <= 1.0):
+            raise ValueError(f"revisit_penalty must be in [0, 1], got {revisit_penalty}")
+        self.max_steps, self.revisit_penalty = max_steps, revisit_penalty
 
 
 TaskScorer = Callable[[TaskScorerQuery], Sequence[float]]
@@ -220,8 +211,7 @@ class FailureReason(Enum):
     SCORER_FAILURE = "scorer_failure"
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Audit record of one planning iteration."""
 
     step: int
@@ -235,18 +225,17 @@ class StepRecord:
 StepScores = tuple[GridPose, list[float], list[float], int | None]
 
 
-@dataclass
 class PlanResult:
     """Outcome of plan: the path walked, the per-step scores, and any failure.
 
     failure is None on success; on failure ``path`` holds the partial path
-    walked so far and ``steps`` still covers every iteration.
+    walked so far and ``steps`` still covers every iteration. A plain class,
+    not a NamedTuple, as it keeps its trace once built.
     """
 
-    path: PlannedPath
-    steps: list[StepScores]
-    failure: FailureReason | None = None
-    detail: str = ""
+    def __init__(self, path: PlannedPath, steps: list[StepScores], failure: FailureReason | None = None,
+                 detail: str = ""):
+        self.path, self.steps, self.failure, self.detail = path, steps, failure, detail
 
     @property
     def succeeded(self) -> bool:
@@ -318,6 +307,8 @@ def plan(
 
 def trace_to_jsonl(trace: Sequence[StepRecord]) -> str:
     """Serialize a step trace as line-delimited JSON for audit logs."""
+    import json
+
     lines = []
     for rec in trace:
         lines.append(

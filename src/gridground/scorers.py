@@ -3,21 +3,19 @@
 A scorer is any callable taking a TaskScorerQuery and returning one raw
 non-negative score per candidate. All benchmark and test runs use the mock or
 oracle backends (or recorded cassettes); nothing here touches the network
-unless a live RemoteScorer is constructed explicitly.
+unless a live RemoteScorer is constructed explicitly. json, hashlib and
+urllib.parse are imported in the functions that use them, so a process that
+never asks a remote scorer does not load them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
-from urllib.parse import urlsplit
 
 from .errors import (
     AuthMissing,
@@ -67,8 +65,7 @@ def mock_score(query: TaskScorerQuery, tau: float = 0.5) -> ScoreTuple:
     return tuple([math.exp(-(d - d_min) / tau) for d in dists])  # type: ignore[return-value]
 
 
-@dataclass
-class MockScorer:
+class MockScorer(NamedTuple):
     """Callable wrapper fixing tau for use as a planner backend."""
 
     tau: float = 0.5
@@ -104,31 +101,31 @@ class OracleScorer:
 # --- remote chat endpoint ---
 
 
-@dataclass
 class ChatEndpointConfig:
-    """Where and how to reach a chat-completions endpoint."""
+    """Where and how to reach a chat-completions endpoint, checked on construction."""
 
-    base_url: str
-    model_name: str
-    api_key_env: str = "API_KEY"
-    timeout: float = 30.0
-    max_retries: int = 3
-    temperature: float = 0.0
+    def __init__(self, base_url: str, model_name: str, api_key_env: str = "API_KEY", timeout: float = 30.0,
+                 max_retries: int = 3, temperature: float = 0.0):
+        from urllib.parse import urlsplit
 
-    def __post_init__(self):
         # RemoteScorer would retry a URL that urllib cannot post to through the full backoff
-        url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
+        url = urlsplit(base_url) if isinstance(base_url, str) else None
         if url is None or url.scheme not in ("http", "https") or not url.netloc:
-            raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
-        for name in ("model_name", "api_key_env"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
-        if not (0 < self.timeout < math.inf):
-            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
-        if not math.isfinite(self.temperature):
-            raise ValueError(f"temperature must be finite, got {self.temperature}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+            raise ValueError(f"base_url must be an http:// or https:// URL, got {base_url!r}")
+        for name, value in (("model_name", model_name), ("api_key_env", api_key_env)):
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        if not (0 < timeout < math.inf):
+            raise ValueError(f"timeout must be finite and > 0, got {timeout}")
+        if not math.isfinite(temperature):
+            raise ValueError(f"temperature must be finite, got {temperature}")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        self.base_url, self.model_name, self.api_key_env = base_url, model_name, api_key_env
+        self.timeout, self.max_retries, self.temperature = timeout, max_retries, temperature
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
 
 BACKOFF_BASE_S = 1.0
@@ -152,6 +149,8 @@ def _json_str(text: str) -> bytes:
         raw = text.encode("ascii")
         if not raw.translate(None, _PLAIN):
             return b'"' + raw.replace(b"\n", b"\\n") + b'"'
+    import json
+
     return json.dumps(text).encode("ascii")
 
 
@@ -159,6 +158,8 @@ def _json_str(text: str) -> bytes:
 def _chat_envelope(first: str, role: str, last_role: str, model: str, temperature, temperature_repr: str):
     """Canonical JSON of a two-message chat body before and after its last content. The repr is in
     the key as 0.0 and -0.0 are equal keys that JSON writes apart; it also tells 1, 1.0 and True apart."""
+    import json
+
     return (b'{"messages":[{"content":' + _json_str(first) + b',"role":' + _json_str(role) + b'},{"content":',
             b',"role":' + _json_str(last_role) + b'}],"model":' + _json_str(model)
             + b',"temperature":' + json.dumps(temperature).encode("ascii") + b"}")
@@ -189,7 +190,13 @@ def request_fingerprint(body: dict) -> str:
     user), the bytes around the user text are kept per system text, model and
     temperature, so each call escapes and hashes the user text alone.
     """
-    chunks = _chat_chunks(body) or [json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")]
+    import hashlib
+
+    chunks = _chat_chunks(body)
+    if chunks is None:
+        import json
+
+        chunks = [json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")]
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
@@ -208,6 +215,8 @@ class Cassette:
     """
 
     def __init__(self, path: str | Path, record: bool = False):
+        import json
+
         self.path = Path(path)
         self.record = record
         self._entries: dict[str, str] = {}
@@ -240,6 +249,8 @@ class Cassette:
         return self._entries.get(fingerprint)
 
     def store(self, fingerprint: str, response_body: str) -> None:
+        import json
+
         self._entries[fingerprint] = response_body
         rec = {"request_hash": fingerprint, "response_body": response_body}
         with self.path.open("a", encoding="utf-8") as fh:
@@ -261,6 +272,7 @@ def _urllib_transport(url: str, headers: dict, body: dict, timeout: float) -> tu
     http.client and email, which no run without a live endpoint needs.
     """
     import http.client
+    import json
     import urllib.error
     import urllib.request
 
@@ -384,6 +396,8 @@ class RemoteScorer:
 
     @staticmethod
     def _extract_content(response_body: str) -> str:
+        import json
+
         try:
             payload = json.loads(response_body)
             content = payload["choices"][0]["message"]["content"]

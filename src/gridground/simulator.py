@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Protocol
@@ -23,14 +22,12 @@ from .gridmap import GridPose, OccupancyGrid, load_map
 SCENARIO_VERSION = "scenario_v1"
 
 
-@dataclass(frozen=True)
-class DynamicObstacle:
+class DynamicObstacle(NamedTuple):
     cell: GridPose
     appears_at_step: int
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """One executable task: a map, endpoints, and the dynamic environment."""
 
     map: OccupancyGrid
@@ -58,8 +55,7 @@ class Scenario:
                 raise InvalidScenario(f"obstacle cell ({ob.cell[0]},{ob.cell[1]}) outside the map")
 
 
-@dataclass
-class ExecutionRecord:
+class ExecutionRecord(NamedTuple):
     """What actually happened: the walked cells and the outcome flags."""
 
     visited: list[GridPose]
@@ -180,8 +176,7 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
     return ExecutionRecord(visited, collided, reached, replan_count, steps_taken)
 
 
-@dataclass(frozen=True)
-class PathValidation:
+class PathValidation(NamedTuple):
     """Verdict for an externally produced path; rule/index name the first violation."""
 
     valid: bool

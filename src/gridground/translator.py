@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import MalformedReply, OutOfBounds, OverlappingMarkers
 from .gridmap import GridPose, OccupancyGrid
@@ -29,14 +28,12 @@ SYSTEM_TEXT = (
 )
 
 
-@dataclass(frozen=True)
-class StepPrompt:
+class StepPrompt(NamedTuple):
     system_text: str
     user_text: str
 
 
-@dataclass(frozen=True)
-class CoordinateReply:
+class CoordinateReply(NamedTuple):
     waypoints: tuple[GridPose, ...]
 
 

@@ -512,14 +512,14 @@ class TestLazyTrace:
     def test_trial_builds_no_step_record(self, monkeypatch):
         built = {"steps": 0, "scored": 0}
 
-        def counting(cls, key):
-            init = cls.__init__
+        def counting(cls, key):  # a NamedTuple is built by its __new__
+            new = cls.__new__
 
-            def __init__(self, *args, **kwargs):
+            def __new__(cls, *args, **kwargs):
                 built[key] += 1
-                init(self, *args, **kwargs)
+                return new(cls, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", __init__)
+            monkeypatch.setattr(cls, "__new__", __new__)
 
         counting(grounded.StepRecord, "steps")
         counting(grounded.ScoredAction, "scored")
