@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .classical import PlannedPath, RrtParams, astar, path_length, rrt
 from .errors import ConfigError, InvalidScenario, MalformedReply, ScorerFailure, UnknownPlanner
-from .gridmap import CellState, Connectivity, GridPose, OccupancyGrid
+from .gridmap import CellState, Connectivity, GridPose
 from .grounded import Instruction, PlannerConfig, plan as grounded_plan
 from .scorers import MockScorer, OracleScorer, TaskScorerQuery
 from . import translator
@@ -61,8 +61,9 @@ class TrialResult(NamedTuple):
 
 
 # --- planner adapters -------------------------------------------------------
-# The only planning code: the registry below and `gridground plan` both build
-# these. After a plan that returned None, `failure` says why.
+# The only planning code, built by `build_planner` below. A grounded adapter
+# calls its scorer once per step, a fullpath adapter the scorer's `route` once
+# per path. After a plan that returned None, `failure` says why.
 
 
 class AstarPlanner:
@@ -105,43 +106,18 @@ class GroundedPlanner:
         return list(result.path.waypoints)
 
 
-# fullpath reply producers return raw model-style text; the adapter parses it
-ReplyFn = Callable[[OccupancyGrid, GridPose, Instruction], str]
-
-
-def fullpath_mock_reply(grid: OccupancyGrid, start: GridPose, instruction: Instruction) -> str:
-    # obstacle-blind staircase: x first, then y; wrong on walled maps by design
-    x, y = start
-    gx, gy = instruction.goal
-    cells = [GridPose(x, y)]
-    while x != gx:
-        x += 1 if gx > x else -1
-        cells.append(GridPose(x, y))
-    while y != gy:
-        y += 1 if gy > y else -1
-        cells.append(GridPose(x, y))
-    return translator.format_coordinate_list(cells)
-
-
-def fullpath_oracle_reply(grid: OccupancyGrid, start: GridPose, instruction: Instruction) -> str:
-    p = astar(grid, start, instruction.goal, Connectivity.FOUR)
-    if p is None:
-        return "no route found"
-    return translator.format_coordinate_list(list(p.waypoints))
-
-
 class FullpathPlanner:
     failure = ""
 
-    def __init__(self, reply_fn: ReplyFn):
-        self.reply_fn = reply_fn
+    def __init__(self, scorer):
+        self.scorer = scorer
 
     def plan(self, grid, start, goal, instruction_text):
         start, goal = GridPose(*start), GridPose(*goal)
         if start == goal:  # nothing to ask the model
             return [start]
         try:
-            reply = self.reply_fn(grid, start, Instruction(instruction_text, goal))
+            reply = self.scorer.route(grid, start, Instruction(instruction_text, goal))
             parsed = translator.parse_coordinate_list(reply)
         except MalformedReply as exc:
             self.failure = str(exc)
@@ -162,21 +138,34 @@ class TrialPlanner(NamedTuple):
 PlannerFactory = Callable[[Scenario, int], TrialPlanner]
 
 
-def _make_grounded(scorer_factory) -> PlannerFactory:
-    def factory(scenario: Scenario, seed: int) -> TrialPlanner:
-        scorer = scorer_factory()
-        return TrialPlanner(GroundedPlanner(scorer), scorer)
+def build_planner(kind: str, scorer=None, seed: int = 0, connectivity: int = 4,
+                  max_steps: int | None = None) -> TrialPlanner:
+    """The adapter for one planner kind, for the registry and `gridground plan` alike.
 
-    return factory
+    ``scorer`` is the backend of ``grounded`` and ``fullpath``; only a grounded
+    adapter's scorer is tracked, so a fullpath reply counts as planning time.
+
+    Raises:
+        UnknownPlanner: kind is not astar, rrt, grounded or fullpath.
+    """
+    if kind == "astar":
+        return TrialPlanner(AstarPlanner(Connectivity(connectivity)))
+    if kind == "rrt":
+        return TrialPlanner(RrtPlanner(RrtParams(seed=seed)))
+    if kind == "grounded":
+        return TrialPlanner(GroundedPlanner(scorer, PlannerConfig(max_steps=max_steps)), scorer)
+    if kind == "fullpath":
+        return TrialPlanner(FullpathPlanner(scorer))
+    raise UnknownPlanner(f"unknown planner {kind!r} (expected astar, rrt, grounded, or fullpath)")
 
 
 _REGISTRY: dict[str, PlannerFactory] = {
-    "astar": lambda scenario, seed: TrialPlanner(AstarPlanner()),
-    "rrt": lambda scenario, seed: TrialPlanner(RrtPlanner(RrtParams(seed=seed))),
-    "grounded:mock": _make_grounded(lambda: MockScorer(tau=0.5)),
-    "grounded:oracle": _make_grounded(OracleScorer),
-    "fullpath:mock": lambda scenario, seed: TrialPlanner(FullpathPlanner(fullpath_mock_reply)),
-    "fullpath:oracle": lambda scenario, seed: TrialPlanner(FullpathPlanner(fullpath_oracle_reply)),
+    "astar": lambda scenario, seed: build_planner("astar"),
+    "rrt": lambda scenario, seed: build_planner("rrt", seed=seed),
+    "grounded:mock": lambda scenario, seed: build_planner("grounded", MockScorer(tau=0.5)),
+    "grounded:oracle": lambda scenario, seed: build_planner("grounded", OracleScorer()),
+    "fullpath:mock": lambda scenario, seed: build_planner("fullpath", MockScorer(tau=0.5)),
+    "fullpath:oracle": lambda scenario, seed: build_planner("fullpath", OracleScorer()),
 }
 
 

@@ -143,16 +143,14 @@ def _search_four(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> dict[i
             # the four neighbours in offsets order, unrolled. The Manhattan heuristic
             # is consistent, so a closed nb already holds its least cost and fails
             # ng < g[nb] without a closed check
-            nb = cur + up
+            nb = cur + up  # the first block, so dive is still -1 here
             if mask[nb] and ng < g[nb]:
                 g[nb] = ng
                 via[nb] = 0
                 if h[nb] > hc:
                     heappush(open_heap, near + rise + len(nodes))
-                elif dive < 0:
-                    dive = nb
                 else:
-                    heappush(open_heap, near + len(nodes))
+                    dive = nb
                 nodes.append(nb)
             nb = cur + right
             if mask[nb] and ng < g[nb]:

@@ -18,13 +18,11 @@ from pathlib import Path
 
 from . import bench
 from .bundled import bundled_path
-from .classical import RrtParams, check_endpoints, path_length
-from .errors import ConfigError, GridGroundError, MapFormatError
-from .gridmap import Connectivity, GridPose, load_map, random_map, serialize_map
-from .grounded import PlannerConfig
+from .classical import check_endpoints, path_length
+from .errors import ConfigError, GridGroundError, MapFormatError, UnknownPlanner
+from .gridmap import GridPose, load_map, random_map, serialize_map
 from .scorers import ChatEndpointConfig, Cassette, MockScorer, OracleScorer, RemoteScorer
 from .simulator import INTEGER, MAPPING, NUMBER, STRING, FieldKind, load_yaml, read_field
-from . import translator
 
 ENV_PREFIX = "GRIDGROUND_"
 MAX_MAP_SIDE = 4096  # gen-maps draws one random number per cell
@@ -103,16 +101,12 @@ def _parse_xy(text: str, label: str) -> GridPose:
 
 
 def _endpoint_config(file_cfg: dict) -> ChatEndpointConfig:
-    try:  # the reader raises ValueError, as ChatEndpointConfig does
+    try:  # the reader raises ValueError, as ChatEndpointConfig does; its defaults stand for absent or null fields
         remote = read_field(file_cfg, "remote", MAPPING, ValueError, default={})
-        return ChatEndpointConfig(
-            base_url=read_field(remote, "base_url", STRING, ValueError, "remote", "https://api.openai.com/v1"),
-            model_name=read_field(remote, "model_name", STRING, ValueError, "remote", "gpt-3.5-turbo"),
-            api_key_env=read_field(remote, "api_key_env", STRING, ValueError, "remote", "API_KEY"),
-            timeout=read_field(remote, "timeout", NUMBER, ValueError, "remote", 30.0),
-            max_retries=read_field(remote, "max_retries", INTEGER, ValueError, "remote", 3),
-            temperature=read_field(remote, "temperature", NUMBER, ValueError, "remote", 0.0),
-        )
+        kinds = {"base_url": STRING, "model_name": STRING, "api_key_env": STRING,
+                 "timeout": NUMBER, "max_retries": INTEGER, "temperature": NUMBER}
+        fields = {name: read_field(remote, name, kind, ValueError, "remote", None) for name, kind in kinds.items()}
+        return ChatEndpointConfig(**{name: value for name, value in fields.items() if value is not None})
     except ValueError as exc:
         raise _UsageError(f"bad config-file 'remote' value: {exc}")
 
@@ -136,31 +130,6 @@ def _make_scorer(scorer_name: str, tau: float, allow_network: bool, file_cfg: di
     raise _UsageError(f"unknown scorer {scorer_name!r} (expected mock, oracle, or remote)")
 
 
-# fullpath replies that need no scorer object
-_FULLPATH_REPLIES = {"mock": bench.fullpath_mock_reply, "oracle": bench.fullpath_oracle_reply}
-
-
-def _make_adapter(args, file_cfg: dict, planner: str, scorer_name: str, tau: float, seed: int,
-                  connectivity: int, max_steps: int | None):
-    """The bench planner adapter for one `plan` run, built from its resolved options."""
-    if planner == "astar":
-        return bench.AstarPlanner(Connectivity(connectivity))
-    if planner == "rrt":
-        return bench.RrtPlanner(RrtParams(seed=seed))
-    if planner == "fullpath" and scorer_name in _FULLPATH_REPLIES:
-        return bench.FullpathPlanner(_FULLPATH_REPLIES[scorer_name])
-    if planner not in ("grounded", "fullpath"):
-        raise _UsageError(f"unknown planner {planner!r} (expected astar, rrt, grounded, or fullpath)")
-    scorer = _make_scorer(scorer_name, tau, args.allow_network, file_cfg, args.cassette)
-    if planner == "grounded":
-        return bench.GroundedPlanner(scorer, PlannerConfig(max_steps=max_steps))
-    return bench.FullpathPlanner(
-        lambda grid, start, instruction: scorer.complete_text(
-            translator.serialize_fullpath_prompt(grid, start, instruction)
-        )
-    )
-
-
 def cmd_plan(args) -> int:
     file_cfg = _load_config_file(args.config)
     planner = _resolve("planner", args.planner, file_cfg)
@@ -182,7 +151,12 @@ def cmd_plan(args) -> int:
         raise _UsageError(f"cannot read map {args.map}: {exc}")
     start = _parse_xy(args.start, "--start")
     goal = _parse_xy(args.goal, "--goal")
-    adapter = _make_adapter(args, file_cfg, planner, scorer_name, tau, seed, connectivity, max_steps)
+    needs_scorer = planner in ("grounded", "fullpath")
+    scorer = _make_scorer(scorer_name, tau, args.allow_network, file_cfg, args.cassette) if needs_scorer else None
+    try:
+        adapter = bench.build_planner(planner, scorer, seed, connectivity, max_steps).planner
+    except UnknownPlanner as exc:
+        raise _UsageError(str(exc))
 
     try:
         check_endpoints(grid, start, goal)

@@ -1,7 +1,9 @@
 """Task-scorer backends: deterministic mock, shortest-path oracle, remote chat API.
 
 A scorer is any callable taking a TaskScorerQuery and returning one raw
-non-negative score per candidate. All benchmark and test runs use the mock or
+non-negative score per candidate; the three backends here also answer
+``route(grid, start, instruction)`` with the text of a whole path, so one
+backend serves both planner modes. All benchmark and test runs use the mock or
 oracle backends (or recorded cassettes); nothing here touches the network
 unless a live RemoteScorer is constructed explicitly. json, hashlib and
 urllib.parse are imported in the functions that use them, so a process that
@@ -17,6 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from .classical import astar
 from .errors import (
     AuthMissing,
     ConfigError,
@@ -73,6 +76,19 @@ class MockScorer(NamedTuple):
     def __call__(self, query: TaskScorerQuery) -> ScoreTuple:
         return mock_score(query, self.tau)
 
+    def route(self, grid: OccupancyGrid, start: GridPose, instruction: Instruction) -> str:
+        # obstacle-blind staircase: x first, then y; wrong on walled maps by design
+        x, y = start
+        gx, gy = instruction.goal
+        cells = [GridPose(x, y)]
+        while x != gx:
+            x += 1 if gx > x else -1
+            cells.append(GridPose(x, y))
+        while y != gy:
+            y += 1 if gy > y else -1
+            cells.append(GridPose(x, y))
+        return translator.format_coordinate_list(cells)
+
 
 class OracleScorer:
     """Score 1 for candidates that lie on a shortest path, else 0.
@@ -97,6 +113,13 @@ class OracleScorer:
             [1.0 if 0 <= cx < w and 0 <= cy < h and fld[cy * w + cx] == on_path else 0.0 for cx, cy in query.candidates]
         )
 
+    def route(self, grid: OccupancyGrid, start: GridPose, instruction: Instruction) -> str:
+        # a four-connected A* path, or a reply with no path line when none exists
+        p = astar(grid, start, instruction.goal)
+        if p is None:
+            return "no route found"
+        return translator.format_coordinate_list(list(p.waypoints))
+
 
 # --- remote chat endpoint ---
 
@@ -104,8 +127,8 @@ class OracleScorer:
 class ChatEndpointConfig:
     """Where and how to reach a chat-completions endpoint, checked on construction."""
 
-    def __init__(self, base_url: str, model_name: str, api_key_env: str = "API_KEY", timeout: float = 30.0,
-                 max_retries: int = 3, temperature: float = 0.0):
+    def __init__(self, base_url: str = "https://api.openai.com/v1", model_name: str = "gpt-3.5-turbo",
+                 api_key_env: str = "API_KEY", timeout: float = 30.0, max_retries: int = 3, temperature: float = 0.0):
         from urllib.parse import urlsplit
 
         # RemoteScorer would retry a URL that urllib cannot post to through the full backoff
@@ -321,8 +344,6 @@ class RemoteScorer:
         self.cassette = cassette
         self._transport = transport
         self._sleep = sleep
-        # (attempt, outcome, backoff_s) per transport attempt, for tests/audit
-        self.call_log: list[tuple[int, str, float]] = []
 
     def __call__(self, query: TaskScorerQuery) -> ScoreTuple:
         prompt = translator.serialize_step_prompt(
@@ -343,8 +364,12 @@ class RemoteScorer:
         }
 
     def complete_text(self, prompt: translator.StepPrompt) -> str:
-        """Run one completion and return the assistant text (fullpath mode)."""
+        """Run one completion and return the assistant text."""
         return self._complete(self._request_body(prompt))
+
+    def route(self, grid: OccupancyGrid, start: GridPose, instruction: Instruction) -> str:
+        """Ask for a whole path in one exchange and return the assistant text (fullpath mode)."""
+        return self.complete_text(translator.serialize_fullpath_prompt(grid, start, instruction))
 
     def _complete(self, body: dict) -> str:
         fingerprint = request_fingerprint(body)
@@ -376,20 +401,14 @@ class RemoteScorer:
                 last_error = f"{'timeout' if timed_out else 'transport error'}: {exc}"
             else:
                 if status == 200:
-                    self.call_log.append((attempt, "ok", 0.0))
                     if self.cassette is not None and self.cassette.record:
                         self.cassette.store(fingerprint, text)
                     return self._extract_content(text)
                 timed_out, last_error = False, f"HTTP {status}"
                 if not _retryable(status):
-                    self.call_log.append((attempt, last_error, 0.0))
                     raise ScorerFailure(f"endpoint rejected request: {last_error}")
             if attempt < self.config.max_retries:
-                delay = BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt
-                self.call_log.append((attempt, last_error, delay))
-                self._sleep(delay)
-            else:
-                self.call_log.append((attempt, last_error, 0.0))
+                self._sleep(BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt)
         if timed_out:
             raise ScorerTimeout(f"gave up after {self.config.max_retries + 1} attempts: {last_error}")
         raise RetriesExhausted(f"gave up after {self.config.max_retries + 1} attempts: {last_error}")

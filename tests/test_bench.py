@@ -21,9 +21,8 @@ from gridground.bench import (
     TrialPlanner,
     TrialResult,
     aggregate,
+    build_planner,
     format_report,
-    fullpath_mock_reply,
-    fullpath_oracle_reply,
     load_suite,
     make_planner,
     plot_trajectories,
@@ -48,9 +47,9 @@ from gridground.errors import (
     ScorerTimeout,
     UnknownPlanner,
 )
-from gridground.gridmap import GridPose, random_map
+from gridground.gridmap import Connectivity, GridPose, random_map
 from gridground.grounded import Instruction, PlannerConfig
-from gridground.scorers import MockScorer
+from gridground.scorers import MockScorer, OracleScorer
 from gridground.simulator import DynamicObstacle, Scenario, execute, load_scenario, validate_external_path
 
 from conftest import count_bfs_runs, grid_from_rows, open_grid
@@ -321,27 +320,47 @@ class TestAdapterFailure:
         assert adapter.failure == "step_limit (goal not reached within 3 steps) after 3 steps"
 
     def test_fullpath_malformed_reply_text(self):
-        adapter = FullpathPlanner(fullpath_oracle_reply)
+        adapter = FullpathPlanner(OracleScorer())
         assert adapter.plan(grid_from_rows(self.WALLED), GridPose(0, 0), GridPose(2, 2), "x") is None
         assert adapter.failure == "no path line found"
 
     def test_fullpath_start_is_goal_asks_nothing(self):
-        def reply_fn(grid, start, instruction):
-            raise AssertionError("the model must not be asked")
+        class Silent:
+            def route(self, grid, start, instruction):
+                raise AssertionError("the model must not be asked")
 
-        adapter = FullpathPlanner(reply_fn)
+        adapter = FullpathPlanner(Silent())
         assert adapter.plan(open_grid(3, 1), (1, 0), (1, 0), "x") == [GridPose(1, 0)]
+
+
+class TestBuildPlanner:
+    def test_unknown_kind(self):
+        with pytest.raises(UnknownPlanner, match=r"^unknown planner 'dijkstra' \(expected astar, rrt, grounded, or fullpath\)$"):
+            build_planner("dijkstra")
+
+    def test_only_a_grounded_planner_tracks_its_scorer(self):
+        # a fullpath reply counts as planning time, so its backend is not timed apart
+        scorer = OracleScorer()
+        assert build_planner("grounded", scorer).scorer is scorer
+        fullpath = build_planner("fullpath", scorer)
+        assert fullpath.scorer is None and fullpath.planner.scorer is scorer
+        assert build_planner("astar").scorer is None and build_planner("rrt").scorer is None
+
+    def test_options_reach_the_adapter(self):
+        assert build_planner("astar", connectivity=8).planner.connectivity is Connectivity.EIGHT
+        assert build_planner("rrt", seed=7).planner.params.seed == 7
+        assert build_planner("grounded", MockScorer(), max_steps=3).planner.config.max_steps == 3
 
 
 class TestFullpathReplies:
     def test_mock_staircase_x_then_y(self):
         g = open_grid(5, 5)
-        reply = fullpath_mock_reply(g, GridPose(1, 3), Instruction("x", GridPose(3, 1)))
+        reply = MockScorer().route(g, GridPose(1, 3), Instruction("x", GridPose(3, 1)))
         assert reply == "path: (1,3) (2,3) (3,3) (3,2) (3,1)"
 
     def test_mock_handles_negative_direction(self):
         g = open_grid(4, 4)
-        reply = fullpath_mock_reply(g, GridPose(3, 0), Instruction("x", GridPose(1, 0)))
+        reply = MockScorer().route(g, GridPose(3, 0), Instruction("x", GridPose(1, 0)))
         assert reply == "path: (3,0) (2,0) (1,0)"
 
     def test_oracle_renders_astar(self):
@@ -350,12 +369,12 @@ class TestFullpathReplies:
             "#.....#",
             "#######",
         ])
-        reply = fullpath_oracle_reply(g, GridPose(1, 1), Instruction("x", GridPose(5, 1)))
+        reply = OracleScorer().route(g, GridPose(1, 1), Instruction("x", GridPose(5, 1)))
         assert reply == "path: (1,1) (2,1) (3,1) (4,1) (5,1)"
 
     def test_oracle_reports_no_route(self):
         g = grid_from_rows([".#.", ".#.", ".#."])
-        reply = fullpath_oracle_reply(g, GridPose(0, 0), Instruction("x", GridPose(2, 2)))
+        reply = OracleScorer().route(g, GridPose(0, 0), Instruction("x", GridPose(2, 2)))
         assert reply == "no route found"
 
     def test_no_route_trial_is_clean_failure(self):

@@ -584,6 +584,15 @@ class TestPrecedence:
         assert main(plan_args(m, "0,0", "2,2", "--config", str(cfg))) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n"], ids=["empty", "comment"])
+    def test_empty_config_file_reads_as_no_settings(self, tmp_path, capsys, text):
+        m = write_map(tmp_path, ["...", "...", "..."])
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert cli._load_config_file(str(cfg)) == {}
+        assert main(plan_args(m, "0,0", "2,2", "--config", str(cfg))) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5  # the default, four-connected
+
     def test_env_overrides_config_file(self, tmp_path, capsys, monkeypatch):
         m = write_map(tmp_path, ["...", "...", "..."])
         cfg = tmp_path / "cfg.yaml"

@@ -597,6 +597,11 @@ class TestRandomMap:
     def test_resolution_is_one(self):
         assert random_map(4, 4, 0.5, 0).resolution == 1.0
 
+    @pytest.mark.parametrize("width,height", [(0, 4), (4, 0), (-1, 3), (0, 0)])
+    def test_side_below_one(self, width, height):
+        with pytest.raises(ValueError, match=f"grid dimensions must be >= 1, got {width}x{height}"):
+            random_map(width, height, 0.5, 0)
+
     @pytest.mark.parametrize("density", [-0.01, 1.01, float("nan"), float("inf")])
     def test_invalid_density(self, density):
         with pytest.raises(InvalidDensity):

@@ -257,6 +257,7 @@ class TestFingerprintMatchesReference:
         pass
 
     MSG = {"role": "user", "content": 'a "map"\n#.R\\'}
+    SYSTEM = {"role": "system", "content": translator.SYSTEM_TEXT}
 
     @pytest.mark.parametrize("body", [
         {**chat_shaped([MSG]), "extra": 1},
@@ -274,11 +275,22 @@ class TestFingerprintMatchesReference:
         chat_shaped([MSG], temperature=[0.5, {"b": 1, "a": 2}]),
         chat_shaped([MSG], temperature={"b": 1, "a": 2}),
         {"b": 1, "a": [1, "\u00e9"]},
+        # two messages that are not both {role, content} dicts
+        chat_shaped([SYSTEM, {**MSG, "name": "x"}]),
+        chat_shaped([SYSTEM, {"role": "user"}]),
+        chat_shaped([SYSTEM, Subdict(MSG)]),
+        chat_shaped([SYSTEM, "a map"]),
+        chat_shaped([[SYSTEM], MSG]),
+        # two {role, content} messages whose texts are not all str
+        chat_shaped([SYSTEM, {**MSG, "content": 5}]),
+        chat_shaped([SYSTEM, {**MSG, "content": None}]),
+        chat_shaped([{**SYSTEM, "role": None}, MSG]),
+        chat_shaped([{**SYSTEM, "content": ["a", "b"]}, MSG]),
+        chat_shaped([SYSTEM, MSG], model=None),
+        chat_shaped([SYSTEM, MSG], model=3.5),
     ], ids=lambda b: repr(b)[:40])
     def test_near_miss_shapes(self, body):
         assert request_fingerprint(body) == reference_fingerprint(body)
-
-    SYSTEM = {"role": "system", "content": translator.SYSTEM_TEXT}
 
     @given(TEXT | st.just(translator.SYSTEM_TEXT), TEXT, TEXT | st.just("gpt-3.5-turbo"),
            TEMPERATURE | st.sampled_from([0.0, -0.0, 1, 1.0, True]))
@@ -412,7 +424,6 @@ class TestRemoteScorer:
         q = query_at(open_grid(4, 4), (1, 1), (3, 3))
         assert scorer(q) == (1.0, 0.5, 0.0, 0.0)
         assert slept == []
-        assert scorer.call_log == [(0, "ok", 0.0)]
 
         url, headers, body, timeout = transport.requests[0]
         assert url == "https://fake.example/v1/chat/completions"
@@ -436,9 +447,7 @@ class TestRemoteScorer:
         )
         assert scorer(query_at(open_grid(4, 4), (1, 1), (3, 3))) == (0.0, 1.0, 0.0, 0.0)
         assert slept == [1.0, 2.0]
-        assert scorer.call_log == [
-            (0, "HTTP 500", 1.0), (1, "HTTP 429", 2.0), (2, "ok", 0.0),
-        ]
+        assert len(transport.requests) == 3
 
     def test_exhausted_after_http_errors(self, config, with_key):
         scorer, transport, slept = make_scorer(config, [(503, "x")] * 4)
@@ -446,7 +455,6 @@ class TestRemoteScorer:
             scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
         assert slept == [1.0, 2.0, 4.0]
         assert len(transport.requests) == 4
-        assert scorer.call_log[-1] == (3, "HTTP 503", 0.0)
 
     def test_timeout_classified_separately(self, config, with_key):
         scorer, _, slept = make_scorer(config, [TimeoutError("slow")] * 4)
