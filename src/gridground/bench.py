@@ -30,6 +30,7 @@ CSV_HEADER = (
 )
 
 SUITE_VERSION = "suite_v1"
+MAX_TRIALS_PER_PAIR = 10_000
 
 # Shown verbatim at the top of every report. The cited absolute numbers come
 # from the original GPT-3.5-turbo grid-planning experiments and are context
@@ -424,8 +425,8 @@ def load_suite(path: str | Path) -> Suite:
         raise ConfigError("suite needs a non-empty 'scenarios' list")
     if not planners:
         raise ConfigError("suite needs a non-empty 'planners' list of ids")
-    if trials < 1:
-        raise ConfigError("'trials_per_pair' must be a positive integer")
+    if not 1 <= trials <= MAX_TRIALS_PER_PAIR:
+        raise ConfigError(f"'trials_per_pair' must be 1 to {MAX_TRIALS_PER_PAIR}, got {trials}")
     scenarios, seen = [], {}  # seen: id -> the index that first used it
     for i, entry in enumerate(entries):
         sid = read_field(entry, "id", _SUITE_ID, ConfigError, f"scenarios[{i}]")

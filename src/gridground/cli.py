@@ -26,6 +26,8 @@ from .simulator import INTEGER, MAPPING, NUMBER, STRING, FieldKind, load_yaml, r
 
 ENV_PREFIX = "GRIDGROUND_"
 MAX_MAP_SIDE = 4096  # gen-maps draws one random number per cell
+MAX_MAP_COUNT = 10_000  # gen-maps --count
+MAX_PLAN_STEPS = 100_000  # plan --max-steps; a grounded walk keeps every step's scores
 
 
 class _UsageError(Exception):
@@ -140,8 +142,8 @@ def cmd_plan(args) -> int:
     max_steps = _resolve("max_steps", args.max_steps, file_cfg)
     if connectivity not in (4, 8):
         raise _UsageError(f"connectivity must be 4 or 8, got {connectivity}")
-    if max_steps is not None and max_steps < 1:
-        raise _UsageError(f"max_steps must be >= 1, got {max_steps}")
+    if max_steps is not None and not 1 <= max_steps <= MAX_PLAN_STEPS:
+        raise _UsageError(f"max_steps must be 1 to {MAX_PLAN_STEPS}, got {max_steps}")
     if not tau > 0:
         raise _UsageError(f"tau must be > 0, got {tau}")
 
@@ -205,8 +207,8 @@ def cmd_gen_maps(args) -> int:
         raise _UsageError(f"--size must be WIDTHxHEIGHT, got {args.size!r}")
     if not (1 <= width <= MAX_MAP_SIDE and 1 <= height <= MAX_MAP_SIDE):
         raise _UsageError(f"--size dimensions must be 1 to {MAX_MAP_SIDE}, got {args.size!r}")
-    if args.count < 1:
-        raise _UsageError(f"--count must be >= 1, got {args.count}")
+    if not 1 <= args.count <= MAX_MAP_COUNT:
+        raise _UsageError(f"--count must be 1 to {MAX_MAP_COUNT}, got {args.count}")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for i in range(args.count):
@@ -234,7 +236,7 @@ def _build_parser() -> _Parser:
     p_plan.add_argument("--tau", type=float)
     p_plan.add_argument("--seed", type=int)
     p_plan.add_argument("--connectivity", type=int, choices=[4, 8])
-    p_plan.add_argument("--max-steps", dest="max_steps", type=int)
+    p_plan.add_argument("--max-steps", dest="max_steps", type=int, help=f"at most {MAX_PLAN_STEPS}")
     p_plan.add_argument("--instruction", default="reach the goal cell")
     p_plan.add_argument("--cassette", help="replay cassette for the remote scorer")
     p_plan.add_argument("--allow-network", action="store_true")
@@ -248,7 +250,7 @@ def _build_parser() -> _Parser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen-maps", help="generate random maps")
-    p_gen.add_argument("--count", type=int, required=True)
+    p_gen.add_argument("--count", type=int, required=True, help=f"at most {MAX_MAP_COUNT}")
     p_gen.add_argument("--size", required=True, help=f"WIDTHxHEIGHT, e.g. 20x20; each at most {MAX_MAP_SIDE}")
     p_gen.add_argument("--density", type=float, required=True)
     p_gen.add_argument("--seed", type=int)

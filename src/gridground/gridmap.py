@@ -386,11 +386,12 @@ def random_map(width: int, height: int, density: float, seed: int) -> OccupancyG
 
     Raises:
         InvalidDensity: density outside [0, 1].
+        InvalidParams: width or height below 1.
     """
     if not (isinstance(density, (int, float)) and math.isfinite(density) and 0.0 <= density <= 1.0):
         raise InvalidDensity(f"density must be in [0, 1], got {density!r}")
     if width < 1 or height < 1:
-        raise ValueError(f"grid dimensions must be >= 1, got {width}x{height}")
+        raise InvalidParams(f"grid dimensions must be >= 1, got {width}x{height}")
     rng = random.Random(seed)
     rows = ["".join("#" if 0 < y < height - 1 and 0 < x < width - 1 and rng.random() < density else "."
                     for x in range(width)) for y in range(height)]

@@ -122,16 +122,15 @@ def _score(
     alone can still steer.
 
     Raises:
-        ScorerFailure: the backend failed or returned unusable values.
+        ScorerFailure: the backend raised one or returned unusable values.
     """
     x, y = s
     candidates = _candidates(x, y)
-    try:
-        raw = [float(v) for v in scorer(_new(TaskScorerQuery, (instruction, grid, s, candidates)))]
-    except ScorerFailure:
-        raise
-    except Exception as exc:  # a buggy backend must surface as a scorer failure
-        raise ScorerFailure(f"scorer raised {type(exc).__name__}: {exc}") from exc
+    reply = scorer(_new(TaskScorerQuery, (instruction, grid, s, candidates)))  # its own errors propagate
+    try:  # not iterable, not numbers, or an int past the float range
+        raw = [float(v) for v in reply]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScorerFailure(f"scorer reply is not numbers: {type(exc).__name__}: {exc}") from exc
     if len(raw) != 4:
         raise ScorerFailure(f"scorer returned {len(raw)} scores for {len(ACTIONS)} actions")
     a, b, c, d = raw

@@ -235,6 +235,7 @@ class Cassette:
     Raises:
         ConfigError: an existing file cannot be read, or one of its lines is
             not such a record; the message names the file and the 1-based line.
+            ``store`` raises one when it cannot append to the file.
     """
 
     def __init__(self, path: str | Path, record: bool = False):
@@ -243,30 +244,31 @@ class Cassette:
         self.path = Path(path)
         self.record = record
         self._entries: dict[str, str] = {}
-        if self.path.exists():
+        try:
+            text = self.path.read_text(encoding="utf-8")
+        except FileNotFoundError:  # a new cassette
+            text = ""
+        except OSError as exc:
+            raise ConfigError(f"cannot read cassette {self.path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            n = exc.object[: exc.start].count(b"\n") + 1
+            raise ConfigError(f"cassette {self.path} line {n}: not UTF-8 ({exc.reason})") from None
+        for n, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
             try:
-                text = self.path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"cannot read cassette {self.path}: {exc}") from None
-            except UnicodeDecodeError as exc:
-                n = exc.object[: exc.start].count(b"\n") + 1
-                raise ConfigError(f"cassette {self.path} line {n}: not UTF-8 ({exc.reason})") from None
-            for n, line in enumerate(text.splitlines(), 1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError as exc:
-                    raise ConfigError(f"cassette {self.path} line {n}: not JSON: {exc}") from None
-                if not (
-                    isinstance(rec, dict)
-                    and isinstance(rec.get("request_hash"), str)
-                    and isinstance(rec.get("response_body"), str)
-                ):
-                    raise ConfigError(
-                        f"cassette {self.path} line {n}: needs request_hash and response_body strings"
-                    )
-                self._entries[rec["request_hash"]] = rec["response_body"]
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested past the limit
+                raise ConfigError(f"cassette {self.path} line {n}: not JSON: {exc}") from None
+            if not (
+                isinstance(rec, dict)
+                and isinstance(rec.get("request_hash"), str)
+                and isinstance(rec.get("response_body"), str)
+            ):
+                raise ConfigError(
+                    f"cassette {self.path} line {n}: needs request_hash and response_body strings"
+                )
+            self._entries[rec["request_hash"]] = rec["response_body"]
 
     def lookup(self, fingerprint: str) -> str | None:
         return self._entries.get(fingerprint)
@@ -276,8 +278,11 @@ class Cassette:
 
         self._entries[fingerprint] = response_body
         rec = {"request_hash": fingerprint, "response_body": response_body}
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        try:
+            with self.path.open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write cassette {self.path}: {exc}") from None
 
 
 # transport signature: (url, headers, json_body, timeout) -> (status_code, body_text);
@@ -420,7 +425,7 @@ class RemoteScorer:
         try:
             payload = json.loads(response_body)
             content = payload["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError):  # bad JSON, too deep, wrong shape
             raise MalformedReply(
                 "response body is not a chat completion", reply=response_body
             ) from None

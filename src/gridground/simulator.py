@@ -16,7 +16,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Protocol
 
-from .errors import InvalidScenario
+from .errors import InvalidScenario, MapFormatError
 from .gridmap import GridPose, OccupancyGrid, load_map
 
 SCENARIO_VERSION = "scenario_v1"
@@ -228,6 +228,9 @@ def _violation(rule: str, waypoints: list, i: int) -> PathValidation:
 # --- YAML files: the parser, the typed field reader, and scenario files (scenario_v1) ---
 
 
+MAX_YAML_DEPTH = 64  # the bundled files nest 3 deep
+
+
 def load_yaml(text: str):
     """One YAML document, built by PyYAML's safe constructor.
 
@@ -237,15 +240,44 @@ def load_yaml(text: str):
 
     Raises:
         ValueError: the text is not YAML (the ``yaml.YAMLError`` is chained,
-            its message kept), or holds an int past Python's digit limit.
+            its message kept), nests deeper than MAX_YAML_DEPTH, or holds an
+            int past Python's digit limit.
     """
     import yaml
 
     loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
+        _check_depth(yaml.parse(text, Loader=loader))
         return yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ValueError(str(exc)) from exc
+
+
+def _check_depth(events) -> None:
+    """Raise ValueError when the events nest more than MAX_YAML_DEPTH collections.
+
+    An alias counts as the collections of the node it names, as the built value
+    holds that node. The composer recurses once per level, in C under libyaml,
+    so it would overflow the stack; the parser yields its events from a loop.
+    """
+    import yaml
+
+    too_deep = f"the document nests deeper than {MAX_YAML_DEPTH} collections"
+    heights: dict[str | None, int] = {}  # anchor -> collection levels of the node it names
+    open_ = [[None, 0]]  # the document, then per open collection: its anchor, the most levels below it so far
+    for event in events:
+        if isinstance(event, yaml.CollectionStartEvent):
+            if len(open_) > MAX_YAML_DEPTH:  # stop here: libyaml scans a deep flow collection in quadratic time
+                raise ValueError(too_deep)
+            open_.append([event.anchor, 0])
+        elif isinstance(event, yaml.CollectionEndEvent):
+            anchor, below = open_.pop()
+            if below >= MAX_YAML_DEPTH:  # deeper through the aliases below it
+                raise ValueError(too_deep)
+            heights[anchor] = below + 1
+            open_[-1][1] = max(open_[-1][1], below + 1)
+        elif isinstance(event, yaml.AliasEvent):  # 0 for a scalar, or for a collection the alias is inside of
+            open_[-1][1] = max(open_[-1][1], heights.get(event.anchor, 0))
 
 
 class FieldKind(NamedTuple):
@@ -322,7 +354,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             raise InvalidScenario(f"cannot read map file {map_path}: {exc}") from exc
     try:
         grid = load_map(map_text)
-    except Exception as exc:
+    except MapFormatError as exc:
         raise InvalidScenario(f"bad map: {exc}") from exc
 
     scenario = Scenario(

@@ -355,12 +355,11 @@ def reference_score_candidates(
 ) -> list[ScoredAction]:
     candidates = tuple(GridPose(s[0] + a.delta[0], s[1] + a.delta[1]) for a in ACTIONS)
     query = TaskScorerQuery(instruction=instruction, grid=grid, state=GridPose(*s), candidates=candidates)
+    reply = scorer(query)  # an exception from the call itself is the scorer's bug and propagates
     try:
-        raw = [float(v) for v in scorer(query)]
-    except ScorerFailure:
-        raise
-    except Exception as exc:  # a buggy backend must surface as a scorer failure
-        raise ScorerFailure(f"scorer raised {type(exc).__name__}: {exc}") from exc
+        raw = [float(v) for v in reply]
+    except (TypeError, ValueError, OverflowError) as exc:  # not iterable, not numbers, past the float range
+        raise ScorerFailure(f"scorer reply is not numbers: {type(exc).__name__}: {exc}") from exc
     if len(raw) != len(ACTIONS):
         raise ScorerFailure(f"scorer returned {len(raw)} scores for {len(ACTIONS)} actions")
     if any(not (0.0 <= v < math.inf) for v in raw):

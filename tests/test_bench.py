@@ -48,7 +48,7 @@ from gridground.errors import (
     UnknownPlanner,
 )
 from gridground.gridmap import Connectivity, GridPose, random_map
-from gridground.grounded import Instruction, PlannerConfig
+from gridground.grounded import FailureReason, Instruction, PlannerConfig
 from gridground.scorers import MockScorer, OracleScorer
 from gridground.simulator import DynamicObstacle, Scenario, execute, load_scenario, validate_external_path
 
@@ -280,6 +280,22 @@ class TestRunTrial:
                 run_trial(corridor_scenario(), "test:boom", 0)
         finally:
             del bench._REGISTRY["test:boom"]
+
+    def test_raising_scorer_propagates(self, tmp_path):
+        # an exception out of the scorer call is the scorer's bug: no row, and bench writes no rows.csv
+        def buggy(query):
+            raise KeyError("oops")
+
+        register_planner("test:buggy", lambda sc, seed: build_planner("grounded", buggy))
+        try:
+            with pytest.raises(KeyError, match="oops"):
+                run_trial(corridor_scenario(), "test:buggy", 0)
+            with pytest.raises(KeyError, match="oops"):
+                cli.main(["bench", "--suite", str(write_suite(tmp_path, ("test:buggy",))),
+                          "--out-dir", str(tmp_path / "out")])
+            assert not (tmp_path / "out" / "rows.csv").exists()
+        finally:
+            del bench._REGISTRY["test:buggy"]
 
     @pytest.mark.parametrize("error,is_row", [
         (InvalidEndpoint, False), (OutOfBounds, False), (InvalidParams, False),
@@ -554,8 +570,12 @@ class TestTrialFuzz:
         (row,), walk = rows, samples[("s", pid)]
         # no valid scenario reaches the trial's except clause: the same walk run
         # outside the trial raises nothing, and the row is its outcome
-        record = execute(sc, make_planner(pid, sc, row.seed).planner)
+        planner = make_planner(pid, sc, row.seed).planner
+        record = execute(sc, planner)
         assert (walk, row.replan_count) == (record.visited, record.replan_count)
+        # the package's own backends answer every query on a valid scenario: a
+        # failed walk is stuck or out of steps, never a scorer failure
+        assert not planner.failure.startswith(FailureReason.SCORER_FAILURE.value)
         if row.correct:
             assert validate_external_path(sc, walk).valid
             assert row.path_length_m == (len(walk) - 1) * sc.map.resolution
@@ -599,6 +619,8 @@ class TestSuiteFiles:
          "trials_per_pair"),
         ("planners: [astar]\ntrials_per_pair: true\nscenarios: [{id: a, file: f}]\nversion: suite_v1\n",
          "trials_per_pair"),
+        ("planners: [astar]\ntrials_per_pair: 10001\nscenarios: [{id: a, file: f}]\nversion: suite_v1\n",
+         "'trials_per_pair' must be 1 to 10000, got 10001"),
         ("planners: [astar]\ntrials_per_pair: 1\nscenarios: [{id: a}]\nversion: suite_v1\n",
          "id.*file|file"),
         ("planners: [astar\n", "cannot read|version"),

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import gridground
 from gridground import bench, cli
 from gridground.bench import make_planner
+from gridground.bundled import bundled_path
 from gridground.cli import main
 from gridground.gridmap import GridPose, load_map
 from gridground.grounded import ACTIONS, Instruction
@@ -151,6 +152,11 @@ class TestUsageErrors:
         (["--planner", "grounded"], "connectivity: 4.9\n"),
         (["--planner", "grounded"], "connectivity: 8.0\n"),
         (["--planner", "grounded"], "max_steps: 2.5\n"),
+        (["--planner", "grounded", "--max-steps", "100001"], None),
+        (["--planner", "grounded"], "max_steps: 100001\n"),
+        # 3,000 aliases, each a list of the one before, build a list that deep
+        pytest.param(["--planner", "grounded"], "a0: &a0 [1]\n" + "".join(f"a{i}: &a{i} [*a{i - 1}]\n" for i in range(1, 3000))
+                     + "tau: *a2999\n", id="alias_built_depth"),
         (["--planner", "grounded"], "tau: true\n"),
         (["--planner", "grounded", "--tau", "0"], None),
         (["--planner", "grounded", "--tau", "-1"], None),
@@ -564,6 +570,62 @@ class TestCassetteReplay:
         assert f"usage error: cassette {tape} line 1:" in err
 
 
+    @pytest.mark.parametrize("planner,content", [
+        ("grounded", "scores: 0 1 0 0"), ("fullpath", "path: (0,0) (1,0) (2,0)"),
+    ])
+    def test_nested_reply_body_is_a_failed_plan(self, tmp_path, capsys, planner, content):
+        m = write_map(tmp_path, ["..."])
+        grid = load_map((tmp_path / "m.map").read_text())
+        instruction = Instruction("reach the goal cell", GridPose(2, 0))
+        if planner == "grounded":
+            cands = tuple(GridPose(a.delta[0], a.delta[1]) for a in ACTIONS)
+            prompt = translator.serialize_step_prompt(grid, GridPose(0, 0), instruction, cands)
+        else:
+            prompt = translator.serialize_fullpath_prompt(grid, GridPose(0, 0), instruction)
+        line = json.loads(cassette_line(request_body(prompt), content))
+        line["response_body"] = "[" * 100_000  # past the JSON decoder's recursion limit
+        tape = tmp_path / "tape.jsonl"
+        tape.write_text(json.dumps(line) + "\n")
+        rc = main(plan_args(m, "0,0", "2,0", "--planner", planner, "--scorer", "remote", "--cassette", str(tape)))
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("planning failed:") and "response body is not a chat completion" in err
+
+    def test_nested_cassette_line_is_config_error(self, tmp_path, capsys):
+        m = write_map(tmp_path, ["..."])
+        tape = tmp_path / "tape.jsonl"
+        tape.write_text("\n" + "[" * 100_000 + "\n")
+        rc = main(plan_args(m, "0,0", "2,0", "--planner", "grounded", "--scorer", "remote", "--cassette", str(tape)))
+        _, err = capsys.readouterr()
+        assert rc == 1
+        assert err.startswith(f"usage error: cassette {tape} line 2: not JSON: maximum recursion depth")
+
+
+class TestNestedYamlFiles:
+    """A file nested deeper than the YAML composer's stack would crash the interpreter; it is an input error."""
+
+    RUN = "import sys; sys.path.insert(0, sys.argv[1]); from gridground.cli import main; sys.exit(main(sys.argv[2:]))"
+
+    @pytest.mark.parametrize("form", ["flow", "block"])
+    @pytest.mark.parametrize("file", ["config", "suite", "scenario"])
+    def test_exit_1_not_a_signal(self, tmp_path, form, file):
+        nested = "[" * 50_000 + "]" * 50_000 + "\n" if form == "flow" else "- " * 50_000 + "x\n"
+        for p in bundled_path("default_suite.yaml").parent.iterdir():
+            shutil.copy(p, tmp_path / p.name)
+        if file == "config":
+            (tmp_path / "cfg.yaml").write_text(nested)
+            argv = plan_args(str(tmp_path / "corridor.map"), "2,1", "21,8", "--config", str(tmp_path / "cfg.yaml"))
+        else:
+            (tmp_path / ("default_suite.yaml" if file == "suite" else "corridor.scenario.yaml")).write_text(nested)
+            argv = ["bench", "--suite", str(tmp_path / "default_suite.yaml"), "--out-dir", str(tmp_path / "out")]
+        src = Path(gridground.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", self.RUN, str(src), *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        (last,) = proc.stderr.splitlines()
+        assert last.startswith("usage error:" if file == "config" else "error:")
+        assert last.endswith("the document nests deeper than 64 collections")
+
+
 class TestPrecedence:
     def test_env_overrides_default(self, tmp_path, capsys, monkeypatch):
         m = write_map(tmp_path, ["...", "...", "..."])
@@ -929,10 +991,12 @@ class TestGenMaps:
         assert (rc, *capsys.readouterr()) == (1, "", "usage error: out_dir must not be empty\n")
         assert list(work.iterdir()) == []
 
-    def test_bad_count(self, tmp_path, capsys):
-        rc = main(["gen-maps", "--count", "0", "--size", "4x4", "--density", "0.2",
+    @pytest.mark.parametrize("count", ["0", "10001"])
+    def test_bad_count(self, tmp_path, capsys, count):
+        rc = main(["gen-maps", "--count", count, "--size", "4x4", "--density", "0.2",
                    "--out-dir", str(tmp_path)])
-        assert rc == 1
+        assert (rc, *capsys.readouterr()) == (1, "", f"usage error: --count must be 1 to 10000, got {count}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_density_exit_1(self, tmp_path, capsys):
         rc = main(["gen-maps", "--count", "1", "--size", "4x4", "--density", "1.5",
@@ -975,11 +1039,12 @@ def value_paths(doc, path=()):
 
 
 FUZZ_SITES = [(name, path) for name, doc in FUZZ_INPUTS.items() for path in value_paths(doc)]
-# an int past Python's digit limit cannot be dumped, so this token stands in for it in the YAML text
-BIG_INT_TOKEN = "big_int_token"
+# an int past Python's digit limit cannot be dumped, so this token stands in for it in the YAML text;
+# the nested token stands in for a list nested past the YAML depth limit
+BIG_INT_TOKEN, NESTED_TOKEN = "big_int_token", "nested_token"
 FUZZ_SCALARS = st.one_of(
     # small ints only: a large trials_per_pair is a long valid run, not a fault
-    st.none(), st.booleans(), st.integers(-2, 3), st.just(BIG_INT_TOKEN),
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([BIG_INT_TOKEN, NESTED_TOKEN]),
     st.sampled_from([0.5, -1.5, math.nan, math.inf, -math.inf]), st.text(max_size=3),
 )
 FUZZ_VALUES = st.one_of(
@@ -988,7 +1053,7 @@ FUZZ_VALUES = st.one_of(
 
 
 def run_with_replaced_value(name, path, value):
-    """Exit code of the CLI on the bundled inputs with one value of ``name`` replaced.
+    """Exit code and stderr of the CLI on the bundled inputs with one value of ``name`` replaced.
 
     A scenario or suite runs through ``bench`` on the default suite, the config
     through ``plan`` with the remote scorer replaying an empty cassette.
@@ -1005,14 +1070,15 @@ def run_with_replaced_value(name, path, value):
         work = Path(tmp)
         for p in BUNDLED.iterdir():
             shutil.copy(p, work / p.name)
-        (work / name).write_text(yaml.safe_dump(doc).replace(BIG_INT_TOKEN, "1" * 5000), encoding="utf-8")
+        text = yaml.safe_dump(doc).replace(BIG_INT_TOKEN, "1" * 5000).replace(NESTED_TOKEN, "[" * 100 + "]" * 100)
+        (work / name).write_text(text, encoding="utf-8")
         if name == "config.yaml":
             argv = ["plan", "--map", str(work / "corridor.map"), "--start", "2,1", "--goal", "21,8",
                     "--cassette", os.devnull, "--config", str(work / name)]
         else:
             argv = ["bench", "--suite", str(work / "default_suite.yaml"), "--out-dir", str(work / "out")]
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            return main(argv)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            return main(argv), err.getvalue()
 
 
 @given(site=st.sampled_from(FUZZ_SITES), value=FUZZ_VALUES)
@@ -1021,13 +1087,15 @@ def run_with_replaced_value(name, path, value):
 @settings(derandomize=True, deadline=None, max_examples=200)
 def test_one_replaced_input_value_ends_in_an_exit_code(site, value):
     name, path = site
-    rc = run_with_replaced_value(name, path, value)  # an exception fails the test
+    rc, err = run_with_replaced_value(name, path, value)  # an exception fails the test
+    if rc != 0:  # one line that says what went wrong
+        assert re.fullmatch(r"(usage error|error|planning failed): [^\n]*\n", err), err
     original = FUZZ_INPUTS[name]
     for key in path:
         original = original[key]
     if isinstance(original, (list, dict)) and value is not None and type(value) is not type(original):
         assert rc == 1  # only null stands in for an absent list or mapping
-    elif name == "config.yaml" and len(path) == 1 and isinstance(value, (list, dict)):
+    elif name == "config.yaml" and len(path) == 1 and path[0] in cli._OPTIONS and isinstance(value, (list, dict)):
         assert rc == 1  # a top-level key is read from its text, and a list or mapping has none
     else:
         assert rc in (0, 1, 2)

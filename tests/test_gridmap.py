@@ -599,7 +599,7 @@ class TestRandomMap:
 
     @pytest.mark.parametrize("width,height", [(0, 4), (4, 0), (-1, 3), (0, 0)])
     def test_side_below_one(self, width, height):
-        with pytest.raises(ValueError, match=f"grid dimensions must be >= 1, got {width}x{height}"):
+        with pytest.raises(InvalidParams, match=f"grid dimensions must be >= 1, got {width}x{height}"):
             random_map(width, height, 0.5, 0)
 
     @pytest.mark.parametrize("density", [-0.01, 1.01, float("nan"), float("inf")])

@@ -171,19 +171,29 @@ class TestScoreCandidates:
         with pytest.raises(ScorerFailure, match="backend said no"):
             score_candidates(failing, Instruction("x", GridPose(2, 2)), open_grid(3, 3), GridPose(1, 1))
 
-    def test_other_exceptions_wrapped(self):
+    def test_other_exceptions_propagate(self):
+        # an exception raised by the call itself is the scorer's bug, not a failed reply
         def buggy(query):
             raise KeyError("oops")
 
-        with pytest.raises(ScorerFailure, match="KeyError"):
+        with pytest.raises(KeyError, match="oops"):
             score_candidates(buggy, Instruction("x", GridPose(2, 2)), open_grid(3, 3), GridPose(1, 1))
+        with pytest.raises(KeyError, match="oops"):
+            plan(buggy, open_grid(3, 3), GridPose(0, 0), Instruction("x", GridPose(2, 2)))
 
-    @pytest.mark.parametrize("raw", [
-        (1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 1.0),
-        (-0.1, 1.0, 1.0, 1.0), (math.nan, 1.0, 1.0, 1.0), (math.inf, 1.0, 1.0, 1.0),
+    @pytest.mark.parametrize("raw,msg", [
+        ((1.0, 1.0, 1.0), "returned 3 scores for 4 actions"),
+        ((1.0, 1.0, 1.0, 1.0, 1.0), "returned 5 scores for 4 actions"),
+        ((-0.1, 1.0, 1.0, 1.0), "finite and non-negative"),
+        ((math.nan, 1.0, 1.0, 1.0), "finite and non-negative"),
+        ((math.inf, 1.0, 1.0, 1.0), "finite and non-negative"),
+        (None, "not numbers: TypeError"),
+        ("four", "not numbers: ValueError"),
+        (("1", "2", "x", "4"), "not numbers: ValueError"),
+        ((10**400, 1, 1, 1), "not numbers: OverflowError"),
     ])
-    def test_unusable_scores_rejected(self, raw):
-        with pytest.raises(ScorerFailure):
+    def test_unusable_scores_rejected(self, raw, msg):
+        with pytest.raises(ScorerFailure, match=msg):
             score_candidates(
                 CapturingScorer(raw), Instruction("x", GridPose(2, 2)), open_grid(3, 3), GridPose(1, 1)
             )
@@ -456,7 +466,9 @@ SCORERS = {
     "oracle": OracleScorer,
     "seeded": lambda: seeded_scores,
     "scorer_failure": lambda: after_calls(3, lambda q: raise_(ScorerFailure("endpoint down"))),
-    "other_exception": lambda: after_calls(2, lambda q: raise_(KeyError("oops"))),
+    "none_reply": lambda: after_calls(2, lambda q: None),
+    "text_reply": lambda: after_calls(1, lambda q: "four"),
+    "huge_int_reply": lambda: after_calls(3, lambda q: (10**400, 1, 1, 1)),
     "three_scores": lambda: after_calls(2, lambda q: (1.0, 1.0, 1.0)),
     "nan": lambda: after_calls(1, lambda q: (1.0, math.nan, 1.0, 1.0)),
     "all_zero": lambda: lambda q: (0.0, 0.0, 0.0, 0.0),
@@ -497,6 +509,20 @@ class TestPlanMatchesReference:
             for q in got_scorer.queries:
                 assert q.grid is grid and q.instruction is instruction
                 assert type(q.state) is GridPose and all(type(c) is GridPose for c in q.candidates)
+
+    @pytest.mark.parametrize("scorer_name,mock_calls", [("none_reply", 2), ("text_reply", 1), ("huge_int_reply", 3)])
+    def test_bad_reply_ends_the_walk_as_scorer_failure(self, scorer_name, mock_calls):
+        ended = 0
+        for grid, start, goal in differential_cases():
+            instruction, config = Instruction("x", goal), PlannerConfig(max_steps=30)
+            got_scorer, want_scorer = Recording(SCORERS[scorer_name]()), Recording(SCORERS[scorer_name]())
+            got = plan(got_scorer, grid, start, instruction, config)
+            want = reference_plan(want_scorer, grid, start, instruction, config)
+            if len(got_scorer.queries) > mock_calls:  # the walk asked past the mock's answers
+                ended += 1
+                assert got.failure is want.failure is FailureReason.SCORER_FAILURE
+                assert got.detail == want.detail and got.detail.startswith("scorer reply is not numbers: ")
+        assert ended > 0
 
     def test_cases_cover_every_outcome(self):
         outcomes = set()

@@ -11,7 +11,7 @@ import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gridground.scorers as scorers_mod
 from gridground.errors import (
@@ -378,6 +378,24 @@ def chat_body(content):
     return json.dumps({"choices": [{"message": {"content": content}}]})
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+REPLY_BODIES = st.one_of(
+    st.text(),
+    JSON_VALUES.map(json.dumps),
+    # a chat completion whose content is any JSON value, or text near the scores and path grammars
+    st.one_of(JSON_VALUES, st.text(), st.sampled_from(["scores: 1 0 0 0", "path: (1,1) (1,2)", "scores: 1e999 0 0 0"]))
+    .map(lambda content: json.dumps({"choices": [{"message": {"content": content}}]})),
+    # nested past the decoder's recursion limit, and an int past the digit limit
+    st.tuples(st.sampled_from(["[", '{"a":', '{"choices":[']), st.sampled_from([10, 1_000, 100_000]))
+    .map(lambda t: t[0] * t[1]),
+    st.integers(4_301, 6_000).map(lambda n: "1" * n),
+)
+
+
 class FakeTransport:
     """Scripted transport: each entry is (status, body) or an exception to raise."""
 
@@ -519,6 +537,18 @@ class TestRemoteScorer:
         with pytest.raises(MalformedReply):
             scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
 
+    @given(body=REPLY_BODIES, status=st.sampled_from([200, 200, 200, 404, 429, 500]))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_reply_body_is_scores_or_a_scorer_failure(self, config, with_key, body, status):
+        # in both modes a reply the scorer cannot use is a ScorerFailure, never another exception
+        scorer = RemoteScorer(config, transport=lambda *a: (status, body), sleep=lambda s: None)
+        q = query_at(open_grid(4, 4), (1, 1), (3, 3))
+        for ask in (lambda: scorer(q), lambda: scorer.route(q.grid, q.state, q.instruction)):
+            try:
+                ask()
+            except ScorerFailure:
+                pass
+
 
 
 class TestCassetteIntegration:
@@ -592,6 +622,7 @@ class TestCassetteFile:
         (json.dumps({"request_hash": "def", "response_body": None}).encode(), "needs request_hash"),
         (json.dumps({"request_hash": 5, "response_body": "{}"}).encode(), "needs request_hash"),
         (b'{"request_hash": "\xff"}', "not UTF-8"),
+        pytest.param(b"[" * 100_000, "not JSON: maximum recursion depth", id="nested_past_the_recursion_limit"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, bad, reason):
         path = tmp_path / "tape.jsonl"
@@ -603,6 +634,16 @@ class TestCassetteFile:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read cassette"):
             Cassette(tmp_path)  # a directory exists but cannot be read
+
+    def test_name_too_long(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read cassette"):
+            Cassette(tmp_path / ("a" * 5000))
+
+    def test_unwritable_file(self, tmp_path):
+        path = tmp_path / "absent" / "tape.jsonl"
+        with pytest.raises(ConfigError) as info:
+            Cassette(path, record=True).store("abc", "{}")
+        assert str(info.value).startswith(f"cannot write cassette {path}: ")
 
 
 class TestEndpointConfig:

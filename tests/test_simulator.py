@@ -3,7 +3,7 @@ import yaml
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridground import bench
+from gridground import bench, simulator
 from gridground.bundled import bundled_path
 from gridground.classical import astar
 from gridground.errors import InvalidScenario
@@ -12,8 +12,10 @@ from gridground.simulator import (
     DynamicObstacle,
     PathValidation,
     Scenario,
+    MAX_YAML_DEPTH,
     execute,
     load_scenario,
+    load_yaml,
     parse_scenario,
     validate_external_path,
 )
@@ -596,6 +598,15 @@ class TestParseScenario:
         with pytest.raises(InvalidScenario, match="mapping"):
             parse_scenario("- 1\n- 2\n")
 
+    def test_map_loader_bug_propagates(self, monkeypatch):
+        # only a MapFormatError is a bad map; any other error out of load_map is a bug
+        def buggy(text):
+            raise KeyError("oops")
+
+        monkeypatch.setattr(simulator, "load_map", buggy)
+        with pytest.raises(KeyError, match="oops"):
+            parse_scenario(scenario_doc())
+
     def test_load_scenario_round_trip(self, tmp_path):
         (tmp_path / "m.map").write_text("4 1 1.0\n....\n")
         doc = scenario_doc(map_file="m.map", goal=[3, 0], _drop=("map",))
@@ -619,3 +630,42 @@ class TestParseScenario:
         path.write_text(scenario_doc(_drop=("start",)) + f"start: [{BIG_INT}, 0]\n")
         with pytest.raises(InvalidScenario, match="unparseable"):
             load_scenario(path)
+
+
+def nested(levels, form):
+    """A YAML document of ``levels`` collections, each the only item of the one around it."""
+    if form == "flow":
+        return "[" * levels + "x" + "]" * levels + "\n"
+    if form == "block":
+        return "- " * levels + "x\n"
+    # a mapping of anchored lists, each an alias of the one before: the value of b is levels deep
+    return "a1: &a1 [1]\n" + "".join(f"a{i}: &a{i} [*a{i - 1}]\n" for i in range(2, levels)) + f"b: *a{levels - 1}\n"
+
+
+class TestYamlNesting:
+    @pytest.fixture(params=[True, False], ids=["libyaml", "pyyaml"])
+    def loader(self, request, monkeypatch):
+        if request.param and not yaml.__with_libyaml__:
+            pytest.skip("PyYAML was built without libyaml")
+        monkeypatch.setattr(yaml, "__with_libyaml__", request.param)
+
+    @pytest.mark.parametrize("form", ["flow", "block", "alias"])
+    def test_limit(self, loader, form):
+        assert MAX_YAML_DEPTH == 64
+        doc = load_yaml(nested(MAX_YAML_DEPTH, form))
+        depth = 0
+        while isinstance(doc, (list, dict)):
+            doc, depth = doc["b"] if isinstance(doc, dict) else doc[0], depth + 1
+        assert depth == MAX_YAML_DEPTH
+        with pytest.raises(ValueError, match="nests deeper than 64 collections"):
+            load_yaml(nested(MAX_YAML_DEPTH + 1, form))
+
+    @pytest.mark.parametrize("form", ["flow", "block", "alias"])
+    def test_far_past_the_limit(self, loader, form):
+        # without the check 50,000 levels crash the process, so tests/test_cli.py runs those in a subprocess
+        with pytest.raises(ValueError, match="nests deeper than 64 collections"):
+            load_yaml(nested(3_000 if form == "alias" else 1_000, form))
+
+    def test_an_alias_inside_its_own_anchor_is_one_level(self, loader):
+        doc = load_yaml("a: &a [*a]\n")
+        assert doc["a"][0] is doc["a"]
