@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .classical import PlannedPath, RrtParams, astar, path_length, rrt
 from .errors import ConfigError, InvalidScenario, MalformedReply, ScorerFailure, UnknownPlanner
-from .gridmap import CellState, Connectivity, GridPose
+from .gridmap import CellState, Connectivity, GridPose, as_connectivity
 from .grounded import Instruction, PlannerConfig, plan as grounded_plan
 from .scorers import MockScorer, OracleScorer, TaskScorerQuery
 from . import translator
@@ -148,9 +148,10 @@ def build_planner(kind: str, scorer=None, seed: int = 0, connectivity: int = 4,
 
     Raises:
         UnknownPlanner: kind is not astar, rrt, grounded or fullpath.
+        InvalidParams: an astar connectivity other than 4 or 8.
     """
     if kind == "astar":
-        return TrialPlanner(AstarPlanner(Connectivity(connectivity)))
+        return TrialPlanner(AstarPlanner(as_connectivity(connectivity)))
     if kind == "rrt":
         return TrialPlanner(RrtPlanner(RrtParams(seed=seed)))
     if kind == "grounded":

@@ -12,8 +12,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from itertools import count, repeat, starmap
+from itertools import count, starmap
 from typing import NamedTuple
 
 from .errors import InvalidEndpoint, InvalidParams
@@ -239,6 +240,9 @@ def _search_eight(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> dict[
 # --- RRT ---
 
 
+MAX_RRT_ITERATIONS = 100_000  # RrtParams.max_iterations; a search may sweep the whole tree
+
+
 class RrtParams(NamedTuple):
     """Tuning knobs for rrt; defaults follow the documented contract."""
 
@@ -261,12 +265,6 @@ class RrtTree:
 
 
 Point = tuple[float, float]
-
-# _NodeBuckets tuning (see its docstring). _SCAN_RATIO: one C-level pass over
-# all n points beats looking up more than n / _SCAN_RATIO buckets one by one.
-_NODES_PER_BUCKET = 6
-_MAX_HALVINGS = 4
-_SCAN_RATIO = 8
 
 
 def _center(c: GridPose) -> Point:
@@ -356,118 +354,64 @@ def _edge_free(grid: OccupancyGrid, p0: Point, p1: Point) -> bool:
     return True
 
 
-class _NodeBuckets:
-    """Tree nodes hashed into square buckets for nearest-node queries.
+class _NodeSweep:
+    """Tree nodes sorted along one axis for nearest-node queries.
 
-    The side starts at `size` and halves, refiling every node, whenever the
-    tree holds more than _NODES_PER_BUCKET nodes per occupied bucket, until
-    it reaches size / 2**_MAX_HALVINGS. Each bucket lists its nodes in index
-    order.
+    keys holds each node's coordinate on `axis` in ascending order, equal
+    keys in index order; cross and ids hold each node's other coordinate
+    and its index at the same positions.
     """
 
-    def __init__(self, size: float, points: list[Point]):
-        self.size = size
-        self.min_size = size / 2**_MAX_HALVINGS
+    def __init__(self, axis: int, points: list[Point]):
+        self.axis = axis
         self.points = points  # the tree's own list; add(i) files its node i
-        self.buckets: dict[tuple[int, int], list[int]] = {}
+        self.keys: list[float] = []
+        self.cross: list[float] = []
+        self.ids: list[int] = []
         for i in range(len(points)):
             self.add(i)
 
     def add(self, i: int) -> None:
-        x, y = self.points[i]
-        s = self.size
-        self.buckets.setdefault((math.floor(x / s), math.floor(y / s)), []).append(i)
-        while i >= _NODES_PER_BUCKET * len(self.buckets) and self.size > self.min_size:
-            # O(i) per halving, and at most _MAX_HALVINGS of them per tree
-            self.size = s = self.size / 2
-            self.buckets = buckets = {}
-            for j, (x, y) in enumerate(self.points[:i + 1]):
-                buckets.setdefault((math.floor(x / s), math.floor(y / s)), []).append(j)
+        p = self.points[i]
+        k = bisect_right(self.keys, p[self.axis])  # nodes come in index order
+        self.keys.insert(k, p[self.axis])
+        self.cross.insert(k, p[1 - self.axis])
+        self.ids.insert(k, i)
 
     def nearest(self, target: Point) -> tuple[int, float]:
         """Index of the node nearest target and its distance; ties go to the lowest index.
 
-        Rings of buckets are scanned outward from target's bucket until no
-        unscanned node can be as near as the best one found. A ring skips
-        every bucket whose box lies farther than the best distance from
-        target along x or along y. When target's own bucket already holds a
-        node nearer than any past the first ring, only the side and corner
-        buckets within reach are scanned. When the next ring would take the
-        buckets looked up past n / _SCAN_RATIO for n nodes, one pass over all
-        nodes ends the search instead, so a query costs O(n) whatever the side.
+        The sweep starts at the node whose key is nearest target's and moves
+        outward on each side until the key gap alone exceeds the best
+        distance. A node whose cross gap exceeds it is passed over without
+        computing its distance. Both bounds carry a slack of 1e-9 against
+        rounding, so every node as near as the best one is compared: the
+        result is that of a scan of every node.
         """
-        s, points, buckets = self.size, self.points, self.buckets
-        floor, dist, get = math.floor, math.dist, buckets.get
-        tx, ty = target
-        cx, cy = floor(tx / s), floor(ty / s)
-        # distances from target to the four sides of its own bucket; ring r
-        # pushes every side of the scanned box r buckets further out
-        west, east, north, south = tx - cx * s, (cx + 1) * s - tx, ty - cy * s, (cy + 1) * s - ty
-        edge = min(west, east, north, south)
-        best_i, best_d = -1, math.inf
-        for i in get((cx, cy), ()):  # in index order: the first of equals wins
-            d = dist(points[i], target)
-            if d < best_d:
-                best_i, best_d = i, d
-        # here and in the ring loop: strict, with slack for rounding in
-        # floor(x / s), as an unscanned node at exactly best_d might carry a lower index
-        if best_d < edge + s - 1e-9:
-            # no node past the first ring is as near; of that ring, a side
-            # bucket can hold one only when its side lies within reach, and a
-            # corner bucket only when both of its sides do
-            reach = best_d + 1e-9
-            keys = []
-            if north <= reach:
-                keys.append((cx, cy - 1))
-            if south <= reach:
-                keys.append((cx, cy + 1))
-            if west <= reach:
-                keys.append((cx - 1, cy))
-                if north <= reach:
-                    keys.append((cx - 1, cy - 1))
-                if south <= reach:
-                    keys.append((cx - 1, cy + 1))
-            if east <= reach:
-                keys.append((cx + 1, cy))
-                if north <= reach:
-                    keys.append((cx + 1, cy - 1))
-                if south <= reach:
-                    keys.append((cx + 1, cy + 1))
-            for key in keys:
-                for i in get(key, ()):
-                    d = dist(points[i], target)
-                    if d < best_d or (d == best_d and i < best_i):
-                        best_i, best_d = i, d
-            return best_i, best_d
-        r = 1
-        while best_d >= edge + (r - 1) * s - 1e-9:
-            if _SCAN_RATIO * (2 * r + 1) ** 2 > len(points):
-                ds = list(map(dist, points, repeat(target)))
-                best_d = min(ds)
-                return ds.index(best_d), best_d
-            if best_d == math.inf:
-                x0, x1, y0, y1 = cx - r, cx + r, cy - r, cy + r
-            else:
-                reach = best_d + 1e-9
-                x0, x1 = max(cx - r, floor((tx - reach) / s)), min(cx + r, floor((tx + reach) / s))
-                y0, y1 = max(cy - r, floor((ty - reach) / s)), min(cy + r, floor((ty + reach) / s))
-            # the ring's rows and columns that survive the clip to [x0, x1] x [y0, y1]
-            keys = []
-            if y0 == cy - r:
-                keys += [(x, y0) for x in range(x0, x1 + 1)]
-            if y1 == cy + r:
-                keys += [(x, y1) for x in range(x0, x1 + 1)]
-            inner = range(max(y0, cy - r + 1), min(y1, cy + r - 1) + 1)
-            if x0 == cx - r:
-                keys += [(x0, y) for y in inner]
-            if x1 == cx + r:
-                keys += [(x1, y) for y in inner]
-            for key in keys:
-                for i in get(key, ()):
-                    d = dist(points[i], target)
-                    if d < best_d or (d == best_d and i < best_i):
-                        best_i, best_d = i, d
-            r += 1
+        keys, cross, ids, points, dist = self.keys, self.cross, self.ids, self.points, math.dist
+        tk, tc = target[self.axis], target[1 - self.axis]
+        j = bisect_left(keys, tk)
+        if j == len(keys) or (j and tk - keys[j - 1] < keys[j] - tk):
+            j -= 1
+        best_i = ids[j]
+        best_d = dist(points[best_i], target)
+        reach = best_d + 1e-9
+        for k in range(j + 1, len(keys)):
+            if keys[k] - tk > reach:
+                break
+            if abs(cross[k] - tc) <= reach:
+                i = ids[k]
+                d = dist(points[i], target)
+                if d < best_d or (d == best_d and i < best_i):
+                    best_i, best_d, reach = i, d, d + 1e-9
+        for k in range(j - 1, -1, -1):
+            if tk - keys[k] > reach:
+                break
+            if abs(cross[k] - tc) <= reach:
+                i = ids[k]
+                d = dist(points[i], target)
+                if d < best_d or (d == best_d and i < best_i):
+                    best_i, best_d, reach = i, d, d + 1e-9
         return best_i, best_d
 
 
@@ -481,17 +425,16 @@ def grow_rrt_tree(
     the goal-bias coin. Every accepted edge passes the supercover check.
     Each target extends its nearest node: least Euclidean distance, ties to
     the lowest node index, with the same result as a scan of every node. It
-    is found through buckets whose side starts at step_size and halves as
-    the tree grows denser, down to a floor of step_size / 16, except for the
-    goal, whose nearest node the tree keeps as it grows.
+    is found by a sweep over the nodes sorted along the map's longer side,
+    except for the goal, whose nearest node the tree keeps as it grows.
     """
     if not (0 < params.step_size < math.inf):
         raise InvalidParams(f"step_size must be finite and > 0, got {params.step_size}")
     if not (0.0 <= params.goal_bias <= 1.0):
         raise InvalidParams(f"goal_bias must be in [0, 1], got {params.goal_bias}")
     n = params.max_iterations
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParams(f"max_iterations must be an integer >= 1, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_RRT_ITERATIONS:
+        raise InvalidParams(f"max_iterations must be an integer from 1 to {MAX_RRT_ITERATIONS}, got {n!r}")
     if not (params.goal_tolerance >= 0):
         raise InvalidParams(f"goal_tolerance must be >= 0, got {params.goal_tolerance}")
     check_endpoints(grid, start, goal)
@@ -506,7 +449,7 @@ def grow_rrt_tree(
         tree.accepted = 0
         return tree
 
-    index = _NodeBuckets(params.step_size, tree.points)
+    index = _NodeSweep(0 if grid.width >= grid.height else 1, tree.points)
     nearest, add, points, parents = index.nearest, index.add, tree.points, tree.parents
     step, bias, tolerance = params.step_size, params.goal_bias, params.goal_tolerance
     mask, base, row = grid.free_mask, grid.flat_index(0, 0), grid.flat_offsets[3]

@@ -115,7 +115,9 @@ def serialize_fullpath_prompt(
 
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
-_PAIR_LINE_RE = re.compile(r"\s*(?:\(\s*\d+\s*,\s*\d+\s*\)\s*)+")
+# a cell coordinate has at most 9 digits: no map is a billion cells wide, and
+# every such int converts to a float, as path lengths need
+_PAIR_LINE_RE = re.compile(r"\s*(?:\(\s*\d{1,9}\s*,\s*\d{1,9}\s*\)\s*)+")
 
 
 def _as_text(reply: object) -> str:
@@ -167,7 +169,7 @@ def parse_coordinate_list(reply: str | bytes) -> CoordinateReply:
 
     Raises:
         MalformedReply: no path line, an empty one, stray tokens on it, or a
-            coordinate too long to convert.
+            coordinate of more than 9 digits, too long to be a cell.
     """
     text = _as_text(reply)
     lines = [ln for ln in text.splitlines() if ln.lstrip().startswith("path:")]
@@ -175,14 +177,12 @@ def parse_coordinate_list(reply: str | bytes) -> CoordinateReply:
         raise MalformedReply("no path line found", reply=text)
     payload = lines[-1].lstrip()[len("path:"):]
     if not _PAIR_LINE_RE.fullmatch(payload):
+        if re.search(r"\d{10}", payload):
+            raise MalformedReply("path coordinate has more than 9 digits", reply=text)
         raise MalformedReply(
             "path line must be whitespace-separated (x,y) pairs", reply=text
         )
-    try:
-        waypoints = tuple(GridPose(int(x), int(y)) for x, y in _PAIR_RE.findall(payload))
-    except ValueError:  # more digits than int() converts
-        raise MalformedReply("path coordinate has too many digits", reply=text) from None
-    return CoordinateReply(waypoints)
+    return CoordinateReply(tuple(GridPose(int(x), int(y)) for x, y in _PAIR_RE.findall(payload)))
 
 
 def format_coordinate_list(waypoints: Sequence[GridPose]) -> str:

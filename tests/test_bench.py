@@ -362,6 +362,12 @@ class TestBuildPlanner:
         assert fullpath.scorer is None and fullpath.planner.scorer is scorer
         assert build_planner("astar").scorer is None and build_planner("rrt").scorer is None
 
+    @pytest.mark.parametrize("connectivity", [5, 0, "4", None])
+    def test_other_connectivity_is_invalid(self, connectivity):
+        # the same error as astar(..., connectivity) raises, not a bare ValueError
+        with pytest.raises(InvalidParams, match=r"^connectivity must be 4 or 8, got "):
+            build_planner("astar", connectivity=connectivity)
+
     def test_options_reach_the_adapter(self):
         assert build_planner("astar", connectivity=8).planner.connectivity is Connectivity.EIGHT
         assert build_planner("rrt", seed=7).planner.params.seed == 7

@@ -18,8 +18,7 @@ from gridground.classical import (
     path_length,
     rrt,
     supercover_cells,
-    _MAX_HALVINGS,
-    _NodeBuckets,
+    _NodeSweep,
     _edge_free,
 )
 from gridground import classical
@@ -488,7 +487,7 @@ class TestRrt:
         {"goal_bias": 1.5}, {"max_iterations": 0}, {"goal_tolerance": -0.5},
         {"step_size": math.inf}, {"step_size": math.nan}, {"goal_tolerance": math.nan},
         {"max_iterations": 2.5}, {"max_iterations": True}, {"max_iterations": 3.0},
-        {"max_iterations": "5"},
+        {"max_iterations": "5"}, {"max_iterations": classical.MAX_RRT_ITERATIONS + 1},
     ])
     def test_invalid_params(self, kwargs):
         g = open_grid(4, 4)
@@ -609,6 +608,10 @@ def free_corners(grid):
     return free[0], free[-1]
 
 
+# half-integers from -3 to 3: few enough that points, keys and distances coincide often
+HALF_STEPS = st.integers(-6, 6).map(lambda k: k / 2)
+
+
 class TestRrtNearestNode:
     @pytest.mark.parametrize("goal_bias", [0.0, 0.05, 1.0])
     @pytest.mark.parametrize("step_size", [0.5, 1.0, 3.0, 7.3, 40.0])
@@ -639,52 +642,54 @@ class TestRrtNearestNode:
             assert got.accepted is None and len(got.points) > 500
             assert (got.points, got.parents) == (want.points, want.parents)
 
-    def test_tie_across_buckets_goes_to_lowest_index(self):
-        # node 0 sits one bucket left of the target's, node 1 in it; the
-        # filler keeps the search on rings instead of one pass over all nodes
-        filler = [(30.0 + k, 30.0) for k in range(8)]
-        index = _NodeBuckets(3.0, [(2.0, 1.5), (4.0, 1.5), *filler])
-        assert index.nearest((3.0, 1.5)) == (0, 1.0)
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_tie_on_either_side_goes_to_lowest_index(self, axis):
+        # node 0 lies one unit below the target's key, node 1 one unit above;
+        # the filler lies far along both axes, past where the sweep stops
+        def on(key, cross):
+            return (key, cross) if axis == 0 else (cross, key)
 
-    def test_tie_on_scanned_box_edge_goes_to_lowest_index(self):
-        # node 0 lies exactly on the far edge of the target's bucket, as far
-        # from the target as node 1 inside it: the ring search must not stop
         filler = [(30.0 + k, 30.0) for k in range(8)]
-        index = _NodeBuckets(2.0, [(4.0, 1.0), (3.0, 0.0), *filler])
+        index = _NodeSweep(axis, [on(2.0, 1.5), on(4.0, 1.5), *filler])
+        assert index.nearest(on(3.0, 1.5)) == (0, 1.0)
+
+    def test_tie_at_the_key_gap_bound_goes_to_lowest_index(self):
+        # node 1 shares the target's key; node 0's key gap equals the best
+        # distance, node 1's: the sweep must not stop before it
+        filler = [(30.0 + k, 30.0) for k in range(8)]
+        index = _NodeSweep(0, [(4.0, 1.0), (3.0, 0.0), *filler])
         assert index.nearest((3.0, 1.0)) == (0, 1.0)
 
     @pytest.mark.parametrize("batch", [0, 1])
     def test_matches_linear_scan_on_bundled_corridor_trees(self, batch):
-        # the trees a suite run grows on corridor.map: 1.6k-1.8k nodes in
-        # buckets halved three times, where most queries stop after ring 1
+        # the trees a suite run grows on corridor.map: 1.6k-1.8k nodes
         grid = load_map(bundled_path("corridor.map").read_text())
         params = RrtParams(seed=trial_seed(f"corridor-s1-b{batch}", "rrt", 0))
         got = grow_rrt_tree(grid, GridPose(2, 1), GridPose(21, 8), params)
         want = linear_scan_tree(grid, GridPose(2, 1), GridPose(21, 8), params)
         assert (got.points, got.parents, got.accepted) == (want.points, want.parents, want.accepted)
         assert len(got.points) > 1500
-        assert _NodeBuckets(params.step_size, got.points).size == params.step_size / 8
+        index = _NodeSweep(0, got.points)  # corridor.map is wider than it is tall
+        assert index.ids == sorted(range(len(got.points)), key=lambda i: (got.points[i][0], i))
+        assert index.keys == sorted(p[0] for p in got.points)
 
     @pytest.mark.parametrize("target, other", [
         ((3.5, 1.5), (2.0, 1.5)), ((3.5, 0.5), (2.75, -0.5)),
-    ], ids=["side", "corner"])
-    def test_first_ring_tie_goes_to_lowest_index(self, target, other):
-        # target sits in bucket (1, 0); node 1 in that bucket and node 0 in its
-        # west side bucket or north-west corner bucket are equally near, well
-        # inside one side length: the search stops after ring 1 and must
-        # still prefer node 0
+    ], ids=["axis", "diagonal"])
+    def test_tie_with_a_nearer_key_goes_to_lowest_index(self, target, other):
+        # node 0, straight or diagonally behind the target, and node 1, straight
+        # ahead of it, are equally near; the sweep starts at whichever key is
+        # nearer the target's and must still prefer node 0
         d = math.dist(other, target)
         filler = [(30.0 + k, 30.0) for k in range(8)]
-        index = _NodeBuckets(3.0, [other, (target[0] + d, target[1]), *filler])
-        assert index.size == 3.0 and d < index.size
+        index = _NodeSweep(0, [other, (target[0] + d, target[1]), *filler])
         assert index.nearest(target) == (0, d)
 
-    def test_far_own_bucket_node_leaves_the_first_ring(self):
-        # target (0.05, 0.05) lies 0.05 inside bucket (0, 0), whose only node
-        # is 1.27 away: a node two buckets west, at 1.15, is nearer
+    def test_nearest_key_is_not_always_the_nearest_node(self):
+        # node 0 has the key nearest the target's but lies 1.27 away; node 1,
+        # 1.15 away, has a key 1.15 below the target's
         filler = [(30.0 + k, 30.0) for k in range(8)]
-        index = _NodeBuckets(1.0, [(0.95, 0.95), (-1.1, 0.05), *filler])
-        assert index.size == 1.0
+        index = _NodeSweep(0, [(0.95, 0.95), (-1.1, 0.05), *filler])
         assert index.nearest((0.05, 0.05)) == (1, math.dist((-1.1, 0.05), (0.05, 0.05)))
 
     def test_goal_biased_tie_goes_to_lowest_index(self):
@@ -706,46 +711,77 @@ class TestRrtNearestNode:
         assert math.dist(tree.points[1], (7.5, 7.5)) == math.dist(tree.points[2], (7.5, 7.5))
         assert (tree.parents, tree.accepted) == ([-1, 0, 0, 1], None)
 
-    def test_dense_tree_halves_the_side(self):
-        # a 6x6 room with the goal walled off: every iteration grows the tree,
-        # which crowds the room until the side has halved at least twice
+    def test_dense_tree_matches_a_scan(self):
+        # a 6x7 room with the goal walled off: every iteration grows the tree,
+        # which crowds the room
         grid = grid_from_rows(["......"] * 5 + ["....##", "....#."])
         params = RrtParams(step_size=3.0, max_iterations=1500, seed=4)
         got = grow_rrt_tree(grid, GridPose(0, 0), GridPose(5, 6), params)
         want = linear_scan_tree(grid, GridPose(0, 0), GridPose(5, 6), params)
         assert (got.points, got.parents, got.accepted) == (want.points, want.parents, want.accepted)
-        index = _NodeBuckets(params.step_size, got.points)
-        assert index.size <= params.step_size / 4
+        assert len(got.points) > 1000
         rng = random.Random(0)
-        for _ in range(300):
-            target = (rng.uniform(-2.0, 8.0), rng.uniform(-2.0, 9.0))
-            ds = [math.dist(p, target) for p in got.points]
-            assert index.nearest(target) == (ds.index(min(ds)), min(ds))
+        for axis in (0, 1):
+            index = _NodeSweep(axis, got.points)
+            for _ in range(300):
+                target = (rng.uniform(-2.0, 8.0), rng.uniform(-2.0, 9.0))
+                ds = [math.dist(p, target) for p in got.points]
+                assert index.nearest(target) == (ds.index(min(ds)), min(ds))
 
-    def test_coincident_nodes_stop_at_the_floor(self):
-        # no halving can split these nodes, so the side stops at its floor
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_coincident_nodes_go_to_lowest_index(self, axis):
+        # 200 nodes 1e-12 apart along x: on axis 1 every key is equal
         points = [(5.0 + k * 1e-12, 5.0) for k in range(200)]
-        index = _NodeBuckets(1.0, points)
-        assert index.size == index.min_size == 1.0 / 2**_MAX_HALVINGS
+        index = _NodeSweep(axis, points)
         assert index.nearest((5.0, 5.0)) == (0, 0.0)
         assert index.nearest((9.0, 5.0))[0] == 199
+        index = _NodeSweep(axis, [(1.0, 2.0)] * 5)
+        assert index.nearest((1.0, 2.0)) == (0, 0.0)
+        assert index.nearest((7.0, -3.0)) == (0, math.dist((1.0, 2.0), (7.0, -3.0)))
 
     def test_far_query_is_bounded_by_the_tree_size(self):
-        class CountingBuckets(dict):
-            lookups = 0
-
-            def get(self, key, default=None):
-                self.lookups += 1
-                return super().get(key, default)
-
-        # a crowded cluster drives the side to its floor; the target is far
-        # from every node, so rings alone would look up ~(2 * 400 / 0.25)^2 buckets
+        # the target is far from every node of a crowded cluster, so the key
+        # gap stops nothing: the sweep computes each node's distance once
         rng = random.Random(1)
         points = [(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)) for _ in range(500)]
-        index = _NodeBuckets(4.0, points)
-        assert index.size == index.min_size
-        index.buckets = CountingBuckets(index.buckets)
+        index = _NodeSweep(0, points)
         target = (400.0, 400.0)
         ds = [math.dist(p, target) for p in points]
-        assert index.nearest(target) == (ds.index(min(ds)), min(ds))
-        assert 0 < index.buckets.lookups <= 2 * len(points)
+        calls, dist = [], math.dist
+        with mock.patch.object(math, "dist", lambda p, q: calls.append(p) or dist(p, q)):
+            got = index.nearest(target)
+        assert got == (ds.index(min(ds)), min(ds))
+        assert 0 < len(calls) <= len(points)
+
+    @given(
+        points=st.lists(st.tuples(HALF_STEPS, HALF_STEPS), min_size=1, max_size=40),
+        targets=st.lists(st.tuples(HALF_STEPS, HALF_STEPS), min_size=1, max_size=4),
+        axis=st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_matches_a_scan_of_every_node(self, points, targets, axis):
+        # half-integer coordinates on a small range: duplicate points, equal
+        # keys and exact distance ties are common; nodes are added one by one
+        # as a tree grows, with queries between additions
+        tree = points[:1]
+        index = _NodeSweep(axis, tree)
+        for p in points[1:] + [None]:
+            for t in targets:
+                ds = [math.dist(q, t) for q in tree]
+                assert index.nearest(t) == (ds.index(min(ds)), min(ds))
+            if p is not None:
+                tree.append(p)
+                index.add(len(tree) - 1)
+
+    def test_matches_linear_scan_on_a_tall_map(self):
+        # width < height, so the nodes are sorted along y
+        grid = random_map(6, 23, 0.15, seed=3)
+        start, goal = free_corners(grid)
+        walled = grid.with_occupied([GridPose(goal.x - 1, goal.y), GridPose(goal.x, goal.y - 1)])
+        for g, iterations in ((grid, 400), (walled, 1500)):
+            assert g.width < g.height
+            for seed in range(3):
+                params = RrtParams(step_size=1.3, max_iterations=iterations, seed=seed)
+                got = grow_rrt_tree(g, start, goal, params)
+                want = linear_scan_tree(g, start, goal, params)
+                assert (got.points, got.parents, got.accepted) == (want.points, want.parents, want.accepted)

@@ -19,6 +19,7 @@ import gridground
 from gridground import bench, cli
 from gridground.bench import make_planner
 from gridground.bundled import bundled_path
+from gridground.classical import astar
 from gridground.cli import main
 from gridground.gridmap import GridPose, load_map
 from gridground.grounded import ACTIONS, Instruction
@@ -515,6 +516,16 @@ class TestCassetteReplay:
         out, _ = capsys.readouterr()
         assert rc == 0
         assert out.splitlines() == ["(0,0)", "(1,0)", "(2,0)"]
+
+    def test_fullpath_coordinate_too_long_for_a_cell_is_a_failed_plan(self, tmp_path, capsys):
+        # 1 followed by 400 zeros parses as an int but overflows a float
+        tape = tmp_path / "tape.jsonl"
+        tape.write_text(tape_text([(CORRIDOR_EXCHANGES["fullpath"][0][0], LONG_COORDINATE_REPLY)]))
+        rc = main(plan_args(str(CORRIDOR), "2,1", "21,8", "--planner", "fullpath",
+                            "--scorer", "remote", "--cassette", str(tape)))
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == "planning failed: path coordinate has more than 9 digits\n"
 
     def test_replay_needs_no_requests_package(self, tmp_path):
         m = write_map(tmp_path, ["..."])
@@ -1099,3 +1110,98 @@ def test_one_replaced_input_value_ends_in_an_exit_code(site, value):
         assert rc == 1  # a top-level key is read from its text, and a list or mapping has none
     else:
         assert rc in (0, 1, 2)
+
+
+CORRIDOR = BUNDLED / "corridor.map"
+CORRIDOR_START, CORRIDOR_GOAL = GridPose(2, 1), GridPose(21, 8)
+LONG_COORDINATE_REPLY = "path: (2,1) (1" + "0" * 400 + ",1)"
+
+
+def corridor_exchanges(planner):
+    """(request body, reply) of each exchange that walks corridor.map along its A* path."""
+    grid = load_map(CORRIDOR.read_text())
+    instruction = Instruction("reach the goal cell", CORRIDOR_GOAL)
+    path = astar(grid, CORRIDOR_START, CORRIDOR_GOAL).waypoints
+    if planner == "fullpath":
+        prompt = translator.serialize_fullpath_prompt(grid, CORRIDOR_START, instruction)
+        return [(request_body(prompt), "path: " + " ".join(f"({p.x},{p.y})" for p in path))]
+    exchanges = []
+    for state, nxt in zip(path, path[1:]):
+        cands = tuple(GridPose(state.x + a.delta[0], state.y + a.delta[1]) for a in ACTIONS)
+        prompt = translator.serialize_step_prompt(grid, state, instruction, cands)
+        exchanges.append((request_body(prompt), "scores: " + " ".join("1" if c == nxt else "0" for c in cands)))
+    return exchanges
+
+
+CORRIDOR_EXCHANGES = {planner: corridor_exchanges(planner) for planner in ("grounded", "fullpath")}
+
+
+def run_corridor_plan(planner, map_text, cassette_text):
+    """Exit code, stdout and stderr of `plan` on corridor.map from (2,1) to (21,8), replaying a cassette."""
+    with tempfile.TemporaryDirectory() as tmp:
+        m, tape = Path(tmp) / "corridor.map", Path(tmp) / "tape.jsonl"
+        m.write_text(map_text, encoding="utf-8")
+        tape.write_text(cassette_text, encoding="utf-8")
+        argv = plan_args(str(m), "2,1", "21,8", "--planner", planner, "--scorer", "remote", "--cassette", str(tape))
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            return main(argv), out.getvalue(), err.getvalue()
+
+
+def tape_text(exchanges):
+    return "".join(cassette_line(body, reply) + "\n" for body, reply in exchanges)
+
+
+@pytest.mark.parametrize("planner", ["grounded", "fullpath"])
+def test_recorded_corridor_cassettes_replay(planner):
+    # the fuzz below mutates these inputs, so unmutated they must plan the whole walk
+    rc, out, err = run_corridor_plan(planner, CORRIDOR.read_text(), tape_text(CORRIDOR_EXCHANGES[planner]))
+    assert rc == 0, err
+    assert out.splitlines()[0] == "(2,1)" and out.splitlines()[-1] == "(21,8)"
+
+
+FRACTION = st.floats(0.0, 1.0)
+# long digit runs first: a coordinate or score past what a cell or a float holds
+FUZZ_INSERTS = st.one_of(
+    st.sampled_from(["1" + "0" * 400, "9" * 20, "0" * 12, "1" * 5000, "-", "(", ")", ",", " ", "\n", "#", ".", "?",
+                     "path: ", "scores: ", "nan", "1e999", '"', "{", "[", "\\"]),
+    st.text(max_size=4),
+)
+
+
+def mutate(text, edits):
+    """text with each (start, end, insert) edit applied in turn: the span between the two
+    fractions of its length is replaced by insert, or with end None, overwritten by it."""
+    for a, b, insert in edits:
+        i = int(a * len(text))
+        j = i + len(insert) if b is None else max(i, int(b * len(text)))
+        text = text[:i] + insert + text[j:]
+    return text
+
+
+@given(
+    planner=st.sampled_from(["grounded", "fullpath"]),
+    target=st.sampled_from(["map", "cassette", "reply"]),
+    exchange=st.integers(0, 100),
+    # an overwrite with map characters keeps a map's rows whole
+    edits=st.lists(st.tuples(FRACTION, st.none() | FRACTION, FUZZ_INSERTS | st.text("#.?", max_size=3)),
+                   min_size=1, max_size=3),
+)
+@example(planner="fullpath", target="reply", exchange=0, edits=[(0.0, 1.0, LONG_COORDINATE_REPLY)])
+@example(planner="grounded", target="reply", exchange=3, edits=[(0.0, 1.0, "scores: 1" + "0" * 400 + " 0 0 0")])
+@settings(derandomize=True, deadline=2000, max_examples=300)
+def test_mutated_map_or_cassette_ends_in_an_exit_code(planner, target, exchange, edits):
+    map_text, exchanges = CORRIDOR.read_text(), list(CORRIDOR_EXCHANGES[planner])
+    cassette = tape_text(exchanges)
+    if target == "map":
+        map_text = mutate(map_text, edits)
+    elif target == "cassette":
+        cassette = mutate(cassette, edits)
+    else:  # one recorded reply, in a cassette that stays valid JSON
+        k = exchange % len(exchanges)
+        exchanges[k] = (exchanges[k][0], mutate(exchanges[k][1], edits))
+        cassette = tape_text(exchanges)
+    rc, out, err = run_corridor_plan(planner, map_text, cassette)  # an exception fails the test
+    assert rc in (0, 1, 2)
+    if rc != 0:  # one line that says what went wrong, and no partial path
+        assert re.fullmatch(r"(usage error|error|planning failed): [^\n]*\n", err), err
+        assert out == ""

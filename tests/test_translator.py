@@ -267,10 +267,19 @@ class TestParseCoordinateList:
         "path: (0,0) junk",
         # longer than the int-string conversion limit
         pytest.param("path: (" + "1" * 5000 + ",0)", id="x-5000-digits"),
+        # converts to an int, but too large for a float, let alone a cell
+        pytest.param("path: (2,1) (1" + "0" * 400 + ",1)", id="x-401-digits"),
+        pytest.param("path: (0,1234567890)", id="y-10-digits"),
     ])
     def test_rejections(self, reply):
         with pytest.raises(MalformedReply):
             parse_coordinate_list(reply)
+
+    def test_a_coordinate_has_at_most_nine_digits(self):
+        got = parse_coordinate_list("path: (000000012,999999999)")
+        assert got.waypoints == (GridPose(12, 999999999),)
+        with pytest.raises(MalformedReply, match=r"^path coordinate has more than 9 digits$"):
+            parse_coordinate_list("path: (2,1) (1" + "0" * 400 + ",1)")
 
     def test_exception_carries_raw_reply(self):
         with pytest.raises(MalformedReply) as exc:
