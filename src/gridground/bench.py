@@ -19,7 +19,7 @@ from .classical import PlannedPath, RrtParams, astar, path_length, rrt
 from .errors import ConfigError, InvalidScenario, MalformedReply, ScorerFailure, UnknownPlanner
 from .gridmap import CellState, Connectivity, GridPose, as_connectivity
 from .grounded import Instruction, PlannerConfig, plan as grounded_plan
-from .scorers import MockScorer, OracleScorer, TaskScorerQuery
+from .scorers import MockScorer, OracleScorer
 from . import translator
 from .simulator import INTEGER, MAPPINGS, PATH, STRING, STRINGS, FieldKind, Scenario, SimPlanner, execute
 from .simulator import load_scenario, load_yaml, read_field, validate_external_path
@@ -192,30 +192,24 @@ def make_planner(planner_id: str, scenario: Scenario, seed: int) -> TrialPlanner
 # --- timing wrappers --------------------------------------------------------
 
 
-class _TimedScorer:
-    def __init__(self, scorer):
-        self.scorer = scorer
+class _Stopwatch:
+    """Calls ``fn`` and adds the call's wall time to ``elapsed_s``.
+
+    It times a scorer when called and a planner through ``plan``.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
         self.elapsed_s = 0.0
 
-    def __call__(self, query: TaskScorerQuery):
+    def __call__(self, *args):
         t0 = time.perf_counter()
         try:
-            return self.scorer(query)
+            return self.fn(*args)
         finally:
             self.elapsed_s += time.perf_counter() - t0
 
-
-class _TimedPlanner:
-    def __init__(self, planner: SimPlanner):
-        self.planner = planner
-        self.elapsed_s = 0.0
-
-    def plan(self, grid, start, goal, instruction_text):
-        t0 = time.perf_counter()
-        try:
-            return self.planner.plan(grid, start, goal, instruction_text)
-        finally:
-            self.elapsed_s += time.perf_counter() - t0
+    plan = __call__
 
 
 # --- trials -----------------------------------------------------------------
@@ -235,21 +229,15 @@ def _run_trial_full(
     tp = make_planner(planner_id, scenario, seed)  # UnknownPlanner propagates
     visited: list[GridPose] = [GridPose(*scenario.start)]
     try:
+        scorer_watch = None
         if tp.scorer is not None:
-            timed_scorer = _TimedScorer(tp.scorer)
-            tp.planner.scorer = timed_scorer  # type: ignore[attr-defined]
-        else:
-            timed_scorer = None
-        timed = _TimedPlanner(tp.planner)
-        record = execute(scenario, timed)
+            scorer_watch = tp.planner.scorer = _Stopwatch(tp.scorer)  # type: ignore[attr-defined]
+        plan_watch = _Stopwatch(tp.planner.plan)
+        record = execute(scenario, plan_watch)
         visited = record.visited
-        correct = (
-            record.reached_goal
-            and not record.collided
-            and validate_external_path(scenario, record.visited).valid
-        )
-        scorer_ms = timed_scorer.elapsed_s * 1000.0 if timed_scorer else 0.0
-        planning_ms = max(timed.elapsed_s * 1000.0 - scorer_ms, 0.0)
+        correct = record.reached_goal and validate_external_path(scenario, record.visited).valid
+        scorer_ms = scorer_watch.elapsed_s * 1000.0 if scorer_watch else 0.0
+        planning_ms = max(plan_watch.elapsed_s * 1000.0 - scorer_ms, 0.0)
         length_m = path_length(record.visited, scenario.map.resolution)
         row = TrialResult(
             planner_id=planner_id,
@@ -450,7 +438,7 @@ def run_suite_file(
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # a ValueError is a NUL in the path
         raise ConfigError(f"cannot create output directory {out}: {exc}")
     targets = [out / "rows.csv", out / "report.txt", *(out / f"trajectories_{sid}.svg" for sid, _ in suite.scenarios)]
     for target in targets:

@@ -21,13 +21,13 @@ from .bundled import bundled_path
 from .classical import check_endpoints, path_length
 from .errors import ConfigError, GridGroundError, MapFormatError, UnknownPlanner
 from .gridmap import GridPose, load_map, random_map, serialize_map
+from .grounded import MAX_PLAN_STEPS
 from .scorers import ChatEndpointConfig, Cassette, MockScorer, OracleScorer, RemoteScorer
 from .simulator import INTEGER, MAPPING, NUMBER, STRING, FieldKind, load_yaml, read_field
 
 ENV_PREFIX = "GRIDGROUND_"
 MAX_MAP_SIDE = 4096  # gen-maps draws one random number per cell
 MAX_MAP_COUNT = 10_000  # gen-maps --count
-MAX_PLAN_STEPS = 100_000  # plan --max-steps; a grounded walk keeps every step's scores
 
 
 class _UsageError(Exception):
@@ -91,6 +91,8 @@ def _resolve_path(name: str, flag_value, file_cfg: dict) -> str | None:
     """_resolve for out_dir and suite, whose empty value would stand for the working directory."""
     if (value := _resolve(name, flag_value, file_cfg)) == "":
         raise _UsageError(f"{name} must not be empty")
+    if value is not None and "\0" in value:  # no file system path holds one; mkdir would raise ValueError
+        raise _UsageError(f"{name} must not contain a NUL character, got {value!r}")
     return value
 
 

@@ -61,18 +61,22 @@ class ScoredAction(NamedTuple):
     p_combined: float
 
 
+MAX_PLAN_STEPS = 100_000  # PlannerConfig.max_steps; a walk keeps every step's scores
+
+
 class PlannerConfig:
     """Knobs for plan, checked on construction.
 
-    max_steps None derives 4 * (width + height) from the grid at plan time.
+    max_steps is 1 to MAX_PLAN_STEPS, or None for 4 * (width + height) of the grid at plan time.
     revisit_penalty multiplies p_combined of candidates already visited.
     Actions are always scored, and argmax ties broken, in ACTIONS order
     (up, right, left, down).
     """
 
     def __init__(self, max_steps: int | None = None, revisit_penalty: float = 0.5):
-        if max_steps is not None and (not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1):
-            raise ValueError(f"max_steps must be an integer >= 1, got {max_steps!r}")
+        if max_steps is not None and (not isinstance(max_steps, int) or isinstance(max_steps, bool)
+                                      or not 1 <= max_steps <= MAX_PLAN_STEPS):
+            raise ValueError(f"max_steps must be an integer from 1 to {MAX_PLAN_STEPS}, got {max_steps!r}")
         if not (0.0 <= revisit_penalty <= 1.0):
             raise ValueError(f"revisit_penalty must be in [0, 1], got {revisit_penalty}")
         self.max_steps, self.revisit_penalty = max_steps, revisit_penalty

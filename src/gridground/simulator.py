@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from operator import attrgetter
+from operator import attrgetter, index
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Protocol
 
@@ -88,11 +88,13 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
     """Run one episode under the tick order documented in the module docstring.
 
     The robot walks one waypoint per tick within a global step budget of
-    10 * (width + height). Collision and goal arrival are mutually
-    exclusive and both end the episode. When a sensed obstacle covers the
-    goal, or the robot's cell at tick 0, the planner is not called and the
-    plan counts as "no path": a first plan ends the episode before any
-    step, a replan ends it with the cells walked so far.
+    10 * (width + height). The record is returned where the walk ends: at
+    a collision, at the goal, or when the plan or the budget runs out, so
+    collided and reached_goal are never both true and steps_taken is the
+    last tick. When a sensed obstacle covers the goal, or the robot's cell
+    at tick 0, the planner is not called and the plan counts as "no path":
+    a first plan ends the episode before any step, a replan ends it with
+    the cells walked so far.
 
     Raises:
         InvalidScenario: the scenario fails validation.
@@ -140,40 +142,33 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
     pos = start
     visited = [pos]
     replan_count = 0
-    steps_taken = 0
-    collided = False
-    reached = pos == goal
 
     materialize(0)
     sense(pos)
     working = grid.with_occupied(sensed) if sensed else grid
-
-    upcoming: deque[GridPose] = deque()
-    if not reached:
-        upcoming = plan_from(pos)
-        if upcoming is None:
-            return ExecutionRecord(visited, False, False, 0, 0)
+    if pos == goal:
+        return ExecutionRecord(visited, False, True, 0, 0)
+    upcoming = plan_from(pos)
+    if upcoming is None:
+        return ExecutionRecord(visited, False, False, 0, 0)
 
     tick = 0
-    while upcoming and steps_taken < budget and not collided and not reached:
+    while upcoming and tick < budget:
         tick += 1
         materialize(tick)
         nxt = upcoming.popleft()
-        steps_taken += 1
         if not grid.is_free(nxt.x, nxt.y) or nxt in materialized:
-            collided = True
-            break
+            return ExecutionRecord(visited, True, False, replan_count, tick)
         pos = nxt
         visited.append(pos)
         if pos == goal:
-            reached = True
-            break
+            return ExecutionRecord(visited, False, True, replan_count, tick)
         if unsensed and (newly := sense(pos)):
             working = grid.with_occupied(sensed)
             if not newly.isdisjoint(upcoming):
                 replan_count += 1
                 upcoming = plan_from(pos) or deque()
-    return ExecutionRecord(visited, collided, reached, replan_count, steps_taken)
+    return ExecutionRecord(visited, False, False, replan_count, tick)
 
 
 class PathValidation(NamedTuple):
@@ -187,42 +182,31 @@ class PathValidation(NamedTuple):
 def validate_external_path(scenario: Scenario, waypoints: list[GridPose]) -> PathValidation:
     """Structural check for model-produced coordinate lists.
 
-    Verifies start anchoring, four-connected step adjacency, freeness of
-    every cell on the base map, and goal termination, returning the first
-    violated rule with the waypoint index. A waypoint that does not unpack
-    to two ints (None, a string, a triple, a float pair) fails rule
-    "integer_pair" at its index. Total: never raises.
+    Reads each waypoint once, as two integers: an ``int`` or anything
+    ``operator.index`` takes. A waypoint that does not unpack that way (None,
+    a string, a triple, a float pair) fails rule "integer_pair" at its index.
+    The integers are then checked for start anchoring, four-connected step
+    adjacency, freeness of every cell on the base map, and goal termination,
+    returning the first violated rule with the waypoint index. Total: never raises.
     """
     grid = scenario.map
     if not waypoints:
         return PathValidation(False, "start", 0)
-    i = 0
-    try:
-        if GridPose(*waypoints[0]) != GridPose(*scenario.start):
-            return _violation("start", waypoints, 0)
-        prev: GridPose | None = None
-        for i, raw in enumerate(waypoints):
-            p = raw if type(raw) is GridPose else GridPose(*raw)
-            if prev is not None and abs(p.x - prev.x) + abs(p.y - prev.y) != 1:
-                return _violation("adjacency", waypoints, i)
-            if not grid.is_free(p.x, p.y):
-                return _violation("freeness", waypoints, i)
-            prev = p
-    except TypeError:  # a waypoint that does not unpack to two numbers, or a float indexing the map
-        return PathValidation(False, "integer_pair", i)
-    if GridPose(*waypoints[-1]) != GridPose(*scenario.goal):
+    px, py = scenario.start
+    for i, w in enumerate(waypoints):
+        try:
+            x, y = w
+            x, y = index(x), index(y)
+        except (TypeError, ValueError):  # not two items, or an item that is no integer
+            return PathValidation(False, "integer_pair", i)
+        if abs(x - px) + abs(y - py) != (i > 0):  # the first waypoint is the start, each later one a step away
+            return PathValidation(False, "adjacency" if i else "start", i)
+        if not grid.is_free(x, y):
+            return PathValidation(False, "freeness", i)
+        px, py = x, y
+    if (px, py) != tuple(scenario.goal):
         return PathValidation(False, "goal", len(waypoints) - 1)
     return PathValidation(True)
-
-
-def _violation(rule: str, waypoints: list, i: int) -> PathValidation:
-    # a malformed waypoint can fail a rule before it raises (a string that is not
-    # the start, an out-of-bounds float pair): report it as malformed
-    try:
-        x, y = waypoints[i]
-    except (TypeError, ValueError):
-        return PathValidation(False, "integer_pair", i)
-    return PathValidation(False, rule if isinstance(x, int) and isinstance(y, int) else "integer_pair", i)
 
 
 # --- YAML files: the parser, the typed field reader, and scenario files (scenario_v1) ---

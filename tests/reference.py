@@ -32,7 +32,7 @@ from gridground.grounded import (
     TaskScorer,
 )
 from gridground.scorers import TaskScorerQuery
-from gridground.simulator import ExecutionRecord, Scenario, SimPlanner
+from gridground.simulator import ExecutionRecord, PathValidation, Scenario, SimPlanner
 
 
 def reference_neighbors(
@@ -521,3 +521,43 @@ def reference_execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecor
                 replan_count += 1
                 upcoming = plan_from(pos) or deque()
     return ExecutionRecord(visited, collided, reached, replan_count, steps_taken)
+
+
+# --- external path validation, as it was before each waypoint was read once ---
+
+
+def reference_validate_external_path(scenario: Scenario, waypoints: list) -> PathValidation:
+    """simulator.validate_external_path as it was before it read each waypoint once.
+
+    A failing waypoint is looked at again, and reads "integer_pair" unless both
+    its coordinates are ``int`` instances: on int-like (``__index__``) values
+    the verdict depends on which rule fails first.
+    """
+    grid = scenario.map
+    if not waypoints:
+        return PathValidation(False, "start", 0)
+    i = 0
+    try:
+        if GridPose(*waypoints[0]) != GridPose(*scenario.start):
+            return _reference_violation("start", waypoints, 0)
+        prev: GridPose | None = None
+        for i, raw in enumerate(waypoints):
+            p = raw if type(raw) is GridPose else GridPose(*raw)
+            if prev is not None and abs(p.x - prev.x) + abs(p.y - prev.y) != 1:
+                return _reference_violation("adjacency", waypoints, i)
+            if not grid.is_free(p.x, p.y):
+                return _reference_violation("freeness", waypoints, i)
+            prev = p
+    except TypeError:  # a waypoint that does not unpack to two numbers, or a float indexing the map
+        return PathValidation(False, "integer_pair", i)
+    if GridPose(*waypoints[-1]) != GridPose(*scenario.goal):
+        return PathValidation(False, "goal", len(waypoints) - 1)
+    return PathValidation(True)
+
+
+def _reference_violation(rule: str, waypoints: list, i: int) -> PathValidation:
+    try:
+        x, y = waypoints[i]
+    except (TypeError, ValueError):
+        return PathValidation(False, "integer_pair", i)
+    return PathValidation(False, rule if isinstance(x, int) and isinstance(y, int) else "integer_pair", i)

@@ -21,6 +21,7 @@ from gridground.bench import make_planner
 from gridground.bundled import bundled_path
 from gridground.classical import astar
 from gridground.cli import main
+from gridground.errors import ConfigError
 from gridground.gridmap import GridPose, load_map
 from gridground.grounded import ACTIONS, Instruction
 from gridground.scorers import request_fingerprint
@@ -920,6 +921,20 @@ class TestBenchCommand:
         assert (rc, *capsys.readouterr()) == (1, "", f"usage error: {name} must not be empty\n")
         assert list(work.iterdir()) == []
 
+    def test_nul_in_out_dir_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # a NUL is no path: Path.mkdir raised ValueError, a traceback
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(bench, "run_suite", lambda *args: pytest.fail("a trial ran"))
+        (tmp_path / "c.yaml").write_text('out_dir: "o\\0x"\n')
+        rc = main(["bench", "--config", "c.yaml"])
+        assert (rc, *capsys.readouterr()) == (1, "", "usage error: out_dir must not contain a NUL character, got 'o\\x00x'\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.yaml"]
+
+    def test_nul_in_out_dir_from_the_library_is_a_config_error(self, tmp_path):
+        suite = write_tiny_suite(tmp_path)
+        with pytest.raises(ConfigError, match="cannot create output directory"):
+            bench.run_suite_file(suite, str(tmp_path / "o\0x"))
+
     def test_out_dir_from_env(self, tmp_path, capsys, monkeypatch):
         suite = write_tiny_suite(tmp_path)
         monkeypatch.setenv("GRIDGROUND_OUT_DIR", str(tmp_path / "envout"))
@@ -1001,6 +1016,13 @@ class TestGenMaps:
         rc = main(argv)
         assert (rc, *capsys.readouterr()) == (1, "", "usage error: out_dir must not be empty\n")
         assert list(work.iterdir()) == []
+
+    def test_nul_in_out_dir_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.yaml").write_text('out_dir: "o\\0x"\n')
+        rc = main(["gen-maps", "--count", "1", "--size", "4x4", "--density", "0.1", "--config", "c.yaml"])
+        assert (rc, *capsys.readouterr()) == (1, "", "usage error: out_dir must not contain a NUL character, got 'o\\x00x'\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.yaml"]
 
     @pytest.mark.parametrize("count", ["0", "10001"])
     def test_bad_count(self, tmp_path, capsys, count):
@@ -1205,3 +1227,69 @@ def test_mutated_map_or_cassette_ends_in_an_exit_code(planner, target, exchange,
     if rc != 0:  # one line that says what went wrong, and no partial path
         assert re.fullmatch(r"(usage error|error|planning failed): [^\n]*\n", err), err
         assert out == ""
+
+
+# --- every input path ends in its exit code: whole suite, scenario and config texts mutated ---
+
+# default_suite.yaml cut to one scenario, A* only and one trial, so an example costs one trial
+FUZZ_TEXTS = {
+    "default_suite.yaml": (BUNDLED / "default_suite.yaml").read_text(encoding="utf-8")
+    .replace('planners: [astar, rrt, "grounded:mock"]', "planners: [astar]")
+    .replace("trials_per_pair: 2", "trials_per_pair: 1")
+    .split("  - id: reference_world")[0] + "  - id: two_corridor\n    file: two_corridor.scenario.yaml\n",
+    "two_corridor.scenario.yaml": (BUNDLED / "two_corridor.scenario.yaml").read_text(encoding="utf-8"),
+    "config.yaml": "out_dir: out\nsuite: default_suite.yaml\nseed: 0\n",
+}
+# no "/": a mutated out_dir or suite stays one name in the example's own directory; control
+# characters, which YAML rejects before it parses, come only from the list
+YAML_INSERTS = st.one_of(
+    st.sampled_from(["\0", '"\\0"', "\\0", ": ", "- ", "[", "]", "{", "}", "&a ", "*a", "!!str ", "!!binary ", "'",
+                     "\t", "~", "null", "-1", "9" * 20, "1" * 5000, "0x", ".inf", "\n  ", "\n", "#", "|\n", ",", "..",
+                     "\ufeff", "\x85"]),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters="/"), max_size=4),
+)
+
+
+def run_mutated_text(name, edits):
+    """(argv, exit code, stderr) of each run: `bench` on the mutated files, and `gen-maps` on a mutated config."""
+    texts = dict(FUZZ_TEXTS)
+    texts[name] = mutate(texts[name], edits)
+    runs = [["bench", "--config", "config.yaml"]]
+    if name == "config.yaml":
+        runs.append(["gen-maps", "--count", "1", "--size", "4x4", "--density", "0.1", "--config", "config.yaml"])
+    results = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "a" / "work"  # an out_dir of ".." still lands in the temporary directory
+        work.mkdir(parents=True)
+        for file_name, text in texts.items():
+            (work / file_name).write_text(text, encoding="utf-8")
+        os.chdir(work)  # the config's paths are relative to the working directory
+        try:
+            for argv in runs:
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                    results.append((argv, main(argv), err.getvalue()))
+        finally:
+            os.chdir(cwd)
+    return results
+
+
+@given(
+    name=st.sampled_from(sorted(FUZZ_TEXTS)),
+    edits=st.lists(st.tuples(FRACTION, st.none() | FRACTION, YAML_INSERTS), min_size=1, max_size=3),
+)
+@example(name="config.yaml", edits=[(0.0, 1.0, FUZZ_TEXTS["config.yaml"].replace("out_dir: out", 'out_dir: "o\\0x"'))])
+@settings(derandomize=True, deadline=5000, max_examples=300)
+def test_mutated_suite_scenario_or_config_text_ends_in_an_exit_code(name, edits):
+    for argv, rc, err in run_mutated_text(name, edits):  # an exception fails the test
+        assert rc in (0, 1, 2), argv
+        if rc != 0:  # one line that says what went wrong; a YAML error's message goes on over more lines
+            assert re.match(r"(usage error|error|planning failed): ", err), (argv, err)
+            assert len(re.findall(r"^(?:usage error|error|planning failed): ", err, re.M)) == 1, (argv, err)
+
+
+def test_unmutated_texts_run():
+    # the fuzz above mutates these texts, so unmutated they must run a trial and write a map
+    (_, rc, err), (_, gen_rc, gen_err) = run_mutated_text("config.yaml", [])
+    assert (rc, gen_rc) == (0, 0), err + gen_err
+    assert "wrote 1 trial rows under out" in err and "wrote 1 maps under out" in gen_err

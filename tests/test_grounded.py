@@ -267,6 +267,13 @@ class TestPlannerConfig:
         with pytest.raises(ValueError):
             PlannerConfig(**kwargs)
 
+    def test_max_steps_cap(self):
+        with pytest.raises(ValueError):  # a mock walk on corridor.map would run to this limit, keeping every step
+            bench.build_planner("grounded", MockScorer(), max_steps=10**9)
+        with pytest.raises(ValueError, match=f"max_steps must be an integer from 1 to {grounded.MAX_PLAN_STEPS}"):
+            PlannerConfig(max_steps=grounded.MAX_PLAN_STEPS + 1)
+        assert PlannerConfig(max_steps=grounded.MAX_PLAN_STEPS).max_steps == grounded.MAX_PLAN_STEPS
+
 
 class TestPlan:
     def test_oracle_walk_is_optimal_length(self):

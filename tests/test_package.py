@@ -152,6 +152,21 @@ def test_only_gridmap_reads_the_cell_layout():
     assert "._padded" in LAYOUT_READS.findall((src / "gridmap.py").read_text())  # the guard names the store
 
 
+# A catch-all turns our own bug into an error message, a failed trial or a scorer failure.
+CATCH_ALLS = re.compile(r"\bexcept\b(?:\s*:|[^:]*\b(?:Exception|BaseException)\b)")
+
+
+def test_no_catch_all_except_in_the_package():
+    src = Path(gridground.__file__).resolve().parent
+    found = [(p.name, n, line.strip()) for p in sorted(src.glob("*.py"))
+             for n, line in enumerate(p.read_text().splitlines(), 1) if CATCH_ALLS.search(line)]
+    assert found == []
+    guarded = ["except Exception:", "except BaseException as exc:", "except:", "except (ValueError, Exception):",
+               "except(Exception):"]
+    assert all(CATCH_ALLS.search(text) for text in guarded)  # the guard matches every form it names
+    assert not CATCH_ALLS.search("except (OSError, ValueError) as exc:")
+
+
 # The YAML loaders read their fields through simulator.read_field; a type check
 # or a coercion written into one of them is a second way of doing that job.
 HAND_CHECKS = re.compile(r"\b(?:isinstance|int|float)\(")

@@ -21,7 +21,7 @@ from gridground.simulator import (
 )
 
 from conftest import grid_from_rows, open_grid
-from reference import reference_execute
+from reference import reference_execute, reference_validate_external_path
 
 BIG_INT = "1" * 5000  # past Python's 4,300-digit int-string limit, which yaml.safe_load hits
 
@@ -333,9 +333,12 @@ def sensed_grids(run, sc, planner):
         OccupancyGrid.with_occupied = derive
 
 
+PLANNER_IDS = ["astar", "rrt", "grounded:mock", "grounded:oracle", "fullpath:mock", "fullpath:oracle"]
+
+
 class TestExecuteMatchesReference:
     @settings(max_examples=150, deadline=None)
-    @given(dynamic_scenarios(), st.sampled_from(["astar", "grounded:mock", "grounded:oracle"]))
+    @given(dynamic_scenarios(), st.sampled_from(PLANNER_IDS))  # fullpath:mock walks into walls: collisions compare too
     def test_same_record_and_plan_calls(self, sc, planner_id):
         got_planner = RecordingPlanner(bench.make_planner(planner_id, sc, 0).planner)
         want_planner = RecordingPlanner(bench.make_planner(planner_id, sc, 0).planner)
@@ -351,9 +354,6 @@ class TestExecuteMatchesReference:
         got = sensed_grids(execute, sc, AstarPlanner())
         assert got == sensed_grids(reference_execute, sc, AstarPlanner())
         assert got[1] == [[GridPose(3, 2)]] and got[0].replan_count == 1
-
-
-PLANNER_IDS = ["astar", "rrt", "grounded:mock", "grounded:oracle", "fullpath:mock", "fullpath:oracle"]
 
 
 class TestCoveredEndpoints:
@@ -399,6 +399,25 @@ class TestScenarioValidation:
         sc = corridor_scenario(instruction_text="")
         with pytest.raises(InvalidScenario):
             execute(sc, AstarPlanner())
+
+
+class IntLike:
+    """An integer that is not an ``int``: it converts only through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+ANY_WAYPOINT = st.one_of(
+    st.tuples(st.integers(0, 7), st.integers(0, 3)),
+    st.tuples(st.integers(-2, 9), st.integers(-2, 5)),
+    st.tuples(st.floats(-2, 9), st.floats(-2, 5)),
+    st.lists(st.integers(0, 6), max_size=3),
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(),
+)
 
 
 class TestValidateExternalPath:
@@ -474,13 +493,7 @@ class TestValidateExternalPath:
         as_lists = validate_external_path(self.sc, [list(c) for c in path])
         assert as_poses == validate_external_path(self.sc, path) == as_lists
 
-    @given(st.lists(st.one_of(
-        st.tuples(st.integers(0, 7), st.integers(0, 3)),
-        st.tuples(st.integers(-2, 9), st.integers(-2, 5)),
-        st.tuples(st.floats(-2, 9), st.floats(-2, 5)),
-        st.lists(st.integers(0, 6), max_size=3),
-        st.none(), st.booleans(), st.text(max_size=3), st.integers(),
-    ), max_size=8))
+    @given(st.lists(ANY_WAYPOINT, max_size=8))
     @settings(max_examples=300, deadline=None)
     def test_never_raises(self, waypoints):
         # each list follows corridor_scenario's start (1, 1), so the draws reach the later rules
@@ -491,6 +504,22 @@ class TestValidateExternalPath:
             assert not got.valid and got.index <= malformed[0]
         if got.rule == "integer_pair":
             assert got.index == malformed[0]
+
+    @given(st.lists(ANY_WAYPOINT, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_as_reference(self, waypoints):
+        # the draws hold no int-like values, so reading each waypoint once changes no verdict
+        path = [GridPose(1, 1)] + waypoints
+        assert validate_external_path(self.sc, path) == reference_validate_external_path(self.sc, path)
+
+    def test_int_like_coordinates_read_as_ints(self):
+        path = [(IntLike(x), IntLike(1)) for x in range(1, 6)]
+        assert validate_external_path(self.sc, path) == PathValidation(True)
+        g = grid_from_rows(["...."] * 4)
+        sc = Scenario(map=g, start=GridPose(0, 0), goal=GridPose(3, 3), instruction_text="x")
+        cells = [(0, 0), (1, 0), (1, 1), (2, 2), (3, 2), (3, 3)]  # a diagonal step at index 3
+        path = [(IntLike(x), IntLike(y)) for x, y in cells]
+        assert validate_external_path(sc, path) == PathValidation(False, "adjacency", 3)
 
 
 def scenario_doc(**over):
