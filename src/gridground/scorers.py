@@ -209,9 +209,11 @@ def request_fingerprint(body: dict) -> str:
     """Stable hash of a request body: the sha256 hex of its canonical JSON.
 
     The canonical JSON is ``json.dumps(body, sort_keys=True, separators=(",", ":"))``
-    with ASCII escapes. For the bodies ``RemoteScorer`` sends (system, then
-    user), the bytes around the user text are kept per system text, model and
+    with ASCII escapes. For two-message chat bodies (system, then user), the
+    bytes around the user text are kept per system text, model and
     temperature, so each call escapes and hashes the user text alone.
+    ``RemoteScorer`` hashes the same bytes for its steps and routes without
+    rendering the body.
     """
     import hashlib
 
@@ -328,14 +330,21 @@ def _urllib_transport(url: str, headers: dict, body: dict, timeout: float) -> tu
 class RemoteScorer:
     """Scores candidates by asking a chat-completions endpoint.
 
-    Builds the step prompt through the translator, POSTs it to
+    Each request (a step in ``__call__``, a whole path in ``route``) is first
+    fingerprinted from its pieces: the envelope kept by ``_chat_envelope``, the
+    grid's map text, JSON-escaped once per grid and kept for the last grid seen,
+    the two markers spliced into it, and the escaped tail the translator
+    renders. The fingerprint equals ``request_fingerprint`` of the body, so
+    cassettes recorded either way replay. A cassette hit renders no prompt.
+    On a miss the translator renders the prompt, which is POSTed to
     ``{base_url}/chat/completions`` with a Bearer key read from the
-    environment, and parses the reply's scores line. Transport errors (any
-    ``OSError``) and 429/5xx responses are retried with exponential backoff
-    (1 s base, factor 2) up to max_retries. When the last attempt timed out
-    (a ``TimeoutError``, bare or as a ``URLError``'s reason) the failure is
-    ``ScorerTimeout``, otherwise ``RetriesExhausted``. With a replay cassette
-    no network or key is needed at all.
+    environment and stored under that fingerprint, and the reply's scores
+    line is parsed. Transport errors (any ``OSError``) and 429/5xx responses
+    are retried with exponential backoff (1 s base, factor 2) up to
+    max_retries. When the last attempt timed out (a ``TimeoutError``, bare or
+    as a ``URLError``'s reason) the failure is ``ScorerTimeout``, otherwise
+    ``RetriesExhausted``. With a replay cassette no network or key is needed
+    at all.
     """
 
     def __init__(
@@ -349,13 +358,16 @@ class RemoteScorer:
         self.cassette = cassette
         self._transport = transport
         self._sleep = sleep
+        # the last grid fingerprinted, its quoted map header and text JSON-escaped, and where the text starts
+        self._grid, self._map, self._map_at = None, memoryview(b""), 0
 
     def __call__(self, query: TaskScorerQuery) -> ScoreTuple:
-        prompt = translator.serialize_step_prompt(
-            query.grid, query.state, query.instruction, query.candidates
+        grid, state, instruction, candidates = query.grid, query.state, query.instruction, query.candidates
+        tail = translator.step_tail(state, instruction, candidates)
+        fingerprint = self._fingerprint(grid, state, instruction.goal, tail)
+        content = self._complete(
+            fingerprint, lambda: translator.serialize_step_prompt(grid, state, instruction, candidates)
         )
-        body = self._request_body(prompt)
-        content = self._complete(body)
         return translator.parse_action_scores(content)
 
     def _request_body(self, prompt: translator.StepPrompt) -> dict:
@@ -368,16 +380,45 @@ class RemoteScorer:
             ],
         }
 
+    def _fingerprint(self, grid: OccupancyGrid, state: GridPose, goal: GridPose, tail: str) -> str:
+        """``request_fingerprint`` of the body whose user text is the map block of ``grid``
+        with markers at ``state`` and ``goal``, then ``tail``, hashed without rendering it.
+
+        Raises the translator's marker errors, as rendering would.
+        """
+        import hashlib
+
+        translator.check_markers(grid, state, goal)
+        if grid is not self._grid:
+            # a grid's text is '.', '#', '?' and newlines, so a newline is all JSON escapes
+            head = ('"' + translator.map_header(grid)).encode("ascii").replace(b"\n", b"\\n")
+            self._map = memoryview(head + grid.text.encode("ascii").replace(b"\n", b"\\n"))
+            self._grid, self._map_at = grid, len(head)
+        # a marker's index in the escaped text: its cell's in ``text``, plus a byte per newline above it
+        config, m, at = self.config, self._map, self._map_at
+        i = at + grid.text_index(state[0], state[1]) + state[1]
+        j = at + grid.text_index(goal[0], goal[1]) + goal[1]
+        first, second, a, b = (b"R", b"G", i, j) if i < j else (b"G", b"R", j, i)
+        envelope_head, envelope_tail = _chat_envelope(
+            translator.SYSTEM_TEXT, "system", "user", config.model_name, config.temperature, repr(config.temperature)
+        )
+        digest = hashlib.sha256(envelope_head)
+        for chunk in (m[:a], first, m[a + 1:b], second, m[b + 1:], memoryview(_json_str(tail))[1:], envelope_tail):
+            digest.update(chunk)
+        return digest.hexdigest()
+
     def complete_text(self, prompt: translator.StepPrompt) -> str:
         """Run one completion and return the assistant text."""
-        return self._complete(self._request_body(prompt))
+        return self._complete(request_fingerprint(self._request_body(prompt)), lambda: prompt)
 
     def route(self, grid: OccupancyGrid, start: GridPose, instruction: Instruction) -> str:
         """Ask for a whole path in one exchange and return the assistant text (fullpath mode)."""
-        return self.complete_text(translator.serialize_fullpath_prompt(grid, start, instruction))
+        fingerprint = self._fingerprint(grid, start, instruction.goal, translator.fullpath_tail(start, instruction))
+        return self._complete(fingerprint, lambda: translator.serialize_fullpath_prompt(grid, start, instruction))
 
-    def _complete(self, body: dict) -> str:
-        fingerprint = request_fingerprint(body)
+    def _complete(self, fingerprint: str, render: Callable[[], translator.StepPrompt]) -> str:
+        """The assistant text of the request ``fingerprint`` names: from the cassette, or on a
+        miss from the endpoint, sent the body of the prompt ``render`` makes and recorded."""
         if self.cassette is not None:
             hit = self.cassette.lookup(fingerprint)
             if hit is not None:
@@ -394,6 +435,7 @@ class RemoteScorer:
             )
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Authorization": f"Bearer {api_key}"}
+        body = self._request_body(render())
 
         last_error = "no attempt made"
         timed_out = False

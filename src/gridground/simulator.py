@@ -224,8 +224,8 @@ def load_yaml(text: str):
 
     Raises:
         ValueError: the text is not YAML (the ``yaml.YAMLError`` is chained,
-            its message kept), nests deeper than MAX_YAML_DEPTH, or holds an
-            int past Python's digit limit.
+            its message made one line), nests deeper than MAX_YAML_DEPTH, or
+            holds an int past Python's digit limit.
     """
     import yaml
 
@@ -233,8 +233,12 @@ def load_yaml(text: str):
     try:
         _check_depth(yaml.parse(text, Loader=loader))
         return yaml.load(text, Loader=loader)
-    except yaml.YAMLError as exc:
-        raise ValueError(str(exc)) from exc
+    except yaml.MarkedYAMLError as exc:  # its str names "<unicode string>" and spans up to four lines
+        mark = exc.problem_mark
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ValueError(f"{exc.problem}{where}" + (f" ({exc.context})" if exc.context else "")) from exc
+    except yaml.YAMLError as exc:  # a ReaderError: a character YAML does not allow
+        raise ValueError(f"{str(exc).splitlines()[0]} at offset {exc.position}") from exc
 
 
 def _check_depth(events) -> None:

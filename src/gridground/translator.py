@@ -37,7 +37,13 @@ class CoordinateReply(NamedTuple):
     waypoints: tuple[GridPose, ...]
 
 
-def _render_map(grid: OccupancyGrid, state: GridPose, goal: GridPose) -> str:
+def map_header(grid: OccupancyGrid) -> str:
+    """The line that opens a prompt's map block."""
+    return f"map {grid.width}x{grid.height}\n"
+
+
+def check_markers(grid: OccupancyGrid, state: GridPose, goal: GridPose) -> None:
+    """Raise OverlappingMarkers when state and goal are one cell, else OutOfBounds when either is off the grid."""
     if state[0] == goal[0] and state[1] == goal[1]:
         raise OverlappingMarkers(
             f"robot and goal both at ({state[0]},{state[1]}); a trivially solved "
@@ -46,10 +52,43 @@ def _render_map(grid: OccupancyGrid, state: GridPose, goal: GridPose) -> str:
     for name, p in (("robot", state), ("goal", goal)):
         if not grid.in_bounds(p[0], p[1]):
             raise OutOfBounds(f"{name} marker ({p[0]},{p[1]}) outside {grid.width}x{grid.height} grid")
+
+
+def _render_map(grid: OccupancyGrid, state: GridPose, goal: GridPose) -> str:
+    check_markers(grid, state, goal)
     text, i, j = grid.text, grid.text_index(state[0], state[1]), grid.text_index(goal[0], goal[1])
     if i < j:
         return f"{text[:i]}R{text[i + 1:j]}G{text[j + 1:]}"
     return f"{text[:j]}G{text[j + 1:i]}R{text[i + 1:]}"
+
+
+def step_tail(state: GridPose, instruction: "Instruction", candidates: Sequence[GridPose]) -> str:
+    """The step prompt's user text after its map: instruction, positions, candidates, reply grammar."""
+    goal = instruction.goal
+    c_up, c_right, c_left, c_down = candidates
+    return (
+        f"\n\nInstruction: {instruction.text}\n\n"
+        f"The robot R is at ({state[0]},{state[1]}). The goal G is at ({goal[0]},{goal[1]}).\n"
+        f"Candidate moves:\n"
+        f"  up -> ({c_up[0]},{c_up[1]})\n"
+        f"  right -> ({c_right[0]},{c_right[1]})\n"
+        f"  left -> ({c_left[0]},{c_left[1]})\n"
+        f"  down -> ({c_down[0]},{c_down[1]})\n"
+        f"Rate each candidate with a non-negative score for being the best next step.\n"
+        f"Reply with exactly one line: scores: <up> <right> <left> <down>\n"
+    )
+
+
+def fullpath_tail(start: GridPose, instruction: "Instruction") -> str:
+    """The whole-path prompt's user text after its map: instruction, positions, reply grammar."""
+    goal = instruction.goal
+    return (
+        f"\n\nInstruction: {instruction.text}\n\n"
+        f"The robot R is at ({start[0]},{start[1]}). The goal G is at ({goal[0]},{goal[1]}).\n"
+        f"Plan a complete route from R to G moving only up, right, left, or down "
+        f"through free cells.\n"
+        f"Reply with exactly one line: path: (x1,y1) (x2,y2) ...\n"
+    )
 
 
 def serialize_step_prompt(
@@ -58,7 +97,7 @@ def serialize_step_prompt(
     instruction: "Instruction",
     candidates: Sequence[GridPose],
 ) -> StepPrompt:
-    """Render the single-step scoring prompt.
+    """Render the single-step scoring prompt: ``map_header``, the map, ``step_tail``.
 
     The user text holds exactly one map block (header line ``map <w>x<h>``
     then the grid with R/G markers), the instruction, and the four candidate
@@ -69,48 +108,21 @@ def serialize_step_prompt(
         OverlappingMarkers: state and goal are the same cell.
         OutOfBounds: state or goal lies outside the grid.
     """
-    goal = instruction.goal
-    c_up, c_right, c_left, c_down = candidates
-    user_text = (
-        f"map {grid.width}x{grid.height}\n"
-        f"{_render_map(grid, state, goal)}\n"
-        f"\n"
-        f"Instruction: {instruction.text}\n"
-        f"\n"
-        f"The robot R is at ({state[0]},{state[1]}). The goal G is at ({goal[0]},{goal[1]}).\n"
-        f"Candidate moves:\n"
-        f"  up -> ({c_up[0]},{c_up[1]})\n"
-        f"  right -> ({c_right[0]},{c_right[1]})\n"
-        f"  left -> ({c_left[0]},{c_left[1]})\n"
-        f"  down -> ({c_down[0]},{c_down[1]})\n"
-        f"Rate each candidate with a non-negative score for being the best next step.\n"
-        f"Reply with exactly one line: scores: <up> <right> <left> <down>\n"
-    )
-    return StepPrompt(SYSTEM_TEXT, user_text)
+    tail = step_tail(state, instruction, candidates)
+    return StepPrompt(SYSTEM_TEXT, f"{map_header(grid)}{_render_map(grid, state, instruction.goal)}{tail}")
 
 
 def serialize_fullpath_prompt(
     grid: OccupancyGrid, start: GridPose, instruction: "Instruction"
 ) -> StepPrompt:
-    """Render the whole-path prompt; the reply grammar is a path: line.
+    """Render the whole-path prompt: ``map_header``, the map, ``fullpath_tail``; the reply grammar is a path: line.
 
     Raises:
         OverlappingMarkers: start and goal are the same cell.
         OutOfBounds: start or goal lies outside the grid.
     """
-    goal = instruction.goal
-    user_text = (
-        f"map {grid.width}x{grid.height}\n"
-        f"{_render_map(grid, start, goal)}\n"
-        f"\n"
-        f"Instruction: {instruction.text}\n"
-        f"\n"
-        f"The robot R is at ({start[0]},{start[1]}). The goal G is at ({goal[0]},{goal[1]}).\n"
-        f"Plan a complete route from R to G moving only up, right, left, or down "
-        f"through free cells.\n"
-        f"Reply with exactly one line: path: (x1,y1) (x2,y2) ...\n"
-    )
-    return StepPrompt(SYSTEM_TEXT, user_text)
+    tail = fullpath_tail(start, instruction)
+    return StepPrompt(SYSTEM_TEXT, f"{map_header(grid)}{_render_map(grid, start, instruction.goal)}{tail}")
 
 
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")

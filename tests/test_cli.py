@@ -1181,6 +1181,21 @@ def test_recorded_corridor_cassettes_replay(planner):
     assert out.splitlines()[0] == "(2,1)" and out.splitlines()[-1] == "(21,8)"
 
 
+RECORDED = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("planner", ["grounded", "fullpath"])
+def test_cassettes_recorded_from_rendered_bodies_replay_byte_for_byte(planner, capsys):
+    # recorded with the default endpoint config through RemoteScorer and a fake transport that answered
+    # with shortest-route replies, when each request was hashed from its rendered body; a request
+    # now hashed from its pieces must find the same record
+    tape = RECORDED / f"corridor_{planner}.jsonl"
+    rc = main(plan_args(str(CORRIDOR), "2,1", "21,8", "--planner", planner, "--scorer", "remote", "--cassette", str(tape)))
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert out == (RECORDED / f"corridor_{planner}.stdout").read_text(encoding="utf-8")
+
+
 FRACTION = st.floats(0.0, 1.0)
 # long digit runs first: a coordinate or score past what a cell or a float holds
 FUZZ_INSERTS = st.one_of(
@@ -1283,9 +1298,36 @@ def run_mutated_text(name, edits):
 def test_mutated_suite_scenario_or_config_text_ends_in_an_exit_code(name, edits):
     for argv, rc, err in run_mutated_text(name, edits):  # an exception fails the test
         assert rc in (0, 1, 2), argv
-        if rc != 0:  # one line that says what went wrong; a YAML error's message goes on over more lines
-            assert re.match(r"(usage error|error|planning failed): ", err), (argv, err)
-            assert len(re.findall(r"^(?:usage error|error|planning failed): ", err, re.M)) == 1, (argv, err)
+        if rc != 0:  # one line that says what went wrong, a YAML error's message too
+            assert re.fullmatch(r"(usage error|error|planning failed): [^\n]*\n", err), (argv, err)
+
+
+UNCLOSED = "planners: [astar\n"  # a YAML syntax error on line 2, column 1, inside a flow sequence
+
+
+@pytest.mark.parametrize("kind, prefix", [
+    ("suite", "error: cannot read suite file {bad}: "),
+    ("scenario", "error: unparseable scenario file: "),
+    ("config", "usage error: cannot read config file {bad}: "),
+])
+def test_a_yaml_syntax_error_is_one_line_with_its_place(kind, prefix, tmp_path):
+    # PyYAML's own message names "<unicode string>" over four lines; libyaml and PyYAML word the problem apart
+    bad = tmp_path / f"bad.{kind}.yaml"
+    bad.write_text(UNCLOSED, encoding="utf-8")
+    if kind == "config":
+        argv = plan_args(str(CORRIDOR), "2,1", "21,8", "--config", str(bad))
+    else:
+        suite = bad if kind == "suite" else tmp_path / "suite.yaml"
+        if kind == "scenario":
+            suite.write_text("version: suite_v1\nscenarios:\n  - id: s\n    file: bad.scenario.yaml\n"
+                             "planners: [astar]\ntrials_per_pair: 1\n", encoding="utf-8")
+        argv = ["bench", "--suite", str(suite), "--out-dir", str(tmp_path / "out")]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as captured:
+        rc, err = main(argv), captured.getvalue()
+    assert rc == 1
+    head = prefix.format(bad=bad)
+    assert err.startswith(head), err
+    assert re.fullmatch(r"[^\n]+ at line 2, column 1 \(while parsing a flow sequence\)\n", err[len(head):]), err
 
 
 def test_unmutated_texts_run():

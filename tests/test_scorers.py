@@ -4,20 +4,25 @@ import itertools
 import json
 import math
 import random
+import re
 import socket
+import tempfile
 import threading
 import urllib.error
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import gridground.scorers as scorers_mod
 from gridground.errors import (
     AuthMissing,
     ConfigError,
     MalformedReply,
+    OutOfBounds,
+    OverlappingMarkers,
     RetriesExhausted,
     ScorerFailure,
     ScorerTimeout,
@@ -608,6 +613,153 @@ class TestCassetteIntegration:
         with pytest.raises(ScorerFailure):
             scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
         assert not path.exists() or path.read_text() == ""
+
+
+class BodyRecorder:
+    """A transport that answers every request with one reply and keeps the bodies it was sent."""
+
+    def __init__(self, content):
+        self.reply = chat_body(content)
+        self.bodies = []
+
+    def __call__(self, url, headers, body, timeout):
+        self.bodies.append(body)
+        return 200, self.reply
+
+
+ODD_TEMPERATURE = st.sampled_from([0.0, -0.0, 1, 1.0, True, None, 5e-324, 1e-300, -2.5e-308, 0.7])
+
+
+@st.composite
+def marked_grids(draw):
+    """A grid with all three cell kinds possible, 1 to 6 cells on a side, and two distinct marker cells."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if width * height < 2:
+        width += 1
+    cells = draw(st.lists(st.sampled_from(".#?"), min_size=width * height, max_size=width * height))
+    rows = ["".join(cells[y * width:(y + 1) * width]) for y in range(height)]
+    state, goal = draw(st.lists(st.integers(0, width * height - 1), min_size=2, max_size=2, unique=True))
+    return grid_from_rows(rows), GridPose(*divmod(state, width)[::-1]), GridPose(*divmod(goal, width)[::-1])
+
+
+OFF_GRID = st.builds(GridPose, st.integers(-3, 9), st.integers(-3, 9))
+
+
+class TestFingerprintFromPieces:
+    """The fingerprint RemoteScorer hashes from the map's pieces is request_fingerprint of the body it sends."""
+
+    @staticmethod
+    def exchange(mode, scorer, grid, state, instruction, cands):
+        if mode == "step":
+            return scorer(TaskScorerQuery(instruction, grid, state, cands))
+        return scorer.route(grid, state, instruction)
+
+    @pytest.mark.parametrize("mode", ["step", "route"])
+    @given(
+        grids=st.lists(marked_grids(), min_size=1, max_size=3),
+        cands=st.tuples(OFF_GRID, OFF_GRID, OFF_GRID, OFF_GRID),
+        text=TEXT,
+        model=TEXT | st.just("gpt-3.5-turbo"),
+        temperature=ODD_TEMPERATURE,
+    )
+    # a 1-wide grid with R below G, a 1-tall one with R after G, and R before G in one row of a wider grid
+    @example(grids=[(grid_from_rows(["#", ".", "?"]), GridPose(0, 2), GridPose(0, 0))],
+             cands=(GridPose(0, -1), GridPose(1, 2), GridPose(-1, 2), GridPose(0, 3)), text="", model="m", temperature=0.0)
+    @example(grids=[(grid_from_rows(["?.#."]), GridPose(3, 0), GridPose(1, 0))],
+             cands=(GridPose(3, -1),) * 4, text='"\\\n', model="é😀", temperature=-0.0)
+    @example(grids=[(grid_from_rows(["...", "#?#", "..."]), GridPose(0, 1), GridPose(2, 1))],
+             cands=(GridPose(9, 9),) * 4, text="go", model="gpt-3.5-turbo", temperature=None)
+    @settings(max_examples=150, deadline=None)
+    def test_stored_fingerprint_matches_the_sent_body(self, mode, grids, cands, text, model, temperature):
+        config = ChatEndpointConfig("http://127.0.0.1:9", model, api_key_env="FAKE_SCORER_KEY")
+        config.temperature = temperature  # None fails the config's own check, yet a body can carry it
+        content = "scores: 1 0 0 0" if mode == "step" else "path: (0,0)"
+        transport = BodyRecorder(content)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setenv("FAKE_SCORER_KEY", "sekrit")
+            path = Path(tmp) / "tape.jsonl"
+            scorer = RemoteScorer(config, cassette=Cassette(path, record=True), transport=transport)
+            # one scorer across the grids, back to the first: its kept map follows the grid it is asked about
+            asked = [*grids, grids[0]]
+            for grid, state, goal in asked:
+                self.exchange(mode, scorer, grid, state, Instruction(text, goal), cands)
+            stored = [json.loads(line)["request_hash"] for line in path.read_text(encoding="utf-8").splitlines()]
+            assert stored == [reference_fingerprint(b) for b in transport.bodies]
+            # each request's body was sent once, the first time it was asked; a repeat is a cassette hit
+            expected = {}
+            for grid, state, goal in asked:
+                instruction = Instruction(text, goal)
+                prompt = (translator.serialize_step_prompt(grid, state, instruction, cands) if mode == "step"
+                          else translator.serialize_fullpath_prompt(grid, state, instruction))
+                body = scorer._request_body(prompt)
+                expected.setdefault(reference_fingerprint(body), body)
+            assert transport.bodies == list(expected.values())
+            # a fresh scorer replays every request from the tape, rendering none
+            mp.setattr(translator, "serialize_step_prompt", None)
+            mp.setattr(translator, "serialize_fullpath_prompt", None)
+            replayer = RemoteScorer(config, cassette=Cassette(path), transport=None)
+            for grid, state, goal in reversed(asked):
+                self.exchange(mode, replayer, grid, state, Instruction(text, goal), cands)
+
+    @pytest.mark.parametrize("mode", ["step", "route"])
+    @pytest.mark.parametrize("state, goal, error", [
+        ((1, 1), (1, 1), OverlappingMarkers), ((4, 0), (1, 1), OutOfBounds), ((0, 0), (0, -1), OutOfBounds),
+    ])
+    def test_marker_errors_come_before_any_cassette_lookup(self, mode, state, goal, error, tmp_path):
+        cassette = Cassette(tmp_path / "tape.jsonl")
+        cassette.lookup = None  # a lookup would raise TypeError
+        scorer = RemoteScorer(ChatEndpointConfig("http://127.0.0.1:9"), cassette=cassette, transport=None)
+        grid, instruction = open_grid(4, 3), Instruction("go", GridPose(*goal))
+        cands = (GridPose(0, 0),) * 4
+        with pytest.raises(error) as ours:
+            self.exchange(mode, scorer, grid, GridPose(*state), instruction, cands)
+        with pytest.raises(error) as rendered:
+            translator.serialize_step_prompt(grid, GridPose(*state), instruction, cands)
+        assert str(ours.value) == str(rendered.value)
+
+
+class TestRenderOnlyOnAMiss:
+    def walk_and_route(self, scorer):
+        """A grounded walk and a fullpath route on corridor.map through one scorer."""
+        from gridground.grounded import PlannerConfig, plan
+
+        grid = load_map(bundled_path("corridor.map").read_text(encoding="utf-8"))
+        instruction = Instruction("reach the goal cell", GridPose(21, 8))
+        walk = plan(scorer, grid, GridPose(2, 1), instruction, PlannerConfig())
+        return walk.path.waypoints, scorer.route(grid, GridPose(2, 1), instruction)
+
+    def counted(self, monkeypatch):
+        renders = []
+        for name in ("serialize_step_prompt", "serialize_fullpath_prompt"):
+            real = getattr(translator, name)
+            monkeypatch.setattr(translator, name, lambda *a, real=real: renders.append(a) or real(*a))
+        return renders
+
+    def test_a_miss_renders_once_and_a_hit_never(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("API_KEY", "sekrit")
+        oracle = OracleScorer()
+
+        def answer(url, headers, body, timeout):
+            user = body["messages"][1]["content"]
+            if "Candidate moves:" not in user:
+                return 200, chat_body(oracle.route(grid, GridPose(2, 1), Instruction("", GridPose(21, 8))))
+            x, y = map(int, re.search(r"R is at \((\d+),(\d+)\)", user).groups())
+            return 200, chat_body("scores: " + " ".join(map(str, oracle(query_at(grid, (x, y), (21, 8))))))
+
+        grid = load_map(bundled_path("corridor.map").read_text(encoding="utf-8"))
+        path = tmp_path / "tape.jsonl"
+        renders = self.counted(monkeypatch)
+        recorder = RemoteScorer(ChatEndpointConfig(), cassette=Cassette(path, record=True), transport=answer)
+        waypoints, reply = self.walk_and_route(recorder)
+        exchanges = len(path.read_text().splitlines())
+        assert waypoints[-1] == (21, 8) and exchanges == len(waypoints)  # steps, then the route
+        assert len(renders) == exchanges
+        assert len({(r[1], len(r)) for r in renders}) == exchanges  # each prompt once: one per state, plus the route
+        monkeypatch.delenv("API_KEY")
+        for name in ("serialize_step_prompt", "serialize_fullpath_prompt"):
+            monkeypatch.setattr(translator, name, lambda *a: pytest.fail("a cassette hit rendered a prompt"))
+        replayer = RemoteScorer(ChatEndpointConfig(), cassette=Cassette(path), transport=None)
+        assert self.walk_and_route(replayer) == (waypoints, reply)
 
 
 class TestCassetteFile:

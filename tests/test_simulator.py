@@ -1,3 +1,5 @@
+import re
+
 import yaml
 
 import pytest
@@ -698,3 +700,17 @@ class TestYamlNesting:
     def test_an_alias_inside_its_own_anchor_is_one_level(self, loader):
         doc = load_yaml("a: &a [*a]\n")
         assert doc["a"][0] is doc["a"]
+
+
+    @pytest.mark.parametrize("text, place", [
+        ("a: [b\n", r" at line 2, column 1 \(while parsing a flow sequence\)"),
+        ("a: 1\n  b: 2\n", " at line 2, column 4"),
+        ('a: "b\n', r" at line 2, column 1 \(while scanning a quoted scalar\)"),
+        ("a: !!python/object x\n", " at line 1, column 4"),
+        ("a: b\0\n", " at offset 4"),
+    ])
+    def test_a_syntax_error_is_one_line_with_its_place(self, loader, text, place):
+        # either parser's own message names "<unicode string>", over up to four lines
+        with pytest.raises(ValueError) as err:
+            load_yaml(text)
+        assert re.fullmatch(f"[^\n]+{place}", str(err.value)), str(err.value)
