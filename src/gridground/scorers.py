@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
-from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -138,12 +138,13 @@ class ChatEndpointConfig:
         for name, value in (("model_name", model_name), ("api_key_env", api_key_env)):
             if not isinstance(value, str):
                 raise ValueError(f"{name} must be a string, got {value!r}")
-        if not (0 < timeout < math.inf):
-            raise ValueError(f"timeout must be finite and > 0, got {timeout}")
-        if not math.isfinite(temperature):
+        # a socket timeout past about 9.2e9 s overflows, and so does a backoff of 2.0 ** 1024 s
+        if not (0 < timeout <= MAX_TIMEOUT_S):
+            raise ValueError(f"timeout must be > 0 and at most {MAX_TIMEOUT_S:g} s, got {timeout}")
+        if not (-sys.float_info.max <= temperature <= sys.float_info.max):  # also an int past the float range
             raise ValueError(f"temperature must be finite, got {temperature}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if not (0 <= max_retries <= MAX_RETRIES):
+            raise ValueError(f"max_retries must be >= 0 and at most {MAX_RETRIES}, got {max_retries}")
         self.base_url, self.model_name, self.api_key_env = base_url, model_name, api_key_env
         self.timeout, self.max_retries, self.temperature = timeout, max_retries, temperature
 
@@ -153,6 +154,7 @@ class ChatEndpointConfig:
 
 BACKOFF_BASE_S = 1.0
 BACKOFF_FACTOR = 2.0
+MAX_TIMEOUT_S, MAX_RETRIES = 3600.0, 10
 
 
 def _retryable(status: int) -> bool:
@@ -161,9 +163,6 @@ def _retryable(status: int) -> bool:
 
 # printable ASCII but '"' and '\\', plus the newline: the bytes json.dumps copies unescaped, bar "\n"
 _PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"").replace(b"\\", b"") + b"\n"
-_SCALARS = (float, int, bool, type(None))
-_BODY_KEYS = frozenset(("model", "temperature", "messages"))
-_MESSAGE_KEYS = frozenset(("role", "content"))
 
 
 def _json_str(text: str) -> bytes:
@@ -177,55 +176,27 @@ def _json_str(text: str) -> bytes:
     return json.dumps(text).encode("ascii")
 
 
-@lru_cache(maxsize=16)
-def _chat_envelope(first: str, role: str, last_role: str, model: str, temperature, temperature_repr: str):
-    """Canonical JSON of a two-message chat body before and after its last content. The repr is in
-    the key as 0.0 and -0.0 are equal keys that JSON writes apart; it also tells 1, 1.0 and True apart."""
+def _chat_envelope(config: ChatEndpointConfig) -> tuple[bytes, bytes]:
+    """Canonical JSON of the body ``RemoteScorer`` sends under ``config``, before and after its user text:
+    the system message, then the model and the temperature as ``json.dumps`` writes them."""
     import json
 
-    return (b'{"messages":[{"content":' + _json_str(first) + b',"role":' + _json_str(role) + b'},{"content":',
-            b',"role":' + _json_str(last_role) + b'}],"model":' + _json_str(model)
-            + b',"temperature":' + json.dumps(temperature).encode("ascii") + b"}")
-
-
-def _chat_chunks(body: dict) -> tuple[bytes, bytes, bytes] | None:
-    """The canonical JSON of a two-message body, as ``RemoteScorer`` sends, in three chunks; else None."""
-    if type(body) is not dict or body.keys() != _BODY_KEYS:
-        return None
-    model, temperature, messages = body["model"], body["temperature"], body["messages"]
-    if type(temperature) not in _SCALARS or type(messages) is not list or len(messages) != 2:
-        return None
-    first, last = messages
-    if not (type(first) is type(last) is dict and first.keys() == last.keys() == _MESSAGE_KEYS):
-        return None
-    texts = first["content"], first["role"], last["role"], model, last["content"]
-    if set(map(type, texts)) != {str}:
-        return None
-    head, tail = _chat_envelope(*texts[:4], temperature, repr(temperature))
-    return head, _json_str(texts[4]), tail
+    return (b'{"messages":[{"content":' + _json_str(translator.SYSTEM_TEXT) + b',"role":"system"},{"content":',
+            b',"role":"user"}],"model":' + _json_str(config.model_name)
+            + b',"temperature":' + json.dumps(config.temperature).encode("ascii") + b"}")
 
 
 def request_fingerprint(body: dict) -> str:
     """Stable hash of a request body: the sha256 hex of its canonical JSON.
 
     The canonical JSON is ``json.dumps(body, sort_keys=True, separators=(",", ":"))``
-    with ASCII escapes. For two-message chat bodies (system, then user), the
-    bytes around the user text are kept per system text, model and
-    temperature, so each call escapes and hashes the user text alone.
-    ``RemoteScorer`` hashes the same bytes for its steps and routes without
-    rendering the body.
+    with ASCII escapes, encoded as UTF-8. ``RemoteScorer`` hashes the same
+    bytes for its steps and routes from their pieces, without rendering the body.
     """
     import hashlib
+    import json
 
-    chunks = _chat_chunks(body)
-    if chunks is None:
-        import json
-
-        chunks = [json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")]
-    digest = hashlib.sha256()
-    for chunk in chunks:
-        digest.update(chunk)
-    return digest.hexdigest()
+    return hashlib.sha256(json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
 
 
 class Cassette:
@@ -331,12 +302,13 @@ class RemoteScorer:
     """Scores candidates by asking a chat-completions endpoint.
 
     Each request (a step in ``__call__``, a whole path in ``route``) is first
-    fingerprinted from its pieces: the envelope kept by ``_chat_envelope``, the
-    grid's map text, JSON-escaped once per grid and kept for the last grid seen,
-    the two markers spliced into it, and the escaped tail the translator
-    renders. The fingerprint equals ``request_fingerprint`` of the body, so
-    cassettes recorded either way replay. A cassette hit renders no prompt.
-    On a miss the translator renders the prompt, which is POSTed to
+    fingerprinted from its pieces: the envelope ``_chat_envelope`` builds once
+    from the config the scorer is constructed with, the grid's map text,
+    JSON-escaped once per grid and kept for the last grid seen, the two
+    markers spliced into it, and the escaped tail the translator renders.
+    The fingerprint equals ``request_fingerprint`` of the body, so cassettes
+    recorded either way replay. A cassette hit renders no prompt. On a miss
+    the translator renders the prompt, which is POSTed to
     ``{base_url}/chat/completions`` with a Bearer key read from the
     environment and stored under that fingerprint, and the reply's scores
     line is parsed. Transport errors (any ``OSError``) and 429/5xx responses
@@ -358,6 +330,7 @@ class RemoteScorer:
         self.cassette = cassette
         self._transport = transport
         self._sleep = sleep
+        self._head, self._tail = _chat_envelope(config)
         # the last grid fingerprinted, its quoted map header and text JSON-escaped, and where the text starts
         self._grid, self._map, self._map_at = None, memoryview(b""), 0
 
@@ -395,15 +368,12 @@ class RemoteScorer:
             self._map = memoryview(head + grid.text.encode("ascii").replace(b"\n", b"\\n"))
             self._grid, self._map_at = grid, len(head)
         # a marker's index in the escaped text: its cell's in ``text``, plus a byte per newline above it
-        config, m, at = self.config, self._map, self._map_at
+        m, at = self._map, self._map_at
         i = at + grid.text_index(state[0], state[1]) + state[1]
         j = at + grid.text_index(goal[0], goal[1]) + goal[1]
         first, second, a, b = (b"R", b"G", i, j) if i < j else (b"G", b"R", j, i)
-        envelope_head, envelope_tail = _chat_envelope(
-            translator.SYSTEM_TEXT, "system", "user", config.model_name, config.temperature, repr(config.temperature)
-        )
-        digest = hashlib.sha256(envelope_head)
-        for chunk in (m[:a], first, m[a + 1:b], second, m[b + 1:], memoryview(_json_str(tail))[1:], envelope_tail):
+        digest = hashlib.sha256(self._head)
+        for chunk in (m[:a], first, m[a + 1:b], second, m[b + 1:], memoryview(_json_str(tail))[1:], self._tail):
             digest.update(chunk)
         return digest.hexdigest()
 

@@ -364,10 +364,18 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read and parse a scenario file; map_file references resolve beside it."""
+    """Read and parse a scenario file; map_file references resolve beside it.
+
+    Raises:
+        InvalidScenario: the file cannot be read, or ``parse_scenario`` rejects
+            it; either way the message names the file.
+    """
     p = Path(path)
     try:  # a ValueError is a file that is not UTF-8, or a NUL in the path
         text = p.read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:
         raise InvalidScenario(f"cannot read scenario file {p}: {exc}") from exc
-    return parse_scenario(text, base_dir=p.parent)
+    try:
+        return parse_scenario(text, base_dir=p.parent)
+    except InvalidScenario as exc:
+        raise InvalidScenario(f"{p}: {exc}") from exc

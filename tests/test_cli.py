@@ -766,6 +766,19 @@ class TestBenchCommand:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("text,message", [
+        ("version: scenario_v1\nmap_file: c.map\ngoal: [4, 0]\ninstruction_text: walk\n",
+         "missing required field 'start'"),
+        ("version: scenario_v1\nstart: [0, 0\n", "unparseable scenario file: "),
+    ], ids=["missing_start", "not_yaml"])
+    def test_a_scenario_error_names_its_file(self, tmp_path, capsys, text, message):
+        suite = write_tiny_suite(tmp_path)
+        (tmp_path / "case.yaml").write_text(text)
+        rc = main(["bench", "--suite", str(suite), "--out-dir", str(tmp_path / "o")])
+        _, err = capsys.readouterr()
+        assert rc == 1
+        assert err.startswith(f"error: {tmp_path / 'case.yaml'}: {message}"), err
+
     @pytest.mark.parametrize("name,old,new,message", [
         ("case.yaml", "walk\n", "walk\ndynamic_obstacles: 5\n", "dynamic_obstacles must be a list"),
         ("case.yaml", "walk\n", "walk\ndynamic_obstacles: false\n", "dynamic_obstacles must be a list"),
@@ -1196,6 +1209,20 @@ def test_cassettes_recorded_from_rendered_bodies_replay_byte_for_byte(planner, c
     assert out == (RECORDED / f"corridor_{planner}.stdout").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("setting", ["timeout: 10000000000.0", "max_retries: 11"])
+def test_an_endpoint_setting_past_its_cap_is_a_usage_error(setting, tmp_path, capsys):
+    # a replay sends nothing, yet the config is checked first: a live run would overflow the socket's
+    # timeout, or back off for 2**attempt seconds, and end in a traceback
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"remote:\n  base_url: http://127.0.0.1:9/v1\n  {setting}\n")
+    tape = RECORDED / "corridor_grounded.jsonl"
+    rc = main(plan_args(str(CORRIDOR), "2,1", "21,8", "--planner", "grounded", "--scorer", "remote",
+                        "--cassette", str(tape), "--config", str(cfg)))
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("usage error: bad config-file 'remote' value: "), err
+
+
 FRACTION = st.floats(0.0, 1.0)
 # long digit runs first: a coordinate or score past what a cell or a float holds
 FUZZ_INSERTS = st.one_of(
@@ -1307,7 +1334,7 @@ UNCLOSED = "planners: [astar\n"  # a YAML syntax error on line 2, column 1, insi
 
 @pytest.mark.parametrize("kind, prefix", [
     ("suite", "error: cannot read suite file {bad}: "),
-    ("scenario", "error: unparseable scenario file: "),
+    ("scenario", "error: {bad}: unparseable scenario file: "),
     ("config", "usage error: cannot read config file {bad}: "),
 ])
 def test_a_yaml_syntax_error_is_one_line_with_its_place(kind, prefix, tmp_path):

@@ -301,20 +301,28 @@ class TestFingerprintMatchesReference:
            TEMPERATURE | st.sampled_from([0.0, -0.0, 1, 1.0, True]))
     @settings(max_examples=300, deadline=None)
     def test_remote_scorer_shaped_bodies(self, system, user, model, temperature):
-        # all examples run in one process, so the envelopes kept for earlier ones are read back
+        # the shape RemoteScorer sends, near its own system text and model: no shortcut may hash it apart
         body = chat_shaped([{"role": "system", "content": system}, {"role": "user", "content": user}], model, temperature)
         assert request_fingerprint(body) == reference_fingerprint(body)
 
     @pytest.mark.parametrize(
         "temperatures", [*itertools.permutations([0.0, -0.0]), *itertools.permutations([1, 1.0, True])], ids=repr
     )
-    def test_equal_temperatures_keep_their_own_envelope(self, temperatures):
-        # equal keys that json.dumps writes apart: keyed on the value alone, each would get the first one's bytes
-        scorers_mod._chat_envelope.cache_clear()
-        bodies = [chat_shaped([self.SYSTEM, self.MSG], temperature=t) for t in temperatures]
-        ours = [request_fingerprint(b) for b in bodies]
-        assert ours == [reference_fingerprint(b) for b in bodies]
-        assert len(set(ours)) == len(bodies)
+    def test_equal_temperatures_keep_their_own_envelope(self, temperatures, tmp_path, monkeypatch):
+        # equal values that json.dumps writes apart: keyed on the value alone, a shared envelope would
+        # give each scorer the first one's bytes, and the later requests would hit its cassette record
+        monkeypatch.setenv("FAKE_SCORER_KEY", "sekrit")
+        path, sent = tmp_path / "tape.jsonl", []
+        query = query_at(open_grid(4, 3), (0, 0), (3, 2))
+        for t in temperatures:
+            transport = BodyRecorder("scores: 1 0 0 0")
+            config = ChatEndpointConfig("http://127.0.0.1:9", api_key_env="FAKE_SCORER_KEY", temperature=t)
+            RemoteScorer(config, cassette=Cassette(path, record=True), transport=transport)(query)
+            sent += transport.bodies
+        stored = [json.loads(line)["request_hash"] for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [b["temperature"] for b in sent] == list(temperatures)
+        assert stored == [reference_fingerprint(b) for b in sent]
+        assert len(set(stored)) == len(temperatures)
 
     def test_big_int_past_the_digit_limit_fails_alike(self):
         body = chat_shaped([self.MSG], temperature=10**5000)
@@ -331,26 +339,6 @@ class TestFingerprintMatchesReference:
         with pytest.raises(ValueError) as ref:
             reference_fingerprint(body)
         assert str(ours.value) == str(ref.value)
-
-    @pytest.mark.parametrize("name", ["reference_world", "corridor", "two_corridor"])
-    def test_remote_scorer_bodies_take_the_fast_path(self, name, monkeypatch):
-        # a prompt character that needs a JSON escape would send the whole text through json.dumps;
-        # the step and fullpath bodies share one system text, model and temperature, so one envelope
-        sc = load_scenario(bundled_path(f"{name}.scenario.yaml"))
-        instruction = Instruction(sc.instruction_text, sc.goal)
-        cands = tuple(GridPose(sc.start[0] + a.delta[0], sc.start[1] + a.delta[1]) for a in ACTIONS)
-        scorer = RemoteScorer(ChatEndpointConfig("http://127.0.0.1:9", "gpt-3.5-turbo"))
-        bodies = [
-            scorer._request_body(translator.serialize_step_prompt(sc.map, sc.start, instruction, cands)),
-            scorer._request_body(translator.serialize_fullpath_prompt(sc.map, sc.start, instruction)),
-        ]
-        expected = [reference_fingerprint(b) for b in bodies]
-        scorers_mod._chat_envelope.cache_clear()
-        dumped = []
-        real_dumps = json.dumps
-        monkeypatch.setattr(json, "dumps", lambda obj, *a, **kw: dumped.append(obj) or real_dumps(obj, *a, **kw))
-        assert [request_fingerprint(b) for b in bodies] == expected
-        assert dumped == [0.0]  # the temperature alone, once, as the envelope is built
 
 
 class TestCassette:
@@ -805,10 +793,17 @@ class TestEndpointConfig:
         {"temperature": math.inf}, {"temperature": -math.inf}, {"temperature": math.nan},
         {"base_url": "no-scheme"}, {"base_url": "ftp://host/v1"}, {"base_url": "http://"}, {"base_url": 5},
         {"model_name": 5}, {"model_name": None}, {"api_key_env": 5}, {"api_key_env": ["K"]},
+        # past the caps, and an int past the float range
+        {"timeout": 3600.5}, {"timeout": 1e10}, {"timeout": 10**400}, {"max_retries": 11}, {"max_retries": 1024},
+        {"temperature": 10**400}, {"temperature": -10**400},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ChatEndpointConfig(**{"base_url": "http://127.0.0.1:9/v1", "model_name": "m", **kwargs})
+
+    def test_the_caps_are_inclusive(self):
+        config = ChatEndpointConfig("http://127.0.0.1:9/v1", timeout=3600, max_retries=10, temperature=10**300)
+        assert (config.timeout, config.max_retries, config.temperature) == (3600, 10, 10**300)
 
 
 class _Handler(BaseHTTPRequestHandler):
