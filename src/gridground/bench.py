@@ -13,16 +13,15 @@ import io
 import time
 from itertools import groupby
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .classical import PlannedPath, RrtParams, astar, path_length, rrt
-from .errors import ConfigError, InvalidScenario, MalformedReply, ScorerFailure, UnknownPlanner
-from .gridmap import CellState, Connectivity, GridPose, as_connectivity
-from .grounded import Instruction, PlannerConfig, plan as grounded_plan
-from .scorers import MockScorer, OracleScorer
-from . import translator
-from .simulator import INTEGER, MAPPINGS, PATH, STRING, STRINGS, FieldKind, Scenario, SimPlanner, execute
-from .simulator import load_scenario, load_yaml, read_field, validate_external_path
+from .classical import PlannedPath, path_length
+from .errors import ConfigError, InvalidScenario, ScorerFailure
+from .gridmap import CellState, GridPose
+from .inputs import INTEGER, MAPPINGS, PATH, STRING, STRINGS, FieldKind, load_yaml, read_field
+# _REGISTRY (the same dict), TrialPlanner and register_planner stay readable as bench's names
+from .planners import _REGISTRY, TrialPlanner, _factory, make_planner, register_planner
+from .simulator import Scenario, execute, load_scenario, validate_external_path
 
 CSV_HEADER = (
     "planner_id,scenario_id,seed,planning_time_ms,scorer_wall_time_ms,"
@@ -59,134 +58,6 @@ class TrialResult(NamedTuple):
     correct: bool
     path_length_m: float
     replan_count: int
-
-
-# --- planner adapters -------------------------------------------------------
-# The only planning code, built by `build_planner` below. A grounded adapter
-# calls its scorer once per step, a fullpath adapter the scorer's `route` once
-# per path. After a plan that returned None, `failure` says why.
-
-
-class AstarPlanner:
-    failure = "no path found"
-
-    def __init__(self, connectivity: Connectivity = Connectivity.FOUR):
-        self.connectivity = connectivity
-
-    def plan(self, grid, start, goal, instruction_text):
-        p = astar(grid, start, goal, self.connectivity)
-        return list(p.waypoints) if p else None
-
-
-class RrtPlanner:
-    failure = "no path found"
-
-    def __init__(self, params: RrtParams):
-        self.params = params
-
-    def plan(self, grid, start, goal, instruction_text):
-        p = rrt(grid, start, goal, self.params)
-        return list(p.waypoints) if p else None
-
-
-class GroundedPlanner:
-    failure = ""
-
-    def __init__(self, scorer, config: PlannerConfig | None = None):
-        self.scorer = scorer
-        self.config = config
-
-    def plan(self, grid, start, goal, instruction_text):
-        result = grounded_plan(
-            self.scorer, grid, start, Instruction(instruction_text, GridPose(*goal)), self.config
-        )
-        if not result.succeeded:
-            steps = len(result.path.waypoints) - 1
-            self.failure = f"{result.failure.value} ({result.detail}) after {steps} steps"
-            return None
-        return list(result.path.waypoints)
-
-
-class FullpathPlanner:
-    failure = ""
-
-    def __init__(self, scorer):
-        self.scorer = scorer
-
-    def plan(self, grid, start, goal, instruction_text):
-        start, goal = GridPose(*start), GridPose(*goal)
-        if start == goal:  # nothing to ask the model
-            return [start]
-        try:
-            reply = self.scorer.route(grid, start, Instruction(instruction_text, goal))
-            parsed = translator.parse_coordinate_list(reply)
-        except MalformedReply as exc:
-            self.failure = str(exc)
-            return None
-        return list(parsed.waypoints)
-
-
-# --- registry ---------------------------------------------------------------
-
-
-class TrialPlanner(NamedTuple):
-    """A planner instance plus the scorer whose wall time must be tracked."""
-
-    planner: SimPlanner
-    scorer: object | None = None
-
-
-PlannerFactory = Callable[[Scenario, int], TrialPlanner]
-
-
-def build_planner(kind: str, scorer=None, seed: int = 0, connectivity: int = 4,
-                  max_steps: int | None = None) -> TrialPlanner:
-    """The adapter for one planner kind, for the registry and `gridground plan` alike.
-
-    ``scorer`` is the backend of ``grounded`` and ``fullpath``; only a grounded
-    adapter's scorer is tracked, so a fullpath reply counts as planning time.
-
-    Raises:
-        UnknownPlanner: kind is not astar, rrt, grounded or fullpath.
-        InvalidParams: an astar connectivity other than 4 or 8.
-    """
-    if kind == "astar":
-        return TrialPlanner(AstarPlanner(as_connectivity(connectivity)))
-    if kind == "rrt":
-        return TrialPlanner(RrtPlanner(RrtParams(seed=seed)))
-    if kind == "grounded":
-        return TrialPlanner(GroundedPlanner(scorer, PlannerConfig(max_steps=max_steps)), scorer)
-    if kind == "fullpath":
-        return TrialPlanner(FullpathPlanner(scorer))
-    raise UnknownPlanner(f"unknown planner {kind!r} (expected astar, rrt, grounded, or fullpath)")
-
-
-_REGISTRY: dict[str, PlannerFactory] = {
-    "astar": lambda scenario, seed: build_planner("astar"),
-    "rrt": lambda scenario, seed: build_planner("rrt", seed=seed),
-    "grounded:mock": lambda scenario, seed: build_planner("grounded", MockScorer(tau=0.5)),
-    "grounded:oracle": lambda scenario, seed: build_planner("grounded", OracleScorer()),
-    "fullpath:mock": lambda scenario, seed: build_planner("fullpath", MockScorer(tau=0.5)),
-    "fullpath:oracle": lambda scenario, seed: build_planner("fullpath", OracleScorer()),
-}
-
-
-def register_planner(planner_id: str, factory: PlannerFactory) -> None:
-    """Add or replace a planner id (e.g. a remote-backed grounded planner)."""
-    _REGISTRY[planner_id] = factory
-
-
-def _factory(planner_id: str) -> PlannerFactory:
-    factory = _REGISTRY.get(planner_id)
-    if factory is None:
-        raise UnknownPlanner(
-            f"unknown planner id {planner_id!r}; registered: {sorted(_REGISTRY)}"
-        )
-    return factory
-
-
-def make_planner(planner_id: str, scenario: Scenario, seed: int) -> TrialPlanner:
-    return _factory(planner_id)(scenario, seed)
 
 
 # --- timing wrappers --------------------------------------------------------

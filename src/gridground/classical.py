@@ -15,6 +15,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import count, starmap
+from operator import index
 from typing import NamedTuple
 
 from .errors import InvalidEndpoint, InvalidParams
@@ -38,13 +39,26 @@ def path_length(waypoints: Sequence[GridPose], resolution: float) -> float:
     return total * resolution
 
 
-def check_endpoints(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> None:
-    """Raise InvalidEndpoint unless start and goal are free in-bounds cells."""
-    for name, p in (("start", start), ("goal", goal)):
-        if not grid.in_bounds(p[0], p[1]):
-            raise InvalidEndpoint(f"{name} ({p[0]},{p[1]}) outside {grid.width}x{grid.height} grid")
-        if not grid.is_free(p[0], p[1]):
-            raise InvalidEndpoint(f"{name} ({p[0]},{p[1]}) is not a free cell")
+def check_endpoints(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> tuple[GridPose, GridPose]:
+    """start and goal as GridPoses of ints; each coordinate may be anything ``operator.index`` takes.
+
+    Raises:
+        InvalidEndpoint: either is not two integers naming a free in-bounds cell.
+    """
+    return _endpoint(grid, "start", start), _endpoint(grid, "goal", goal)
+
+
+def _endpoint(grid: OccupancyGrid, name: str, p) -> GridPose:
+    try:
+        x, y = p
+        x, y = index(x), index(y)
+    except (TypeError, ValueError):  # not two items, or an item that is no integer
+        raise InvalidEndpoint(f"{name} must be a pair of integers, got {p!r}") from None
+    if not grid.in_bounds(x, y):
+        raise InvalidEndpoint(f"{name} ({x},{y}) outside {grid.width}x{grid.height} grid")
+    if not grid.is_free(x, y):
+        raise InvalidEndpoint(f"{name} ({x},{y}) is not a free cell")
+    return GridPose(x, y)
 
 
 def astar(
@@ -88,8 +102,7 @@ def astar(
         InvalidEndpoint: start or goal out of bounds or not Free.
     """
     connectivity = as_connectivity(connectivity)
-    check_endpoints(grid, start, goal)
-    start, goal = GridPose(*start), GridPose(*goal)
+    start, goal = check_endpoints(grid, start, goal)
     if start == goal:
         return PlannedPath((start,), grid.resolution)
     search = _search_four if connectivity is Connectivity.FOUR else _search_eight
@@ -428,6 +441,9 @@ def grow_rrt_tree(
     is found by a sweep over the nodes sorted along the map's longer side,
     except for the goal, whose nearest node the tree keeps as it grows.
     """
+    for name in ("step_size", "goal_bias", "goal_tolerance"):  # a str or None would fail a comparison below
+        if not isinstance(value := getattr(params, name), (int, float)):
+            raise InvalidParams(f"{name} must be a number, got {value!r}")
     if not (0 < params.step_size < math.inf):
         raise InvalidParams(f"step_size must be finite and > 0, got {params.step_size}")
     if not (0.0 <= params.goal_bias <= 1.0):
@@ -437,11 +453,11 @@ def grow_rrt_tree(
         raise InvalidParams(f"max_iterations must be an integer from 1 to {MAX_RRT_ITERATIONS}, got {n!r}")
     if not (params.goal_tolerance >= 0):
         raise InvalidParams(f"goal_tolerance must be >= 0, got {params.goal_tolerance}")
-    check_endpoints(grid, start, goal)
+    start, goal = check_endpoints(grid, start, goal)
 
     rng = random.Random(params.seed)
-    goal_c = _center(GridPose(*goal))
-    tree = RrtTree(points=[_center(GridPose(*start))], parents=[-1], accepted=None)
+    goal_c = _center(goal)
+    tree = RrtTree(points=[_center(start)], parents=[-1], accepted=None)
     # a start in the goal region, start == goal among them, is the tree's only node
     if math.dist(tree.points[0], goal_c) <= params.goal_tolerance and _edge_free(
         grid, tree.points[0], goal_c
@@ -510,7 +526,7 @@ def rrt(
     tree = grow_rrt_tree(grid, start, goal, params)
     if tree.accepted is None:
         return None
-    start, goal = GridPose(*start), GridPose(*goal)
+    start, goal = check_endpoints(grid, start, goal)  # as grow_rrt_tree read them
     branch: list[int] = []
     i = tree.accepted
     while i != -1:

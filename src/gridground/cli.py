@@ -2,9 +2,11 @@
 
 Configuration precedence is flags > environment (GRIDGROUND_*) > config file
 (--config, YAML) > built-in defaults. Exit codes: 0 success, 1 usage or
-configuration error, 2 planning failed (no path / planner gave up). Nothing
-touches the network unless `plan` runs the remote scorer AND --allow-network
-is given; --allow-network is a flag of `plan` only.
+configuration error, 2 planning failed (no path / planner gave up), 130
+interrupted (Ctrl-C), 141 stdout closed before the output was written (as a
+shell reports a process that SIGPIPE ended). Nothing touches the network unless
+`plan` runs the remote scorer AND --allow-network is given; --allow-network is
+a flag of `plan` only.
 """
 
 from __future__ import annotations
@@ -16,14 +18,12 @@ import sys
 import time
 from pathlib import Path
 
-from . import bench
-from .bundled import bundled_path
+# the parser reads MAX_PLAN_STEPS; bench, and the scorers of a plan that asks one, are imported where a command needs them
 from .classical import check_endpoints, path_length
 from .errors import ConfigError, GridGroundError, MapFormatError, UnknownPlanner
 from .gridmap import GridPose, load_map, random_map, serialize_map
-from .grounded import MAX_PLAN_STEPS
-from .scorers import ChatEndpointConfig, Cassette, MockScorer, OracleScorer, RemoteScorer
-from .simulator import INTEGER, MAPPING, NUMBER, STRING, FieldKind, load_yaml, read_field
+from .inputs import INTEGER, MAPPING, NUMBER, STRING, FieldKind, load_yaml, read_field
+from .planners import MAX_PLAN_STEPS, build_planner
 
 ENV_PREFIX = "GRIDGROUND_"
 MAX_MAP_SIDE = 4096  # gen-maps draws one random number per cell
@@ -104,7 +104,9 @@ def _parse_xy(text: str, label: str) -> GridPose:
     return GridPose(x, y)
 
 
-def _endpoint_config(file_cfg: dict) -> ChatEndpointConfig:
+def _endpoint_config(file_cfg: dict):
+    from .scorers import ChatEndpointConfig
+
     try:  # the reader raises ValueError, as ChatEndpointConfig does; its defaults stand for absent or null fields
         remote = read_field(file_cfg, "remote", MAPPING, ValueError, default={})
         kinds = {"base_url": STRING, "model_name": STRING, "api_key_env": STRING,
@@ -116,6 +118,8 @@ def _endpoint_config(file_cfg: dict) -> ChatEndpointConfig:
 
 
 def _make_scorer(scorer_name: str, tau: float, allow_network: bool, file_cfg: dict, cassette: str | None):
+    from .scorers import Cassette, MockScorer, OracleScorer, RemoteScorer
+
     if scorer_name == "mock":
         return MockScorer(tau=tau)
     if scorer_name == "oracle":
@@ -158,7 +162,7 @@ def cmd_plan(args) -> int:
     needs_scorer = planner in ("grounded", "fullpath")
     scorer = _make_scorer(scorer_name, tau, args.allow_network, file_cfg, args.cassette) if needs_scorer else None
     try:
-        adapter = bench.build_planner(planner, scorer, seed, connectivity, max_steps).planner
+        adapter = build_planner(planner, scorer, seed, connectivity, max_steps).planner
     except UnknownPlanner as exc:
         raise _UsageError(str(exc))
 
@@ -185,6 +189,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench
+    from .bundled import bundled_path
+
     file_cfg = _load_config_file(args.config)
     suite = _resolve_path("suite", args.suite, file_cfg)
     out_dir = _resolve_path("out_dir", args.out_dir, file_cfg)
@@ -264,12 +271,21 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code (see the module docstring)."""
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # output still in the buffer meets a closed pipe here
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    except BrokenPipeError:  # the Python docs' "Note on SIGPIPE": the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

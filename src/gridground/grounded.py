@@ -17,6 +17,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .classical import PlannedPath, check_endpoints
 from .errors import OutOfBounds, ScorerFailure
 from .gridmap import GridPose, OccupancyGrid
+from .planners import MAX_PLAN_STEPS
 from .scorers import TaskScorerQuery
 
 
@@ -59,9 +60,6 @@ class ScoredAction(NamedTuple):
     p_gpt: float
     p_util: float
     p_combined: float
-
-
-MAX_PLAN_STEPS = 100_000  # PlannerConfig.max_steps; a walk keeps every step's scores
 
 
 class PlannerConfig:
@@ -274,12 +272,10 @@ def plan(
         InvalidEndpoint: start or goal out of bounds or not Free.
     """
     config = config or PlannerConfig()
-    goal = GridPose(*instruction.goal)
-    check_endpoints(grid, start, goal)
+    s, goal = check_endpoints(grid, start, instruction.goal)
     max_steps = config.max_steps if config.max_steps is not None else 4 * (grid.width + grid.height)
     penalty = config.revisit_penalty
 
-    s = GridPose(*start)
     waypoints = [s]
     visited = {s}
     steps: list[StepScores] = []

@@ -139,12 +139,13 @@ class ChatEndpointConfig:
             if not isinstance(value, str):
                 raise ValueError(f"{name} must be a string, got {value!r}")
         # a socket timeout past about 9.2e9 s overflows, and so does a backoff of 2.0 ** 1024 s
-        if not (0 < timeout <= MAX_TIMEOUT_S):
-            raise ValueError(f"timeout must be > 0 and at most {MAX_TIMEOUT_S:g} s, got {timeout}")
-        if not (-sys.float_info.max <= temperature <= sys.float_info.max):  # also an int past the float range
-            raise ValueError(f"temperature must be finite, got {temperature}")
-        if not (0 <= max_retries <= MAX_RETRIES):
-            raise ValueError(f"max_retries must be >= 0 and at most {MAX_RETRIES}, got {max_retries}")
+        # a str or None would fail a comparison below with a TypeError, and a float retry count fails range()
+        if not (isinstance(timeout, (int, float)) and 0 < timeout <= MAX_TIMEOUT_S):
+            raise ValueError(f"timeout must be a number > 0 and at most {MAX_TIMEOUT_S:g} s, got {timeout!r}")
+        if not (isinstance(temperature, (int, float)) and -sys.float_info.max <= temperature <= sys.float_info.max):
+            raise ValueError(f"temperature must be a finite number, got {temperature!r}")  # an int past the float range is not
+        if not (isinstance(max_retries, int) and not isinstance(max_retries, bool) and 0 <= max_retries <= MAX_RETRIES):
+            raise ValueError(f"max_retries must be an integer from 0 to {MAX_RETRIES}, got {max_retries!r}")
         self.base_url, self.model_name, self.api_key_env = base_url, model_name, api_key_env
         self.timeout, self.max_retries, self.temperature = timeout, max_retries, temperature
 

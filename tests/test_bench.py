@@ -11,17 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridground.bench as bench
-from gridground import cli
+from gridground import cli, planners
 from gridground.bench import (
     CORRECTNESS_NOTE,
     CSV_HEADER,
     REFERENCE_NOTE,
-    FullpathPlanner,
-    GroundedPlanner,
     TrialPlanner,
     TrialResult,
     aggregate,
-    build_planner,
     format_report,
     load_suite,
     make_planner,
@@ -49,6 +46,7 @@ from gridground.errors import (
 )
 from gridground.gridmap import Connectivity, GridPose, random_map
 from gridground.grounded import FailureReason, Instruction, PlannerConfig
+from gridground.planners import FullpathPlanner, GroundedPlanner, build_planner
 from gridground.scorers import MockScorer, OracleScorer
 from gridground.simulator import DynamicObstacle, Scenario, execute, load_scenario, validate_external_path
 
@@ -446,6 +444,12 @@ class CountingScorer:
 
 class TestRegistryWrapping:
     PLANNERS = ["astar", "rrt", "grounded:mock", "fullpath:oracle"]
+
+    def test_bench_names_are_the_planner_modules_own(self):
+        # a wrapper registered through bench.register_planner must reach the registry that make_planner reads
+        assert bench._REGISTRY is planners._REGISTRY
+        assert (bench.register_planner, bench.make_planner, bench.TrialPlanner) == (
+            planners.register_planner, planners.make_planner, planners.TrialPlanner)
 
     def scenarios(self):
         # two_corridor's obstacle lands on the first plan, so trials replan

@@ -106,6 +106,20 @@ def astar_cases(draw):
     return g, start, draw(st.sampled_from(goals))
 
 
+class Index:
+    """An integer that is no int: it has __index__, as numpy's integers do."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# poses that are not two integers; a float or a str coordinate used to fail inside the kernel with a TypeError
+NOT_POSES = [(0.5, 1), (1, 0.0), ("1", 0), (1, None), None, (1,), (0, 0, 0), "ab"]
+
+
 def assert_four_adjacent(waypoints):
     for a, b in zip(waypoints, waypoints[1:]):
         assert abs(a.x - b.x) + abs(a.y - b.y) == 1, (a, b)
@@ -176,6 +190,20 @@ class TestAstar:
             astar(g, GridPose(*start), GridPose(*goal))
         with pytest.raises(InvalidEndpoint):
             dijkstra_oracle(g, GridPose(*start), GridPose(*goal))
+
+    @pytest.mark.parametrize("pose", NOT_POSES)
+    def test_a_pose_that_is_not_two_integers_is_an_invalid_endpoint(self, pose):
+        g = open_grid(3, 3)
+        for start, goal in ((pose, GridPose(2, 2)), (GridPose(0, 0), pose)):
+            with pytest.raises(InvalidEndpoint, match="must be a pair of integers"):
+                astar(g, start, goal)
+
+    def test_coordinates_may_be_anything_operator_index_takes(self):
+        g = open_grid(4, 3)
+        for connectivity in (4, 8):
+            got = astar(g, (Index(0), Index(2)), (Index(3), True), connectivity)
+            assert got == astar(g, GridPose(0, 2), GridPose(3, 1), connectivity)
+            assert all(type(c) is int for p in got.waypoints for c in p)
 
     def test_eight_connectivity_diagonal_run(self):
         g = open_grid(5, 5)
@@ -482,12 +510,26 @@ class TestRrt:
         with pytest.raises(InvalidEndpoint):
             rrt(g, GridPose(-1, 0), GridPose(2, 2))
 
+    @pytest.mark.parametrize("pose", NOT_POSES)
+    def test_a_pose_that_is_not_two_integers_is_an_invalid_endpoint(self, pose):
+        g = open_grid(4, 4)
+        for start, goal in ((pose, GridPose(3, 3)), (GridPose(0, 0), pose)):
+            with pytest.raises(InvalidEndpoint, match="must be a pair of integers"):
+                rrt(g, start, goal)
+
+    def test_coordinates_may_be_anything_operator_index_takes(self):
+        g = open_grid(6, 6)
+        assert rrt(g, (Index(0), Index(1)), (Index(5), 4)) == rrt(g, GridPose(0, 1), GridPose(5, 4))
+
     @pytest.mark.parametrize("kwargs", [
         {"step_size": 0.0}, {"step_size": -1.0}, {"goal_bias": -0.1},
         {"goal_bias": 1.5}, {"max_iterations": 0}, {"goal_tolerance": -0.5},
         {"step_size": math.inf}, {"step_size": math.nan}, {"goal_tolerance": math.nan},
         {"max_iterations": 2.5}, {"max_iterations": True}, {"max_iterations": 3.0},
         {"max_iterations": "5"}, {"max_iterations": classical.MAX_RRT_ITERATIONS + 1},
+        # of the wrong type: each used to fail a comparison with a TypeError
+        {"step_size": "3"}, {"step_size": None}, {"goal_bias": "0.1"}, {"goal_tolerance": None},
+        {"goal_tolerance": "1"},
     ])
     def test_invalid_params(self, kwargs):
         g = open_grid(4, 4)

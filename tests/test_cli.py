@@ -956,6 +956,43 @@ class TestBenchCommand:
         assert (tmp_path / "envout" / "rows.csv").exists()
 
 
+class TestProcessBoundary:
+    """A closed stdout and a Ctrl-C end in a documented exit code, not a traceback."""
+
+    RUN = "import sys; sys.path.insert(0, sys.argv[1]); from gridground.cli import main; sys.exit(main(sys.argv[2:]))"
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("planner", ["astar", "grounded"])
+    def test_plan_into_a_closed_pipe_exits_141(self, planner, buffered):
+        # buffered, the plan's lines meet the closed pipe at the last flush; unbuffered, at the first print
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED" or not buffered}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        src = Path(gridground.__file__).resolve().parent.parent
+        argv = plan_args(str(bundled_path("corridor.map")), "2,1", "21,8", "--planner", planner, "--scorer", "oracle")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-c", self.RUN, str(src), *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+    def test_ctrl_c_during_bench_prints_one_line_and_exits_130(self, tmp_path, monkeypatch, capsys):
+        def interrupted(suite_path, out_dir):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench, "run_suite_file", interrupted)
+        try:
+            rc = main(["bench", "--out-dir", str(tmp_path / "out")])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt reached the caller of main")
+        assert rc == 130
+        assert capsys.readouterr() == ("", "interrupted\n")
+
+
 class TestGenMaps:
     def test_writes_named_deterministic_files(self, tmp_path, capsys):
         out = tmp_path / "maps"

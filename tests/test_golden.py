@@ -23,11 +23,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from gridground.bench import AstarPlanner, GroundedPlanner, plot_trajectories, run_suite_file
+from gridground.bench import plot_trajectories, run_suite_file
 from gridground.bundled import bundled_path
 from gridground.classical import RrtParams, astar, grow_rrt_tree
 from gridground.gridmap import Connectivity, GridPose, neighbors, random_map, serialize_map
 from gridground.grounded import ACTIONS, Instruction, affordance, plan, trace_to_jsonl
+from gridground.planners import AstarPlanner, GroundedPlanner
 from gridground.scorers import (
     ChatEndpointConfig,
     MockScorer,

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gridground import bench, grounded
+from gridground import bench, grounded, planners
 from gridground.bundled import bundled_path
 from gridground.errors import InvalidEndpoint, OutOfBounds, ScorerFailure
 from gridground.gridmap import GridPose, random_map
@@ -269,7 +269,7 @@ class TestPlannerConfig:
 
     def test_max_steps_cap(self):
         with pytest.raises(ValueError):  # a mock walk on corridor.map would run to this limit, keeping every step
-            bench.build_planner("grounded", MockScorer(), max_steps=10**9)
+            planners.build_planner("grounded", MockScorer(), max_steps=10**9)
         with pytest.raises(ValueError, match=f"max_steps must be an integer from 1 to {grounded.MAX_PLAN_STEPS}"):
             PlannerConfig(max_steps=grounded.MAX_PLAN_STEPS + 1)
         assert PlannerConfig(max_steps=grounded.MAX_PLAN_STEPS).max_steps == grounded.MAX_PLAN_STEPS
@@ -314,6 +314,12 @@ class TestPlan:
         g = grid_from_rows(["...", ".#.", "..."])
         with pytest.raises(InvalidEndpoint):
             plan(MockScorer(), g, GridPose(*start), Instruction("x", GridPose(*goal)))
+
+    @pytest.mark.parametrize("start,goal", [((0.5, 0), (2, 2)), ((0, 0), (2, "2")), (None, (2, 2)), ((0, 0), None)])
+    def test_a_pose_that_is_not_two_integers_is_an_invalid_endpoint(self, start, goal):
+        g = grid_from_rows(["...", ".#.", "..."])
+        with pytest.raises(InvalidEndpoint, match="must be a pair of integers"):
+            plan(MockScorer(), g, start, Instruction("x", goal))
 
     def test_stuck_when_walled_in(self):
         g = grid_from_rows([

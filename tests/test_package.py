@@ -8,10 +8,10 @@ import pytest
 import yaml
 
 import gridground
-from gridground import bench, classical, cli, grounded, scorers, simulator, translator
+from gridground import bench, classical, cli, grounded, inputs, planners, scorers, simulator, translator
 from gridground.bundled import bundled_path
 from gridground.gridmap import CellState, GridPose, OccupancyGrid
-from gridground.simulator import load_yaml
+from gridground.inputs import load_yaml
 
 SUBMODULES = ["bench", "classical", "errors", "gridmap", "grounded", "scorers", "simulator", "translator"]
 
@@ -20,16 +20,64 @@ PROBE = (
     "print(*sorted(m for m in sys.modules if m.startswith('gridground.'))); "
     "print(*sorted(n for n in vars(gridground) if not n.startswith('_')))"
 )
+# after a fresh import, the first access to one name: its module, and every gridground module then loaded
+ACCESS = ("import sys; sys.path.insert(0, sys.argv[1]); import gridground; {access}; "
+          "print(m is sys.modules['gridground.' + sys.argv[2]], *sorted(m for m in sys.modules if m.startswith('gridground.')))")
 
 
-def test_bare_import_loads_the_eight_submodules_and_exports_no_names():
+def run_probe(code: str, *args: str) -> str:
     src = Path(gridground.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(src)], capture_output=True, text=True, check=True
-    )
-    loaded, public = proc.stdout.splitlines()
-    assert loaded.split() == [f"gridground.{name}" for name in SUBMODULES]
-    assert public.split() == SUBMODULES
+    return subprocess.run([sys.executable, "-c", code, str(src), *args], capture_output=True, text=True, check=True).stdout
+
+
+def test_bare_import_loads_no_submodule_and_exports_no_names():
+    loaded, public = run_probe(PROBE).split("\n")[:2]
+    assert loaded.split() == []
+    assert public.split() == []
+
+
+@pytest.mark.parametrize("access", ["m = gridground.{name}", "from gridground import {name} as m"])
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_each_submodule_loads_on_first_access(name, access):
+    found, *loaded = run_probe(ACCESS.format(access=access.format(name=name)), name).split()
+    assert found == "True"
+    assert f"gridground.{name}" in loaded
+
+
+def test_dir_lists_the_submodules_and_other_names_raise():
+    assert set(SUBMODULES) <= set(dir(gridground))
+    # cli and bundled are imported by name only; planners and inputs load with the modules that use them
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gridground; "
+             "print(*[n for n in sys.argv[2:] if not hasattr(gridground, n)])")
+    others = ["cli", "bundled", "planners", "inputs", "nope", "__all__"]
+    assert run_probe(probe, *others).split() == others
+    with pytest.raises(AttributeError, match="module 'gridground' has no attribute 'nope'"):
+        gridground.nope
+
+
+# cli.main running one plan in a fresh interpreter; prints the gridground modules it loaded
+PLAN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from gridground import cli
+code = cli.main(["plan", "--map", sys.argv[2], "--start", "2,1", "--goal", "21,8", *sys.argv[3:]])
+print(code, *sorted(m[len("gridground."):] for m in sys.modules if m.startswith("gridground.")))
+"""
+
+
+def test_an_astar_plan_loads_only_the_modules_it_runs():
+    code, *loaded = run_probe(PLAN, str(bundled_path("corridor.map")), "--planner", "astar").splitlines()[-1].split()
+    assert code == "0"
+    assert loaded == ["classical", "cli", "errors", "gridmap", "inputs", "planners"]
+
+
+@pytest.mark.parametrize("planner", ["grounded", "fullpath"])
+def test_a_scored_plan_loads_neither_bench_nor_the_simulator(planner):
+    args = [str(bundled_path("corridor.map")), "--planner", planner, "--scorer", "oracle"]
+    code, *loaded = run_probe(PLAN, *args).splitlines()[-1].split()
+    assert code == "0"
+    assert {"grounded", "scorers", "translator"} <= set(loaded)
+    assert not {"bench", "simulator"} & set(loaded)
 
 
 # what the remote transport loads only when a live request is made, and yaml only when a file is parsed
@@ -79,7 +127,7 @@ _SCORED = grounded.ScoredAction(grounded.ACTIONS[1], GridPose(1, 0), 0.5, 0.8, 0
 RECORDS = [pytest.param(cls, fields, values, defaults, id=cls.__name__) for cls, fields, values, defaults in [
     (bench.TrialResult, ("planner_id", "scenario_id", "seed", "planning_time_ms", "scorer_wall_time_ms", "correct",
                          "path_length_m", "replan_count"), ("astar", "s", 7, 1.5, 0.0, True, 3.0, 1), {}),
-    (bench.TrialPlanner, ("planner", "scorer"), (bench.AstarPlanner(), scorers.OracleScorer()), {"scorer": None}),
+    (planners.TrialPlanner, ("planner", "scorer"), (planners.AstarPlanner(), scorers.OracleScorer()), {"scorer": None}),
     (bench.PlannerStats, ("planner_id", "trials", "correct_rate", "mean_planning_time_ms", "median_planning_time_ms",
                           "mean_path_length_m"), ("rrt", 2, 0.5, 1.25, 1.0, None), {}),
     (bench.AggregateReport, ("header", "per_planner"), ("notes", {}), {}),
@@ -167,7 +215,7 @@ def test_no_catch_all_except_in_the_package():
     assert not CATCH_ALLS.search("except (OSError, ValueError) as exc:")
 
 
-# The YAML loaders read their fields through simulator.read_field; a type check
+# The YAML loaders read their fields through inputs.read_field; a type check
 # or a coercion written into one of them is a second way of doing that job.
 HAND_CHECKS = re.compile(r"\b(?:isinstance|int|float)\(")
 
@@ -176,7 +224,7 @@ def test_loaders_leave_field_types_to_the_reader():
     loaders = [simulator.parse_scenario, bench.load_suite, cli._endpoint_config]
     checks = [(f.__name__, m.group()) for f in loaders for m in HAND_CHECKS.finditer(inspect.getsource(f))]
     assert checks == []
-    assert HAND_CHECKS.search(inspect.getsource(simulator.read_field))  # the guard matches the reader's own check
+    assert HAND_CHECKS.search(inspect.getsource(inputs.read_field))  # the guard matches the reader's own check
 
 
 @pytest.mark.parametrize("with_libyaml", [True, False])

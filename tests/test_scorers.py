@@ -796,6 +796,9 @@ class TestEndpointConfig:
         # past the caps, and an int past the float range
         {"timeout": 3600.5}, {"timeout": 1e10}, {"timeout": 10**400}, {"max_retries": 11}, {"max_retries": 1024},
         {"temperature": 10**400}, {"temperature": -10**400},
+        # of the wrong type: range() would fail on these at the first live request, and str < int raises TypeError
+        {"max_retries": 2.5}, {"max_retries": True}, {"max_retries": "3"}, {"max_retries": None},
+        {"timeout": "5"}, {"timeout": None}, {"temperature": "0"}, {"temperature": None},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -9,12 +9,12 @@ from gridground import bench, simulator
 from gridground.bundled import bundled_path
 from gridground.classical import astar
 from gridground.errors import InvalidScenario
+from gridground.inputs import MAX_YAML_DEPTH
 from gridground.gridmap import CellState, GridPose, OccupancyGrid, random_map
 from gridground.simulator import (
     DynamicObstacle,
     PathValidation,
     Scenario,
-    MAX_YAML_DEPTH,
     execute,
     load_scenario,
     load_yaml,
