@@ -453,6 +453,8 @@ def grow_rrt_tree(
         raise InvalidParams(f"max_iterations must be an integer from 1 to {MAX_RRT_ITERATIONS}, got {n!r}")
     if not (params.goal_tolerance >= 0):
         raise InvalidParams(f"goal_tolerance must be >= 0, got {params.goal_tolerance}")
+    if not isinstance(params.seed, (int, float, str, bytes, bytearray, type(None))):  # what random.Random takes
+        raise InvalidParams(f"seed must be an int, float, str or bytes, got {params.seed!r}")
     start, goal = check_endpoints(grid, start, goal)
 
     rng = random.Random(params.seed)

@@ -178,8 +178,7 @@ def cmd_plan(args) -> int:
     if waypoints is None:
         print(f"planning failed: {adapter.failure}", file=sys.stderr)
         return 2
-    for p in waypoints:
-        print(f"({p.x},{p.y})")
+    sys.stdout.write("".join([f"({x},{y})\n" for x, y in waypoints]))
     length = path_length(waypoints, grid.resolution)
     print(
         f"planned {len(waypoints) - 1} steps, length {length:.3f} m, {elapsed_ms:.3f} ms",

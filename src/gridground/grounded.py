@@ -75,7 +75,8 @@ class PlannerConfig:
         if max_steps is not None and (not isinstance(max_steps, int) or isinstance(max_steps, bool)
                                       or not 1 <= max_steps <= MAX_PLAN_STEPS):
             raise ValueError(f"max_steps must be an integer from 1 to {MAX_PLAN_STEPS}, got {max_steps!r}")
-        if not (0.0 <= revisit_penalty <= 1.0):
+        # a str or None would fail the comparison with a TypeError
+        if not (isinstance(revisit_penalty, (int, float)) and 0.0 <= revisit_penalty <= 1.0):
             raise ValueError(f"revisit_penalty must be in [0, 1], got {revisit_penalty}")
         self.max_steps, self.revisit_penalty = max_steps, revisit_penalty
 

@@ -12,6 +12,7 @@ never asks a remote scorer does not load them.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -68,10 +69,24 @@ def mock_score(query: TaskScorerQuery, tau: float = 0.5) -> ScoreTuple:
     return tuple([math.exp(-(d - d_min) / tau) for d in dists])  # type: ignore[return-value]
 
 
-class MockScorer(NamedTuple):
-    """Callable wrapper fixing tau for use as a planner backend."""
-
+class _MockFields(NamedTuple):
     tau: float = 0.5
+
+
+class MockScorer(_MockFields):
+    """Callable wrapper fixing tau for use as a planner backend; a NamedTuple of one field.
+
+    Raises:
+        ValueError: tau is no number. A number that is not > 0 fails each call
+            with ScorerFailure, as ``mock_score`` does.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tau: float = 0.5):
+        if not isinstance(tau, (int, float)):  # a str or None would fail mock_score's comparison with a TypeError
+            raise ValueError(f"tau must be a number, got {tau!r}")
+        return super().__new__(cls, tau)
 
     def __call__(self, query: TaskScorerQuery) -> ScoreTuple:
         return mock_score(query, self.tau)
@@ -200,11 +215,29 @@ def request_fingerprint(body: dict) -> str:
     return hashlib.sha256(json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
 
 
+@functools.cache
+def _json_decoder():
+    """The one ``json.JSONDecoder`` that replies and cassettes are decoded with, built at first use."""
+    import json
+
+    return json.JSONDecoder()
+
+
+def _is_record(rec: object) -> bool:
+    """Whether a decoded cassette line is a {request_hash, response_body} record of two strings."""
+    return (isinstance(rec, dict) and isinstance(rec.get("request_hash"), str)
+            and isinstance(rec.get("response_body"), str))
+
+
 class Cassette:
     """Line-delimited store of {request_hash, response_body} records.
 
     Replay serves recorded response bodies without any network or
-    credentials; record mode appends after each live success.
+    credentials; record mode appends after each live success, one write of
+    one line per record, and keeps no file open between records. A file
+    whose every line is one record as ``store`` writes it is decoded in one
+    pass; any other file goes line by line, with the same records and errors.
+    ``hits`` and ``misses`` count lookups, ``appends`` the records stored.
 
     Raises:
         ConfigError: an existing file cannot be read, or one of its lines is
@@ -213,11 +246,9 @@ class Cassette:
     """
 
     def __init__(self, path: str | Path, record: bool = False):
-        import json
-
         self.path = Path(path)
         self.record = record
-        self._entries: dict[str, str] = {}
+        self.hits = self.misses = self.appends = 0
         try:
             text = self.path.read_text(encoding="utf-8")
         except FileNotFoundError:  # a new cassette
@@ -227,6 +258,12 @@ class Cassette:
         except UnicodeDecodeError as exc:
             n = exc.object[: exc.start].count(b"\n") + 1
             raise ConfigError(f"cassette {self.path} line {n}: not UTF-8 ({exc.reason})") from None
+        self._entries: dict[str, str] = {}
+        if self._read_whole_lines(text):
+            return
+        import json
+
+        # what the pass read before it stopped are the first lines' records, which the loop reads again
         for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
@@ -234,29 +271,58 @@ class Cassette:
                 rec = json.loads(line)
             except (ValueError, RecursionError) as exc:  # RecursionError: nested past the limit
                 raise ConfigError(f"cassette {self.path} line {n}: not JSON: {exc}") from None
-            if not (
-                isinstance(rec, dict)
-                and isinstance(rec.get("request_hash"), str)
-                and isinstance(rec.get("response_body"), str)
-            ):
+            if not _is_record(rec):
                 raise ConfigError(
                     f"cassette {self.path} line {n}: needs request_hash and response_body strings"
                 )
             self._entries[rec["request_hash"]] = rec["response_body"]
 
+    def _read_whole_lines(self, text: str) -> bool:
+        """Read ``text`` in one pass of the decoder if each of its lines is one record and nothing else,
+        as ``store`` writes them; False for any other text, which the per-line loop then reads.
+
+        Read with universal newlines, an ASCII text's only line break the decoder takes is the newline,
+        between tokens and never in a string, so a record that ends at the first newline after its start
+        is that whole line's value.
+        """
+        if not text.isascii():  # the decoder takes U+0085, U+2028 and U+2029 in a string; splitlines breaks there
+            return False
+        raw_decode, entries = _json_decoder().raw_decode, self._entries
+        pos, size = 0, len(text)
+        try:
+            while pos < size:
+                rec, end = raw_decode(text, pos)
+                if end != text.find("\n", pos) or not _is_record(rec):
+                    return False
+                entries[rec["request_hash"]] = rec["response_body"]
+                pos = end + 1
+        except (ValueError, RecursionError):  # not JSON, or nested past the limit
+            return False
+        return True
+
     def lookup(self, fingerprint: str) -> str | None:
-        return self._entries.get(fingerprint)
+        body = self._entries.get(fingerprint)
+        if body is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return body
 
     def store(self, fingerprint: str, response_body: str) -> None:
-        import json
-
         self._entries[fingerprint] = response_body
-        rec = {"request_hash": fingerprint, "response_body": response_body}
+        # json.dumps of {"request_hash": ..., "response_body": ...} with sorted keys, and a newline
+        line = (b'{"request_hash": ' + _json_str(fingerprint)
+                + b', "response_body": ' + _json_str(response_body) + b"}\n")
         try:
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                while line:  # a short write, as on a full disk, leaves the rest to the next, which then fails
+                    line = line[os.write(fd, line):]
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise ConfigError(f"cannot write cassette {self.path}: {exc}") from None
+        self.appends += 1
 
 
 # transport signature: (url, headers, json_body, timeout) -> (status_code, body_text);
@@ -317,7 +383,9 @@ class RemoteScorer:
     max_retries. When the last attempt timed out (a ``TimeoutError``, bare or
     as a ``URLError``'s reason) the failure is ``ScorerTimeout``, otherwise
     ``RetriesExhausted``. With a replay cassette no network or key is needed
-    at all.
+    at all. ``attempts`` counts the requests handed to the transport,
+    ``retries`` the backoffs between them, and ``backoff_s`` the seconds of
+    sleep those asked for.
     """
 
     def __init__(
@@ -334,6 +402,8 @@ class RemoteScorer:
         self._head, self._tail = _chat_envelope(config)
         # the last grid fingerprinted, its quoted map header and text JSON-escaped, and where the text starts
         self._grid, self._map, self._map_at = None, memoryview(b""), 0
+        self.attempts = self.retries = 0
+        self.backoff_s = 0.0
 
     def __call__(self, query: TaskScorerQuery) -> ScoreTuple:
         grid, state, instruction, candidates = query.grid, query.state, query.instruction, query.candidates
@@ -411,6 +481,7 @@ class RemoteScorer:
         last_error = "no attempt made"
         timed_out = False
         for attempt in range(self.config.max_retries + 1):
+            self.attempts += 1
             try:
                 status, text = self._transport(url, headers, body, self.config.timeout)
             except OSError as exc:  # urllib wraps a connect timeout as a URLError's reason
@@ -426,18 +497,18 @@ class RemoteScorer:
                 if not _retryable(status):
                     raise ScorerFailure(f"endpoint rejected request: {last_error}")
             if attempt < self.config.max_retries:
-                self._sleep(BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt)
+                delay = BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt
+                self.retries += 1
+                self.backoff_s += delay
+                self._sleep(delay)
         if timed_out:
             raise ScorerTimeout(f"gave up after {self.config.max_retries + 1} attempts: {last_error}")
         raise RetriesExhausted(f"gave up after {self.config.max_retries + 1} attempts: {last_error}")
 
     @staticmethod
     def _extract_content(response_body: str) -> str:
-        import json
-
-        try:
-            payload = json.loads(response_body)
-            content = payload["choices"][0]["message"]["content"]
+        try:  # what json.loads does with a str, less its own checks
+            content = _json_decoder().decode(response_body)["choices"][0]["message"]["content"]
         except (ValueError, RecursionError, KeyError, IndexError, TypeError):  # bad JSON, too deep, wrong shape
             raise MalformedReply(
                 "response body is not a chat completion", reply=response_body

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import MalformedReply, OutOfBounds, OverlappingMarkers
@@ -126,10 +127,15 @@ def serialize_fullpath_prompt(
 
 
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+# four such numbers apart: \s is what str.split splits on, so this is the payload that splits into four good tokens
+_FOUR_NUMBERS_RE = re.compile(r"\s*({0})\s+({0})\s+({0})\s+({0})\s*".format(_NUMBER_RE.pattern))
 # a cell coordinate has at most 9 digits: no map is a billion cells wide, and
 # every such int converts to a float, as path lengths need
 _PAIR_LINE_RE = re.compile(r"\s*(?:\(\s*\d{1,9}\s*,\s*\d{1,9}\s*\)\s*)+")
+# on a path line, the punctuation around its numbers becomes whitespace
+_PAIR_PUNCTUATION = str.maketrans("(,)", "   ")
+# builds a GridPose from a tuple of its fields, skipping the NamedTuple's Python-level __new__
+_new = tuple.__new__
 
 
 def _as_text(reply: object) -> str:
@@ -156,6 +162,12 @@ def parse_action_scores(reply: str | bytes) -> tuple[float, float, float, float]
     if not lines:
         raise MalformedReply("no scores line found", reply=text)
     payload = lines[-1].lstrip()[len("scores:"):]
+    four = _FOUR_NUMBERS_RE.fullmatch(payload)
+    if four is not None:
+        a, b, c, d = map(float, four.groups())
+        if a + b + c + d < math.inf:  # no 1e999; a finite sum past the float range goes on to the loop
+            return (a, b, c, d)
+    # the loop below words the error, or accepts four finite scores whose sum overflows
     tokens = payload.split()
     if len(tokens) != 4:
         raise MalformedReply(
@@ -194,7 +206,9 @@ def parse_coordinate_list(reply: str | bytes) -> CoordinateReply:
         raise MalformedReply(
             "path line must be whitespace-separated (x,y) pairs", reply=text
         )
-    return CoordinateReply(tuple(GridPose(int(x), int(y)) for x, y in _PAIR_RE.findall(payload)))
+    # the line is (x,y) pairs apart, so its numbers are x1 y1 x2 y2 ... once the punctuation is gone
+    numbers = map(int, payload.translate(_PAIR_PUNCTUATION).split())
+    return CoordinateReply(tuple(map(_new, repeat(GridPose), zip(numbers, numbers))))
 
 
 def format_coordinate_list(waypoints: Sequence[GridPose]) -> str:

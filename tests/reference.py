@@ -11,15 +11,17 @@ import hashlib
 import heapq
 import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from operator import attrgetter
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from gridground.classical import SQRT2, PlannedPath, check_endpoints
-from gridground.errors import OutOfBounds, RaggedRows, ScorerFailure, UnknownCharacter
+from gridground.errors import ConfigError, MalformedReply, OutOfBounds, RaggedRows, ScorerFailure, UnknownCharacter
 from gridground.gridmap import DIAGONAL_DELTAS, FOUR_DELTAS, CellState, Connectivity, GridPose, OccupancyGrid
 from gridground.grounded import (
     ACTIONS,
@@ -32,6 +34,7 @@ from gridground.grounded import (
     TaskScorer,
 )
 from gridground.scorers import TaskScorerQuery
+from gridground.translator import CoordinateReply, _as_text
 from gridground.simulator import ExecutionRecord, PathValidation, Scenario, SimPlanner
 
 
@@ -561,3 +564,96 @@ def _reference_violation(rule: str, waypoints: list, i: int) -> PathValidation:
     except (TypeError, ValueError):
         return PathValidation(False, "integer_pair", i)
     return PathValidation(False, rule if isinstance(x, int) and isinstance(y, int) else "integer_pair", i)
+
+
+# --- the chat exchange path: a cassette read line by line, and replies parsed token by token ---
+
+
+def reference_cassette_entries(path: Path) -> dict[str, str]:
+    """The records ``scorers.Cassette`` read from a file, with one ``json.loads`` per line.
+
+    Raises the same ``ConfigError`` text, naming the file and the 1-based line.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        text = ""
+    except OSError as exc:
+        raise ConfigError(f"cannot read cassette {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        n = exc.object[: exc.start].count(b"\n") + 1
+        raise ConfigError(f"cassette {path} line {n}: not UTF-8 ({exc.reason})") from None
+    entries = {}
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"cassette {path} line {n}: not JSON: {exc}") from None
+        if not (
+            isinstance(rec, dict)
+            and isinstance(rec.get("request_hash"), str)
+            and isinstance(rec.get("response_body"), str)
+        ):
+            raise ConfigError(f"cassette {path} line {n}: needs request_hash and response_body strings")
+        entries[rec["request_hash"]] = rec["response_body"]
+    return entries
+
+
+def reference_cassette_store(path: Path, fingerprint: str, response_body: str) -> None:
+    """Append a record as ``scorers.Cassette.store`` did: a text file opened for each record."""
+    rec = {"request_hash": fingerprint, "response_body": response_body}
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def reference_extract_content(response_body: str) -> str:
+    """``RemoteScorer._extract_content`` through ``json.loads``."""
+    try:
+        payload = json.loads(response_body)
+        content = payload["choices"][0]["message"]["content"]
+    except (ValueError, RecursionError, KeyError, IndexError, TypeError):
+        raise MalformedReply("response body is not a chat completion", reply=response_body) from None
+    if not isinstance(content, str):
+        raise MalformedReply("completion content is not text", reply=response_body)
+    return content
+
+
+_REFERENCE_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_REFERENCE_PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_REFERENCE_PAIR_LINE_RE = re.compile(r"\s*(?:\(\s*\d{1,9}\s*,\s*\d{1,9}\s*\)\s*)+")
+
+
+def reference_parse_action_scores(reply: str | bytes) -> tuple[float, float, float, float]:
+    """``translator.parse_action_scores`` checking each token of the scores line in turn."""
+    text = _as_text(reply)
+    lines = [ln for ln in text.splitlines() if ln.lstrip().startswith("scores:")]
+    if not lines:
+        raise MalformedReply("no scores line found", reply=text)
+    tokens = lines[-1].lstrip()[len("scores:"):].split()
+    if len(tokens) != 4:
+        raise MalformedReply(f"expected 4 scores, found {len(tokens)}", reply=text)
+    values = []
+    for tok in tokens:
+        if not _REFERENCE_NUMBER_RE.fullmatch(tok):
+            raise MalformedReply(f"bad score token {tok!r}", reply=text)
+        v = float(tok)
+        if not math.isfinite(v):
+            raise MalformedReply(f"non-finite score {tok!r}", reply=text)
+        values.append(v)
+    return (values[0], values[1], values[2], values[3])
+
+
+def reference_parse_coordinate_list(reply: str | bytes) -> CoordinateReply:
+    """``translator.parse_coordinate_list`` reading pairs with ``findall`` and building poses through the class."""
+    text = _as_text(reply)
+    lines = [ln for ln in text.splitlines() if ln.lstrip().startswith("path:")]
+    if not lines:
+        raise MalformedReply("no path line found", reply=text)
+    payload = lines[-1].lstrip()[len("path:"):]
+    if not _REFERENCE_PAIR_LINE_RE.fullmatch(payload):
+        if re.search(r"\d{10}", payload):
+            raise MalformedReply("path coordinate has more than 9 digits", reply=text)
+        raise MalformedReply("path line must be whitespace-separated (x,y) pairs", reply=text)
+    return CoordinateReply(tuple(GridPose(int(x), int(y)) for x, y in _REFERENCE_PAIR_RE.findall(payload)))

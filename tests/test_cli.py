@@ -962,14 +962,18 @@ class TestProcessBoundary:
     RUN = "import sys; sys.path.insert(0, sys.argv[1]); from gridground.cli import main; sys.exit(main(sys.argv[2:]))"
 
     @pytest.mark.parametrize("buffered", [True, False])
-    @pytest.mark.parametrize("planner", ["astar", "grounded"])
+    @pytest.mark.parametrize("planner", ["astar", "grounded", "replay"])
     def test_plan_into_a_closed_pipe_exits_141(self, planner, buffered):
-        # buffered, the plan's lines meet the closed pipe at the last flush; unbuffered, at the first print
+        # buffered, the plan's lines meet the closed pipe at the last flush; unbuffered, at their one write
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED" or not buffered}
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
         src = Path(gridground.__file__).resolve().parent.parent
-        argv = plan_args(str(bundled_path("corridor.map")), "2,1", "21,8", "--planner", planner, "--scorer", "oracle")
+        scorer = ["--scorer", "oracle"]
+        if planner == "replay":  # a grounded walk replayed from the recorded cassette
+            tape = RECORDED / "corridor_grounded.jsonl"
+            planner, scorer = "grounded", ["--scorer", "remote", "--cassette", str(tape)]
+        argv = plan_args(str(bundled_path("corridor.map")), "2,1", "21,8", "--planner", planner, *scorer)
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -1244,6 +1248,22 @@ def test_cassettes_recorded_from_rendered_bodies_replay_byte_for_byte(planner, c
     out, err = capsys.readouterr()
     assert rc == 0, err
     assert out == (RECORDED / f"corridor_{planner}.stdout").read_text(encoding="utf-8")
+
+
+def test_plan_writes_its_waypoints_in_one_write(monkeypatch, capsys):
+    writes = []
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    tape = RECORDED / "corridor_grounded.jsonl"
+    rc = main(plan_args(str(CORRIDOR), "2,1", "21,8", "--planner", "grounded", "--scorer", "remote",
+                        "--cassette", str(tape)))
+    assert rc == 0, capsys.readouterr().err
+    assert writes == [(RECORDED / "corridor_grounded.stdout").read_text(encoding="utf-8")]
 
 
 @pytest.mark.parametrize("setting", ["timeout: 10000000000.0", "max_retries: 11"])

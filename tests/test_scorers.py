@@ -29,7 +29,7 @@ from gridground.errors import (
 )
 from gridground.bundled import bundled_path
 from gridground.gridmap import GridPose, OccupancyGrid, load_map, random_map, serialize_map
-from gridground.grounded import ACTIONS, Instruction
+from gridground.grounded import ACTIONS, Instruction, PlannerConfig, plan
 from gridground.scorers import (
     Cassette,
     ChatEndpointConfig,
@@ -40,11 +40,18 @@ from gridground.scorers import (
     mock_score,
     request_fingerprint,
 )
+from gridground.planners import build_planner
 from gridground.simulator import load_scenario
 from gridground import bench, translator
 
 from conftest import count_bfs_runs, grid_from_rows, open_grid
-from reference import ReferenceOracleScorer, reference_fingerprint
+from reference import (
+    ReferenceOracleScorer,
+    reference_cassette_entries,
+    reference_cassette_store,
+    reference_extract_content,
+    reference_fingerprint,
+)
 
 E_MINUS_2 = 0.1353352832366127  # math.exp(-2), frozen
 
@@ -784,6 +791,215 @@ class TestCassetteFile:
         with pytest.raises(ConfigError) as info:
             Cassette(path, record=True).store("abc", "{}")
         assert str(info.value).startswith(f"cannot write cassette {path}: ")
+
+
+def outcome(fn, *args):
+    """What a call gives: ("ok", its result), or the type and text of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the property compares whatever either side raises
+        return type(exc), str(exc)
+
+
+RECORDED = Path(__file__).parent / "data"
+# texts near the edges of a cassette line: the line breaks str.splitlines knows, JSON's escapes and whitespace
+EDGY_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.text(st.sampled_from('ab"\\/\n\r\t\x00\x0b\x0c\x1c\x1f\x7f\x85\xe9\u2028\u2029\ufeff\ud800\U0001f600 '),
+            max_size=8),
+    st.sampled_from(["", "{}", chat_body("scores: 1 0 0 0"), chat_body("path: (2,1) (3,1)")]),
+)
+RECORDS = st.lists(st.tuples(EDGY_TEXT, EDGY_TEXT), max_size=5)
+FRACTIONS = st.floats(0.0, 1.0)
+# each edit turns a cassette as Cassette.store writes it into one the writer never makes
+EDITS = st.one_of(
+    st.tuples(st.just("join"), FRACTIONS, st.sampled_from(["", " ", ",", ", ", "\t"])),  # two records on one line
+    st.tuples(st.just("insert"), FRACTIONS, st.sampled_from(
+        ["\u2028", "\x85", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\n", "\r", "\r\n", "\n\n", " \n", "\t",
+         " ", "\ufeff", "{", "}", "[", '"', "\\", ",", "[" * 3000, "\xe9"]) | st.text(max_size=3)),
+    st.tuples(st.just("bom"), st.just(0.0), st.just("\ufeff")),
+    st.tuples(st.just("crlf"), st.just(0.0), st.sampled_from(["\r\n", "\r"])),
+    st.tuples(st.just("reshape"), FRACTIONS, st.sampled_from(["reversed", "compact", "unicode", "extra", "indent"])),
+    st.tuples(st.just("chop"), st.just(1.0), st.just("")),  # no newline after the last record
+)
+
+
+def reference_line(fingerprint, body):
+    return json.dumps({"request_hash": fingerprint, "response_body": body}, sort_keys=True) + "\n"
+
+
+def edit_cassette(text, edit):
+    kind, at, arg = edit
+    lines = text.splitlines(keepends=True)
+    i = min(int(at * len(lines)), max(len(lines) - 1, 0))
+    if kind == "join" and len(lines) > 1:
+        return "".join(lines[:i]) + lines[i].rstrip("\n") + arg + "".join(lines[i + 1:])
+    if kind == "insert":
+        j = int(at * len(text))
+        return text[:j] + arg + text[j:]
+    if kind == "bom":
+        return arg + text
+    if kind == "crlf":
+        return text.replace("\n", arg)
+    if kind == "reshape" and lines:
+        try:
+            rec = json.loads(lines[i])
+        except ValueError:
+            return text
+        if arg == "reversed":
+            line = json.dumps(dict(reversed(list(rec.items()))))
+        elif arg == "compact":
+            line = json.dumps(rec, separators=(",", ":"))
+        elif arg == "unicode":
+            line = json.dumps(rec, ensure_ascii=False)
+        elif arg == "extra":
+            line = json.dumps({**rec, "note": [1, {"n": None}]})
+        else:
+            line = json.dumps(rec, indent=1)
+        return "".join(lines[:i]) + line + "\n" + "".join(lines[i + 1:])
+    if kind == "chop":
+        return text[:-1]
+    return text
+
+
+class TestCassetteMatchesReference:
+    """The one-pass loader and the one-write writer against the per-line code they replaced."""
+
+    @given(records=RECORDS, edits=st.lists(EDITS, max_size=3))
+    @example(records=[("a", "b"), ("c", "d")], edits=[("join", 0.0, "")])
+    @example(records=[("a", "b"), ("c", "d")], edits=[("join", 0.0, ", ")])
+    @example(records=[("a", "b\u2028c")], edits=[("reshape", 0.0, "unicode")])
+    @example(records=[("a", "b")], edits=[("insert", 0.5, "\u2028")])
+    @example(records=[("a", "b")], edits=[("insert", 0.5, "\x85")])
+    @example(records=[("a", "b"), ("c", "d")], edits=[("bom", 0.0, "\ufeff"), ("crlf", 0.0, "\r\n"),
+                                                     ("insert", 0.5, "\n\n")])
+    @example(records=[("a", "b")], edits=[("reshape", 0.0, "indent")])
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_any_cassette_text_gives_the_same_records_or_error(self, records, edits):
+        text = "".join(reference_line(h, b) for h, b in records)
+        for edit in edits:
+            text = edit_cassette(text, edit)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tape.jsonl"
+            path.write_bytes(text.encode("utf-8", "surrogatepass"))  # a lone surrogate is a byte UTF-8 rejects
+            ours = outcome(lambda: Cassette(path)._entries)
+            assert ours == outcome(reference_cassette_entries, path)
+
+    def test_the_recorded_cassettes_read_in_one_pass(self, monkeypatch):
+        paths = [RECORDED / "corridor_grounded.jsonl", RECORDED / "corridor_fullpath.jsonl"]
+        expected = [reference_cassette_entries(path) for path in paths]
+        monkeypatch.setattr(json, "loads", None)  # the per-line loop calls it, the one pass does not
+        assert [Cassette(path)._entries for path in paths] == expected
+
+    @given(records=RECORDS)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_store_writes_the_bytes_the_reference_writer_does(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, theirs = Path(tmp) / "ours.jsonl", Path(tmp) / "theirs.jsonl"
+            tape = Cassette(ours, record=True)
+            for fingerprint, body in records:
+                tape.store(fingerprint, body)
+                reference_cassette_store(theirs, fingerprint, body)
+            assert ours.exists() == theirs.exists() == bool(records)
+            assert tape.appends == len(records)
+            if records:
+                assert ours.read_bytes() == theirs.read_bytes()
+                assert Cassette(ours)._entries == reference_cassette_entries(theirs)
+
+    def test_store_keeps_no_file_open(self, tmp_path):
+        fd_dir = Path("/proc/self/fd")
+        if not fd_dir.is_dir():
+            pytest.skip("no /proc/self/fd to count descriptors with")
+        before = len(list(fd_dir.iterdir()))
+        tape = Cassette(tmp_path / "tape.jsonl", record=True)
+        for i in range(50):
+            tape.store(f"h{i}", "{}")
+        assert len(list(fd_dir.iterdir())) == before
+
+    def test_a_new_file_takes_the_default_mode(self, tmp_path):
+        ours, theirs = tmp_path / "ours.jsonl", tmp_path / "theirs.jsonl"
+        Cassette(ours, record=True).store("h", "{}")
+        reference_cassette_store(theirs, "h", "{}")
+        assert ours.stat().st_mode == theirs.stat().st_mode
+
+    @given(bodies=st.lists(EDGY_TEXT.map(lambda prose: chat_body(f"{prose}\nscores: 1 1 1 1")), min_size=1,
+                           max_size=4))
+    @settings(derandomize=True, max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_a_recording_through_a_fake_transport_has_the_reference_bytes(self, bodies):
+        # each step sends a new request, answered in turn by the drawn bodies, whose last line scores every move
+        config = ChatEndpointConfig("http://127.0.0.1:9/v1", model_name="m", api_key_env="FAKE_SCORER_KEY")
+        replies = itertools.cycle(bodies)
+        sent = []
+
+        def transport(url, headers, body, timeout):
+            sent.append((body, next(replies)))
+            return 200, sent[-1][1]
+
+        grid = open_grid(5, 3)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setenv("FAKE_SCORER_KEY", "k")
+            ours, theirs = Path(tmp) / "ours.jsonl", Path(tmp) / "theirs.jsonl"
+            scorer = RemoteScorer(config, cassette=Cassette(ours, record=True), transport=transport)
+            plan(scorer, grid, GridPose(0, 0), Instruction("go", GridPose(4, 2)), PlannerConfig(max_steps=12))
+            for body, reply in sent:
+                reference_cassette_store(theirs, reference_fingerprint(body), reply)
+            assert len(sent) > 1 and ours.read_bytes() == theirs.read_bytes()
+            assert scorer.cassette.appends == scorer.cassette.misses == scorer.attempts == len(sent)
+
+
+class TestExtractContentMatchesReference:
+    @given(REPLY_BODIES)
+    @example("\ufeff" + chat_body("scores: 1 0 0 0"))  # json.loads names the BOM, the decoder does not
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_same_content_or_error(self, body):
+        assert outcome(RemoteScorer._extract_content, body) == outcome(reference_extract_content, body)
+
+
+class TestCounters:
+    """Plain counts kept where the chat path already branches."""
+
+    def test_a_replay_of_the_recorded_corridor_walk_counts_64_hits(self, monkeypatch):
+        monkeypatch.delenv("API_KEY", raising=False)
+        tape = Cassette(RECORDED / "corridor_grounded.jsonl")
+        scorer = RemoteScorer(ChatEndpointConfig(), cassette=tape)
+        adapter = build_planner("grounded", scorer).planner
+        waypoints = adapter.plan(load_map(bundled_path("corridor.map").read_text()), GridPose(2, 1), GridPose(21, 8),
+                                 "reach the goal cell")
+        assert "".join(f"({x},{y})\n" for x, y in waypoints) == (RECORDED / "corridor_grounded.stdout").read_text()
+        assert (tape.hits, tape.misses, tape.appends) == (64, 0, 0)
+        assert (scorer.attempts, scorer.retries, scorer.backoff_s) == (0, 0, 0.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_retries_follow_a_seeded_429_503_schedule(self, seed, config, with_key):
+        rng = random.Random(seed)
+        # per exchange, how many 429/503 replies come before a 200; past max_retries (3) the exchange gives up
+        failures = [rng.choice([0, 0, 1, 2, 3, 4]) for _ in range(6)]
+        script = []
+        for k in failures:
+            script += [(rng.choice([429, 503]), "busy")] * k + ([(200, chat_body("scores: 1 0 0 0"))] if k <= 3 else [])
+        scorer, transport, slept = make_scorer(config, script)
+        for k in failures:
+            if k <= 3:
+                assert scorer(query_at(open_grid(4, 4), (1, 1), (3, 3))) == (1.0, 0.0, 0.0, 0.0)
+            else:
+                with pytest.raises(RetriesExhausted):
+                    scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
+        assert scorer.attempts == len(transport.requests) == sum(min(k, 3) + 1 for k in failures)
+        assert scorer.retries == len(slept) == sum(min(k, 3) for k in failures)
+        assert scorer.backoff_s == sum(slept) == sum(2.0 ** min(k, 3) - 1 for k in failures)
+        assert transport.script == []
+
+    def test_a_transport_error_and_a_rejection_count_as_attempts(self, config, with_key):
+        scorer, _, slept = make_scorer(config, [ConnectionError("down"), (400, "bad request")])
+        with pytest.raises(ScorerFailure, match="HTTP 400"):
+            scorer(query_at(open_grid(4, 4), (1, 1), (3, 3)))
+        assert (scorer.attempts, scorer.retries, scorer.backoff_s) == (2, 1, 1.0) and slept == [1.0]
+
+    def test_lookups_count_hits_and_misses(self, tmp_path):
+        tape = Cassette(tmp_path / "tape.jsonl", record=True)
+        tape.store("a", "{}")
+        assert [tape.lookup(h) for h in ("a", "b", "a")] == ["{}", None, "{}"]
+        assert (tape.hits, tape.misses, tape.appends) == (2, 1, 1)
 
 
 class TestEndpointConfig:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gridground.errors import MalformedReply, OutOfBounds, OverlappingMarkers
 from gridground.gridmap import GridPose
@@ -17,7 +17,7 @@ from gridground.translator import (
 )
 
 from conftest import grid_from_rows
-from reference import format_action_scores
+from reference import format_action_scores, reference_parse_action_scores, reference_parse_coordinate_list
 
 
 def candidates_for(state):
@@ -317,3 +317,68 @@ class TestFormatCoordinateList:
     def test_exact_round_trip(self, waypoints):
         got = parse_coordinate_list(format_coordinate_list(waypoints))
         assert got.waypoints == tuple(waypoints)
+
+
+# --- the parsers against the token-by-token code they replaced (tests/reference.py) ---
+
+
+def parsed(parse, reply):
+    """What a parser gives: ("ok", the value with each item's type), or the MalformedReply's text and reply."""
+    try:
+        got = parse(reply)
+    except MalformedReply as exc:
+        return "error", str(exc), exc.reply
+    items = got.waypoints if isinstance(got, tuple) and hasattr(got, "waypoints") else got
+    return "ok", type(got), got, [type(v) for v in items], [[type(c) for c in v] for v in items if isinstance(v, tuple)]
+
+
+# the whitespace str.split and \s agree on, mostly within a line, then line breaks, and two that are no whitespace
+GAPS = st.sampled_from([" ", "  ", "\t", "\u3000", "\xa0", "\x1f"] * 3
+                       + ["\x1c", "\x85", "\u2028", "\n", "\r\n", "\u200b", "\ufeff", ""])
+DIGITS = st.one_of(
+    st.text(st.sampled_from("0123456789"), min_size=1, max_size=11),
+    st.text(st.sampled_from("0٣۱१੦１\U0001d7ce"), min_size=1, max_size=4),  # Unicode \d
+    st.sampled_from(["1234567890", "0" * 12, "9" * 400]),
+)
+SCORE_TOKENS = st.one_of(
+    DIGITS,
+    st.tuples(DIGITS, st.sampled_from([".", "e", "E+", "e-", ".5e"]), DIGITS).map("".join),
+    st.sampled_from(["1e999", "1.8e308", ".5", "5.", "1e", "-1", "+1", "inf", "nan", "1_0", "0x1", "1e+2",
+                     "2.5E-2", ".", "e5", "1e308", "١e٣"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def score_replies(draw):
+    # four tokens half the time, as a well-formed line has
+    tokens = draw(st.lists(SCORE_TOKENS, min_size=4, max_size=4) | st.lists(SCORE_TOKENS, max_size=6))
+    line = draw(GAPS) + "".join(draw(GAPS) + tok for tok in tokens) + draw(GAPS)
+    return draw(st.sampled_from(["", "prose\n", "scores: 1 1 1 1\n", "  "])) + "scores:" + line + draw(
+        st.sampled_from(["", "", "\n", "\nthanks", "\nscores:"]))
+
+
+@st.composite
+def path_replies(draw):
+    pairs = draw(st.lists(st.tuples(DIGITS, DIGITS, GAPS, GAPS), min_size=0, max_size=5))
+    body = "".join(f"{g}({x}{g},{h}{y}){h}" for x, y, g, h in pairs)
+    stray = draw(st.sampled_from(["", "", "junk", ",", "(1,2", "()", "(-1,0)"]))
+    return draw(st.sampled_from(["", "prose\n", "path: (9,9)\n"])) + "path:" + draw(GAPS) + body + stray + draw(
+        st.sampled_from(["", "\n", "\nthanks", "\npath:"]))
+
+
+class TestParsersMatchReference:
+    @given(st.one_of(score_replies(), score_replies(), score_replies(), st.text(max_size=60), st.binary(max_size=20)))
+    @example("scores: 1.8e308 1.8e308 1e308 0")  # finite scores whose sum overflows
+    @example("scores: 1e999 0 0 0")
+    @example("scores: ١ ٢ ٣.5 ٤e1")
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    def test_scores(self, reply):
+        assert parsed(parse_action_scores, reply) == parsed(reference_parse_action_scores, reply)
+
+    @given(st.one_of(path_replies(), path_replies(), path_replies(), st.text(max_size=60), st.binary(max_size=20)))
+    @example("path: (123456789,1) (1234567890,2)")
+    @example("path: (١٢,３) ( 4 ,\t5 )")
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    def test_paths(self, reply):
+        assert parsed(parse_coordinate_list, reply) == parsed(reference_parse_coordinate_list, reply)
