@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 from .classical import PlannedPath, path_length
 from .errors import ConfigError, InvalidScenario, ScorerFailure
 from .gridmap import CellState, GridPose
-from .inputs import INTEGER, MAPPINGS, PATH, STRING, STRINGS, FieldKind, load_yaml, read_field
+from .inputs import INTEGER, MAPPINGS, PATH, STRING, STRINGS, FieldKind, brief_repr, load_yaml, read_field
 # _REGISTRY (the same dict), TrialPlanner and register_planner stay readable as bench's names
 from .planners import _REGISTRY, TrialPlanner, _factory, make_planner, register_planner
 from .simulator import Scenario, execute, load_scenario, validate_external_path
@@ -291,7 +291,7 @@ def load_suite(path: str | Path) -> Suite:
     for i, entry in enumerate(entries):
         sid = read_field(entry, "id", _SUITE_ID, ConfigError, f"scenarios[{i}]")
         if sid in seen:
-            raise ConfigError(f"scenarios[{i}].id {sid!r} repeats scenarios[{seen[sid]}].id")
+            raise ConfigError(f"scenarios[{i}].id {brief_repr(sid)} repeats scenarios[{seen[sid]}].id")
         seen[sid] = i
         scenarios.append((sid, load_scenario(p.parent / read_field(entry, "file", PATH, ConfigError, f"scenarios[{i}]"))))
     return Suite(scenarios=scenarios, planners=planners, trials_per_pair=trials)

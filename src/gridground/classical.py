@@ -106,18 +106,13 @@ def astar(
     if start == goal:
         return PlannedPath((start,), grid.resolution)
     search = _search_four if connectivity is Connectivity.FOUR else _search_eight
-    parent = search(grid, start, goal)
-    if parent is None:
+    path = search(grid, start, goal)  # free_mask indices, goal first
+    if path is None:
         return None
-    # nodes are free_mask indices; parent maps every node of the path but the start to its predecessor
-    src = grid.flat_index(*start)
-    path = [grid.flat_index(*goal)]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
     return PlannedPath(tuple(grid.flat_pose(i) for i in reversed(path)), grid.resolution)
 
 
-def _search_four(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> dict[int, int] | None:
+def _search_four(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> list[int] | None:
     mask, h = grid.free_mask, grid.manhattan_to(goal)
     offsets = grid.flat_offsets[:4]
     up, right, left, down = offsets
@@ -146,11 +141,11 @@ def _search_four(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> dict[i
         while cur >= 0:  # expand cur, then the child it dives into, if any
             closed[cur] = 1
             if cur == dst:
-                parent = {}
+                path = [cur]
                 while cur != src:
-                    parent[cur] = prev = cur - offsets[via[cur]]
-                    cur = prev
-                return parent
+                    cur -= offsets[via[cur]]
+                    path.append(cur)
+                return path
             hc = h[cur]
             ng = g[cur] + 1
             dive = -1
@@ -204,7 +199,7 @@ def _search_four(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> dict[i
     return None
 
 
-def _search_eight(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> dict[int, int] | None:
+def _search_eight(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> list[int] | None:
     # each heap entry carries its node's (x, y) after the (f, h, tick) key, which alone decides the order
     gx, gy = goal
 
@@ -229,7 +224,11 @@ def _search_eight(grid: OccupancyGrid, start: GridPose, goal: GridPose) -> dict[
             continue
         closed[cur] = 1
         if cur == dst:
-            return parent
+            path = [cur]
+            while cur != src:
+                cur = parent[cur]
+                path.append(cur)
+            return path
         g_cur = g[cur]
         for o, (dx, dy) in moves:
             nb = cur + o

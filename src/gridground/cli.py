@@ -22,7 +22,7 @@ from pathlib import Path
 from .classical import check_endpoints, path_length
 from .errors import ConfigError, GridGroundError, MapFormatError, UnknownPlanner
 from .gridmap import GridPose, load_map, random_map, serialize_map
-from .inputs import INTEGER, MAPPING, NUMBER, STRING, FieldKind, load_yaml, read_field
+from .inputs import INTEGER, MAPPING, NUMBER, STRING, FieldKind, brief_repr, load_yaml, read_field
 from .planners import MAX_PLAN_STEPS, build_planner
 
 ENV_PREFIX = "GRIDGROUND_"
@@ -79,12 +79,12 @@ def _resolve(name: str, flag_value, file_cfg: dict):
         try:
             return conv(env_val)
         except ValueError:
-            raise _UsageError(f"bad value {env_val!r} for {ENV_PREFIX + name.upper()}")
+            raise _UsageError(f"bad value {brief_repr(env_val)} for {ENV_PREFIX + name.upper()}")
     try:  # converted from its text, as a flag is: 1.7 and true are no ints, true is no float
         text = read_field(file_cfg, name, _FLAG_TEXT, ValueError, default=None)
         return default if text is None else conv(text)
     except ValueError:
-        raise _UsageError(f"bad config-file value {file_cfg[name]!r} for {name}")
+        raise _UsageError(f"bad config-file value {brief_repr(file_cfg[name])} for {name}")
 
 
 def _resolve_path(name: str, flag_value, file_cfg: dict) -> str | None:
@@ -92,7 +92,7 @@ def _resolve_path(name: str, flag_value, file_cfg: dict) -> str | None:
     if (value := _resolve(name, flag_value, file_cfg)) == "":
         raise _UsageError(f"{name} must not be empty")
     if value is not None and "\0" in value:  # no file system path holds one; mkdir would raise ValueError
-        raise _UsageError(f"{name} must not contain a NUL character, got {value!r}")
+        raise _UsageError(f"{name} must not contain a NUL character, got {brief_repr(value)}")
     return value
 
 
@@ -100,7 +100,7 @@ def _parse_xy(text: str, label: str) -> GridPose:
     try:
         x, y = map(int, text.split(","))  # a wrong count of parts is a ValueError too
     except ValueError:
-        raise _UsageError(f"{label} must be 'x,y', got {text!r}")
+        raise _UsageError(f"{label} must be 'x,y', got {brief_repr(text)}")
     return GridPose(x, y)
 
 
@@ -212,9 +212,9 @@ def cmd_gen_maps(args) -> int:
     try:
         width, height = map(int, args.size.lower().split("x"))
     except ValueError:
-        raise _UsageError(f"--size must be WIDTHxHEIGHT, got {args.size!r}")
+        raise _UsageError(f"--size must be WIDTHxHEIGHT, got {brief_repr(args.size)}")
     if not (1 <= width <= MAX_MAP_SIDE and 1 <= height <= MAX_MAP_SIDE):
-        raise _UsageError(f"--size dimensions must be 1 to {MAX_MAP_SIDE}, got {args.size!r}")
+        raise _UsageError(f"--size dimensions must be 1 to {MAX_MAP_SIDE}, got {brief_repr(args.size)}")
     if not 1 <= args.count <= MAX_MAP_COUNT:
         raise _UsageError(f"--count must be 1 to {MAX_MAP_COUNT}, got {args.count}")
     try:

@@ -61,6 +61,24 @@ def _check_depth(events) -> None:
             open_[-1][1] = max(open_[-1][1], heights.get(event.anchor, 0))
 
 
+def brief_repr(value) -> str:
+    """``repr(value)`` for an error message, cut short: three items per collection, two collections
+    deep and 30 characters per scalar, so about 700 characters at most, whatever the value. A
+    mapping lists its keys sorted, as ``reprlib`` does.
+
+    A YAML alias loads as one node that every use shares, but a repr spells out each use: a file
+    of a few hundred bytes can have a repr of gigabytes. ``reprlib`` is imported on this error path.
+    """
+    import reprlib
+
+    short = reprlib.Repr()
+    short.maxlevel = 2
+    for name in ("maxtuple", "maxlist", "maxarray", "maxdict", "maxset", "maxfrozenset", "maxdeque"):
+        setattr(short, name, 3)
+    short.maxstring = short.maxlong = short.maxother = 30
+    return short.repr(value)
+
+
 class FieldKind(NamedTuple):
     """A YAML field's kind: its name in errors, the test of a parsed value, and what the value becomes."""
 
@@ -91,7 +109,7 @@ def read_field(doc, key: str, kind: FieldKind, error: type[Exception], where: st
         error: ``doc`` is not a mapping, or the field is missing or not of ``kind``.
     """
     if not isinstance(doc, dict):
-        raise error(f"the document must be a mapping, got {doc!r}")
+        raise error(f"the document must be a mapping, got {brief_repr(doc)}")
     name = f"{where}.{key}" if where else key if kind.listed else repr(key)  # 'map_file', dynamic_obstacles, scenarios[0].file
     value = doc.get(key)
     if value is None and default is not _REQUIRED:
@@ -99,5 +117,5 @@ def read_field(doc, key: str, kind: FieldKind, error: type[Exception], where: st
     if key not in doc:
         raise error(f"missing required field {name}")
     if not kind.accepts(value):
-        raise error(f"{name} must be {kind.what}, got {value!r}")
+        raise error(f"{name} must be {kind.what}, got {brief_repr(value)}")
     return kind.build(value)

@@ -223,20 +223,15 @@ def _json_decoder():
     return json.JSONDecoder()
 
 
-def _is_record(rec: object) -> bool:
-    """Whether a decoded cassette line is a {request_hash, response_body} record of two strings."""
-    return (isinstance(rec, dict) and isinstance(rec.get("request_hash"), str)
-            and isinstance(rec.get("response_body"), str))
-
-
 class Cassette:
     """Line-delimited store of {request_hash, response_body} records.
 
     Replay serves recorded response bodies without any network or
     credentials; record mode appends after each live success, one write of
-    one line per record, and keeps no file open between records. A file
-    whose every line is one record as ``store`` writes it is decoded in one
-    pass; any other file goes line by line, with the same records and errors.
+    one line per record, and keeps no file open between records. Each line
+    is decoded with the JSON whitespace around it stripped, as ``json.loads``
+    skips it; a line that ``str.strip`` empties is skipped, and any other line
+    that is not one record is decoded again by ``json.loads``, for its error.
     ``hits`` and ``misses`` count lookups, ``appends`` the records stored.
 
     Raises:
@@ -259,46 +254,24 @@ class Cassette:
             n = exc.object[: exc.start].count(b"\n") + 1
             raise ConfigError(f"cassette {self.path} line {n}: not UTF-8 ({exc.reason})") from None
         self._entries: dict[str, str] = {}
-        if self._read_whole_lines(text):
-            return
-        import json
-
-        # what the pass read before it stopped are the first lines' records, which the loop reads again
+        raw_decode = _json_decoder().raw_decode
         for n, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
+            value = line.strip(" \t\n\r")  # the whitespace json.loads skips around a value
             try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # RecursionError: nested past the limit
-                raise ConfigError(f"cassette {self.path} line {n}: not JSON: {exc}") from None
-            if not _is_record(rec):
-                raise ConfigError(
-                    f"cassette {self.path} line {n}: needs request_hash and response_body strings"
-                )
-            self._entries[rec["request_hash"]] = rec["response_body"]
+                rec, end = raw_decode(value)
+            except (ValueError, RecursionError):  # not JSON, or nested past the limit
+                rec, end = None, -1
+            if (end == len(value) and isinstance(rec, dict) and isinstance(rec.get("request_hash"), str)
+                    and isinstance(rec.get("response_body"), str)):
+                self._entries[rec["request_hash"]] = rec["response_body"]
+            elif line.strip():
+                import json
 
-    def _read_whole_lines(self, text: str) -> bool:
-        """Read ``text`` in one pass of the decoder if each of its lines is one record and nothing else,
-        as ``store`` writes them; False for any other text, which the per-line loop then reads.
-
-        Read with universal newlines, an ASCII text's only line break the decoder takes is the newline,
-        between tokens and never in a string, so a record that ends at the first newline after its start
-        is that whole line's value.
-        """
-        if not text.isascii():  # the decoder takes U+0085, U+2028 and U+2029 in a string; splitlines breaks there
-            return False
-        raw_decode, entries = _json_decoder().raw_decode, self._entries
-        pos, size = 0, len(text)
-        try:
-            while pos < size:
-                rec, end = raw_decode(text, pos)
-                if end != text.find("\n", pos) or not _is_record(rec):
-                    return False
-                entries[rec["request_hash"]] = rec["response_body"]
-                pos = end + 1
-        except (ValueError, RecursionError):  # not JSON, or nested past the limit
-            return False
-        return True
+                try:  # json.loads words the error, with positions in the whole line
+                    json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ConfigError(f"cassette {self.path} line {n}: not JSON: {exc}") from None
+                raise ConfigError(f"cassette {self.path} line {n}: needs request_hash and response_body strings")
 
     def lookup(self, fingerprint: str) -> str | None:
         body = self._entries.get(fingerprint)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Protocol
 
 from .errors import InvalidScenario, MapFormatError
 from .gridmap import GridPose, OccupancyGrid, load_map
-from .inputs import INTEGER, MAPPINGS, PATH, STRING, FieldKind, load_yaml, read_field
+from .inputs import INTEGER, MAPPINGS, PATH, STRING, FieldKind, brief_repr, load_yaml, read_field
 
 SCENARIO_VERSION = "scenario_v1"
 
@@ -105,15 +105,13 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
     start = GridPose(*scenario.start)
     goal = GridPose(*scenario.goal)
 
-    materialized: set[GridPose] = set()
     sensed: set[GridPose] = set()
-    unsensed: set[GridPose] = set()  # materialized - sensed
+    unsensed: set[GridPose] = set()  # materialized, not yet sensed
     pending = deque(sorted(scenario.dynamic_obstacles, key=attrgetter("appears_at_step")))
 
     def materialize(tick: int) -> None:
         while pending and pending[0].appears_at_step <= tick:
             cell = GridPose(*pending.popleft().cell)
-            materialized.add(cell)
             if cell not in sensed:
                 unsensed.add(cell)
 
@@ -157,7 +155,7 @@ def execute(scenario: Scenario, planner: SimPlanner) -> ExecutionRecord:
         tick += 1
         materialize(tick)
         nxt = upcoming.popleft()
-        if not grid.is_free(nxt.x, nxt.y) or nxt in materialized:
+        if not grid.is_free(nxt.x, nxt.y) or nxt in unsensed or nxt in sensed:
             return ExecutionRecord(visited, True, False, replan_count, tick)
         pos = nxt
         visited.append(pos)
@@ -230,7 +228,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         raise InvalidScenario(f"unparseable scenario file: {exc}") from exc
     version = read_field(doc, "version", STRING, InvalidScenario, default=None)
     if version != SCENARIO_VERSION:
-        raise InvalidScenario(f"unsupported scenario version {version!r}, expected {SCENARIO_VERSION!r}")
+        raise InvalidScenario(f"unsupported scenario version {brief_repr(version)}, expected {SCENARIO_VERSION!r}")
     if ("map" in doc) == ("map_file" in doc):
         raise InvalidScenario("exactly one of 'map' or 'map_file' is required")
     if "map" in doc:

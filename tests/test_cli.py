@@ -16,7 +16,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import gridground
-from gridground import bench, cli
+from gridground import bench, cli, inputs
 from gridground.bench import make_planner
 from gridground.bundled import bundled_path
 from gridground.classical import astar
@@ -636,6 +636,48 @@ class TestNestedYamlFiles:
         (last,) = proc.stderr.splitlines()
         assert last.startswith("usage error:" if file == "config" else "error:")
         assert last.endswith("the document nests deeper than 64 collections")
+
+
+def alias_bomb(key, levels=8, fan_out=5):
+    """YAML lines whose ``key`` holds fan_out ** levels copies of one scalar, through one anchor per level."""
+    lines = [f"a0: &a0 [{', '.join(['x'] * fan_out)}]"]
+    lines += [f"a{i}: &a{i} [{', '.join([f'*a{i - 1}'] * fan_out)}]" for i in range(1, levels)]
+    return "\n".join(lines + [f"{key}: *a{levels - 1}"]) + "\n"
+
+
+class TestAliasBombs:
+    """A YAML alias loads as one shared node; an error that shows the value must not spell out every copy."""
+
+    @pytest.mark.parametrize("file", ["config", "suite", "scenario"])
+    def test_exit_1_with_a_short_message(self, tmp_path, capsys, file):
+        shutil.copy(bundled_path("corridor.map"), tmp_path / "corridor.map")
+        suite = "version: suite_v1\nscenarios: [{id: c, file: c.scenario.yaml}]\ntrials_per_pair: 1\n"
+        if file == "config":
+            (tmp_path / "cfg.yaml").write_text(alias_bomb("planner"))
+            argv = plan_args(str(tmp_path / "corridor.map"), "2,1", "21,8", "--config", str(tmp_path / "cfg.yaml"))
+        else:
+            planners = alias_bomb("planners") if file == "suite" else "planners: [astar]\n"
+            (tmp_path / "suite.yaml").write_text(suite + planners)
+            scenario = "version: scenario_v1\nmap_file: corridor.map\ngoal: [21, 8]\ninstruction_text: go\n"
+            (tmp_path / "c.scenario.yaml").write_text(scenario + alias_bomb("start"))
+            argv = ["bench", "--suite", str(tmp_path / "suite.yaml"), "--out-dir", str(tmp_path / "out")]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert len(err) < 2048
+        assert err.startswith("usage error: bad config-file value " if file == "config" else "error: ")
+
+    def test_the_shown_value_is_bounded_whatever_it_holds(self):
+        long = "中" * 10_000
+        leaves = [long, 10**4000, 1.5e300, b"\xff" * 10_000, None]
+        for leaf in leaves:
+            value = {long + str(i): {long + str(j): [leaf] * 10 for j in range(10)} for i in range(10)}
+            for shape in (value, [value] * 10, [[[leaf] * 10] * 10] * 10, {long: [leaf] * 10}):
+                assert len(inputs.brief_repr(shape)) < 1024
+
+    @pytest.mark.parametrize("value", [[1, 2], ["a", "b", "c"], {"x": 1}, "o\x00x", 1.5, None, True, [[0, 1], [2]]])
+    def test_a_small_value_shows_as_its_repr(self, value):
+        assert inputs.brief_repr(value) == repr(value)
 
 
 class TestPrecedence:

@@ -816,7 +816,7 @@ EDITS = st.one_of(
     st.tuples(st.just("join"), FRACTIONS, st.sampled_from(["", " ", ",", ", ", "\t"])),  # two records on one line
     st.tuples(st.just("insert"), FRACTIONS, st.sampled_from(
         ["\u2028", "\x85", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\n", "\r", "\r\n", "\n\n", " \n", "\t",
-         " ", "\ufeff", "{", "}", "[", '"', "\\", ",", "[" * 3000, "\xe9"]) | st.text(max_size=3)),
+         " ", "\ufeff", "{", "}", "[", '"', "\\", ",", "[" * 3000, "\xe9", "\u3000", "\xa0"]) | st.text(max_size=3)),
     st.tuples(st.just("bom"), st.just(0.0), st.just("\ufeff")),
     st.tuples(st.just("crlf"), st.just(0.0), st.sampled_from(["\r\n", "\r"])),
     st.tuples(st.just("reshape"), FRACTIONS, st.sampled_from(["reversed", "compact", "unicode", "extra", "indent"])),
@@ -863,7 +863,7 @@ def edit_cassette(text, edit):
 
 
 class TestCassetteMatchesReference:
-    """The one-pass loader and the one-write writer against the per-line code they replaced."""
+    """The line loop and the one-write writer against the per-line code they replaced."""
 
     @given(records=RECORDS, edits=st.lists(EDITS, max_size=3))
     @example(records=[("a", "b"), ("c", "d")], edits=[("join", 0.0, "")])
@@ -874,6 +874,8 @@ class TestCassetteMatchesReference:
     @example(records=[("a", "b"), ("c", "d")], edits=[("bom", 0.0, "\ufeff"), ("crlf", 0.0, "\r\n"),
                                                      ("insert", 0.5, "\n\n")])
     @example(records=[("a", "b")], edits=[("reshape", 0.0, "indent")])
+    @example(records=[("a", "b")], edits=[("insert", 0.0, "\u3000\n")])  # blank to str.strip, not to JSON
+    @example(records=[("a", "b")], edits=[("insert", 0.0, "\u3000")])  # no JSON whitespace before a record
     @settings(derandomize=True, max_examples=400, deadline=None)
     def test_any_cassette_text_gives_the_same_records_or_error(self, records, edits):
         text = "".join(reference_line(h, b) for h, b in records)
@@ -888,7 +890,7 @@ class TestCassetteMatchesReference:
     def test_the_recorded_cassettes_read_in_one_pass(self, monkeypatch):
         paths = [RECORDED / "corridor_grounded.jsonl", RECORDED / "corridor_fullpath.jsonl"]
         expected = [reference_cassette_entries(path) for path in paths]
-        monkeypatch.setattr(json, "loads", None)  # the per-line loop calls it, the one pass does not
+        monkeypatch.setattr(json, "loads", None)  # a valid line never reaches it
         assert [Cassette(path)._entries for path in paths] == expected
 
     @given(records=RECORDS)
